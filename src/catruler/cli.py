@@ -78,6 +78,16 @@ def _parse_float_list(text: str, name: str) -> list[float]:
     return values
 
 
+def _require_alphas(alphas: list[float] | None) -> list[float]:
+    """The cat amplitudes of a scan command: at least one, each positive and finite."""
+    if not alphas:
+        raise ValueError("no alpha values given (use --alpha or a config file)")
+    for alpha in alphas:
+        if not (alpha > 0 and math.isfinite(alpha)):
+            raise ValueError(f"alpha values must be positive and finite, got {alpha!r}")
+    return alphas
+
+
 def _auto_span(alpha: float) -> tuple[float, float]:
     period = 2.0 * math.pi / alpha**2
     return (-AUTO_SPAN_PERIODS * period, AUTO_SPAN_PERIODS * period)
@@ -115,9 +125,9 @@ def _say(args, message: str) -> None:
 
 
 def cmd_fringe(args, config: SweepConfig) -> int:
-    alphas = _parse_float_list(args.alpha, "alpha") if args.alpha else config.alphas
-    if not alphas:
-        raise ValueError("no alpha values given (use --alpha or a config file)")
+    alphas = _require_alphas(
+        _parse_float_list(args.alpha, "alpha") if args.alpha else config.alphas
+    )
     n_points = args.points or config.n_points or DEFAULT_POINTS
     mode = args.normalization or config.normalization_mode or "conditional"
     out_dir = Path(args.out or config.output_path or ".")
@@ -128,8 +138,6 @@ def cmd_fringe(args, config: SweepConfig) -> int:
     )
 
     for alpha in alphas:
-        if alpha <= 0:
-            raise ValueError("alpha values must be positive")
         lo, hi = _parse_span(span_text, alpha)
         curve = fringe_scan(alpha, lo, hi, n_points, mode=mode)
         rows = zip(
@@ -151,9 +159,9 @@ def cmd_fringe(args, config: SweepConfig) -> int:
 
 
 def cmd_width_scaling(args, config: SweepConfig) -> int:
-    alphas = _parse_float_list(args.alpha, "alpha") if args.alpha else config.alphas
-    if not alphas:
-        raise ValueError("no alpha values given (use --alpha or a config file)")
+    alphas = _require_alphas(
+        _parse_float_list(args.alpha, "alpha") if args.alpha else config.alphas
+    )
     n_points = args.points or config.n_points or DEFAULT_POINTS
     mode = args.normalization or config.normalization_mode or "conditional"
     out_dir = Path(args.out or config.output_path or ".")
@@ -234,10 +242,10 @@ def cmd_snr(args, config: SweepConfig) -> int:
 
 
 def cmd_ruler(args, config: SweepConfig) -> int:
-    alpha = args.alpha
+    (alpha,) = _require_alphas([args.alpha])
     wavelength = args.wavelength
-    if alpha <= 0 or wavelength <= 0:
-        raise ValueError("alpha and wavelength must be positive")
+    if not (wavelength > 0 and math.isfinite(wavelength)):
+        raise ValueError("wavelength must be positive and finite")
     n_points = args.points or config.n_points or 1201
     mode = args.normalization or config.normalization_mode or "conditional"
     out_dir = Path(args.out or config.output_path or ".")

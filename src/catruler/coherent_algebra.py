@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import erf
+from scipy.special import wofz
 
 from .errors import IntegrationError, NormalizationError
 
@@ -132,39 +132,63 @@ class CoherentSuperposition:
         return self.scaled(1.0 / math.sqrt(n2))
 
 
+def _log_overlap(tau, gamma):
+    """log <tau|gamma>, elementwise over broadcast amplitude arrays."""
+    return -0.5 * (np.abs(tau) ** 2 + np.abs(gamma) ** 2) + np.conj(tau) * gamma
+
+
 def overlap(tau: complex, gamma: complex) -> complex:
     """Coherent-state overlap <tau|gamma>; |result| <= 1 always."""
     tau = _require_finite_complex(tau, "tau")
     gamma = _require_finite_complex(gamma, "gamma")
-    return complex(
-        np.exp(-0.5 * (abs(tau) ** 2 + abs(gamma) ** 2) + np.conj(tau) * gamma)
-    )
+    return complex(np.exp(_log_overlap(tau, gamma)))
+
+
+def _log_overlap_matrix(amps: np.ndarray) -> np.ndarray:
+    """log <g_k|g_l> over the last axis of amps, broadcast over leading axes."""
+    return _log_overlap(amps[..., :, None], amps[..., None, :])
 
 
 def _overlap_matrix(amps: np.ndarray) -> np.ndarray:
-    a2 = np.abs(amps) ** 2
-    return np.exp(-0.5 * (a2[:, None] + a2[None, :]) + np.conj(amps)[:, None] * amps[None, :])
+    """Gram matrix <g_k|g_l>: shape (..., k) -> (..., k, k)."""
+    return np.exp(_log_overlap_matrix(amps))
+
+
+def _hermitian_form(coeffs: np.ndarray, kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """conj(c) . K . c for Hermitian K, over any leading axes of c and K.
+
+    Returns the complex values and a mask that is False wherever a value
+    is not finite or its imaginary residue exceeds IMAG_RESIDUE_LIMIT
+    times the coefficient scale max(1, sum |c_k|^2).
+    """
+    value = np.einsum("...k,...kl,...l->...", np.conj(coeffs), kernel, coeffs)
+    scale = np.maximum(1.0, (np.abs(coeffs) ** 2).sum(axis=-1))
+    return value, np.isfinite(value) & (np.abs(value.imag) <= IMAG_RESIDUE_LIMIT * scale)
 
 
 def _hermitian_value(coeffs: np.ndarray, kernel: np.ndarray, what: str) -> float:
-    """conj(c) . K . c for Hermitian K, with an imaginary-residue check."""
-    value = complex(np.conj(coeffs) @ kernel @ coeffs)
-    scale = max(1.0, float(np.sum(np.abs(coeffs) ** 2)))
-    if abs(value.imag) > IMAG_RESIDUE_LIMIT * scale:
+    """conj(c) . K . c of one state, rejecting non-finite or complex values."""
+    value, ok = _hermitian_form(coeffs, kernel)
+    if not ok:
         raise NormalizationError(
-            f"{what} has imaginary residue {value.imag:.3e} (scale {scale:.3e}); "
-            "coefficients look corrupted"
+            f"{what} = {complex(value)!r} is not finite or carries an imaginary "
+            "residue; coefficients look corrupted"
         )
-    return value.real
+    return float(value.real)
+
+
+def _clamped_norm(coeffs: np.ndarray, gram: np.ndarray) -> float:
+    """Squared norm from a Gram matrix; tiny negatives clamp to zero."""
+    value = _hermitian_value(coeffs, gram, "norm^2")
+    scale = max(1.0, float((np.abs(coeffs) ** 2).sum()))
+    if value < -NORM_CLAMP * scale:
+        raise NormalizationError(f"norm^2 = {value!r} is negative beyond tolerance")
+    return max(value, 0.0)
 
 
 def norm_squared(s: CoherentSuperposition) -> float:
     """<s|s> via the Gram matrix; tiny negatives clamp to zero."""
-    value = _hermitian_value(s.coefficients, _overlap_matrix(s.amplitudes), "norm^2")
-    scale = max(1.0, float(np.sum(np.abs(s.coefficients) ** 2)))
-    if value < -NORM_CLAMP * scale:
-        raise NormalizationError(f"norm^2 = {value!r} is negative beyond tolerance")
-    return max(value, 0.0)
+    return _clamped_norm(s.coefficients, _overlap_matrix(s.amplitudes))
 
 
 def displace(s: CoherentSuperposition, d: complex) -> CoherentSuperposition:
@@ -216,20 +240,26 @@ def quadrature_wavefunction(gamma, x, conv: QuadratureConvention = CANONICAL_CON
     return psi
 
 
-def _threshold_kernel_erf(amps: np.ndarray, threshold: float, s: float) -> np.ndarray:
-    """Pairwise integrals int_{-inf}^{T} conj(psi_k) psi_l dx, closed form.
+def _threshold_kernel_erf(
+    amps: np.ndarray, threshold: float, s: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gram matrix and pairwise integrals int_{-inf}^{T} conj(psi_k) psi_l dx,
+    closed form, over the last axis of amps and broadcast over leading axes.
 
-    Each pair evaluates to overlap(g_k, g_l) * (1 + erf(z_kl))/2 with
-    z_kl = sqrt(2) (T/s - (conj(g_k) + g_l)/2); erf takes complex
-    arguments.
+    Each pair evaluates to <g_k|g_l> (1 + erf(z_kl))/2 with
+    z_kl = sqrt(2) (T/s - (conj(g_k) + g_l)/2).  For complex z, erf(z)
+    overflows where the overlap underflows, so the overlap exponent is
+    folded into the Faddeeva function w (scipy.special.wofz), which stays
+    bounded in the upper half plane:
+        1 + erf(z) = exp(-z^2) w(-iz)       for Re z < 0,
+        1 + erf(z) = 2 - exp(-z^2) w(iz)    for Re z >= 0.
     """
-    z = math.sqrt(2.0) * (threshold / s - (np.conj(amps)[:, None] + amps[None, :]) / 2.0)
-    return _overlap_matrix(amps) * 0.5 * (1.0 + erf(z))
-
-
-def _threshold_erf(s_state: CoherentSuperposition, threshold: float, conv: QuadratureConvention) -> float:
-    kernel = _threshold_kernel_erf(s_state.amplitudes, threshold, conv.mean_scale)
-    return _hermitian_value(s_state.coefficients, kernel, "threshold probability")
+    log_gram = _log_overlap_matrix(amps)
+    gram = np.exp(log_gram)
+    z = math.sqrt(2.0) * (threshold / s - (np.conj(amps)[..., :, None] + amps[..., None, :]) / 2.0)
+    lower = z.real < 0.0
+    tail = 0.5 * np.exp(log_gram - z**2) * wofz(np.where(lower, -1j * z, 1j * z))
+    return gram, np.where(lower, tail, gram - tail)
 
 
 def _threshold_quad(
@@ -269,7 +299,7 @@ def threshold_probability(
     s: CoherentSuperposition,
     threshold: float,
     conv: QuadratureConvention = CANONICAL_CONVENTION,
-    method: str = "quad",
+    method: str = "erf",
     rtol: float = 1e-9,
     quad_limit: int = 200,
 ) -> float:
@@ -280,31 +310,33 @@ def threshold_probability(
     normalized state this is a probability; for an unnormalized one it
     carries the state's squared norm.
 
-    method selects the evaluation path: "quad" (adaptive quadrature over
-    [mu_min - 12 sigma, T]), "erf" (exact closed form via the complex
-    error function), or "checked" (both, raising IntegrationError if they
-    disagree beyond 1e-8).
+    method selects the evaluation path: "erf" (exact closed form via the
+    Faddeeva function, the production path), "quad" (adaptive quadrature
+    over [mu_min - 12 sigma, T], an independent reference), or "checked"
+    (both, raising IntegrationError if they disagree beyond 1e-8).
     """
     conv.require_self_consistent()
     if not math.isfinite(threshold):
         raise ValueError("threshold must be finite")
+    if method not in ("erf", "quad", "checked"):
+        raise ValueError(f"unknown method {method!r}; use 'erf', 'quad' or 'checked'")
+    coeffs = s.coefficients
+    # every path takes its [0, norm^2] bound from the kernel's Gram matrix
+    gram, kernel = _threshold_kernel_erf(s.amplitudes, threshold, conv.mean_scale)
     if method == "erf":
-        value = _threshold_erf(s, threshold, conv)
-    elif method == "quad":
+        value = _hermitian_value(coeffs, kernel, "threshold probability")
+    else:
         value = _threshold_quad(s, threshold, conv, rtol, quad_limit)
-    elif method == "checked":
-        value = _threshold_quad(s, threshold, conv, rtol, quad_limit)
-        exact = _threshold_erf(s, threshold, conv)
-        if abs(value - exact) > DUAL_PATH_TOLERANCE * max(1.0, abs(exact)):
+    if method == "checked":
+        exact = _hermitian_value(coeffs, kernel, "threshold probability")
+        if not abs(value - exact) <= DUAL_PATH_TOLERANCE * max(1.0, abs(exact)):
             raise IntegrationError(
                 f"quadrature ({value!r}) and closed-form ({exact!r}) threshold "
                 "probabilities disagree beyond 1e-8"
             )
-    else:
-        raise ValueError(f"unknown method {method!r}; use 'quad', 'erf' or 'checked'")
 
-    bound = norm_squared(s) * (1.0 + 1e-9)
-    if value < -NORM_CLAMP or value > bound + NORM_CLAMP:
+    bound = _clamped_norm(coeffs, gram) * (1.0 + 1e-9)
+    if not -NORM_CLAMP <= value <= bound + NORM_CLAMP:
         raise IntegrationError(
             f"threshold probability {value!r} escaped [0, {bound!r}]"
         )

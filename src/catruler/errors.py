@@ -10,7 +10,8 @@ class NormalizationError(CatRulerError):
 
 
 class IntegrationError(CatRulerError):
-    """Adaptive quadrature could not reach the requested tolerance."""
+    """A probability failed its checks: adaptive quadrature missed its
+    tolerance, or a value came out non-finite or out of range."""
 
 
 class TruncationError(CatRulerError):

@@ -28,21 +28,23 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .coherent_algebra import (
     CANONICAL_CONVENTION,
+    NORM_CLAMP,
     CoherentSuperposition,
     QuadratureConvention,
-    norm_squared,
+    _hermitian_form,
+    _log_overlap,
+    _threshold_kernel_erf,
     overlap,
     threshold_probability,
 )
 from .errors import (
     ApproximationRegimeWarning,
-    CatRulerError,
     IntegrationError,
     WidthUndefinedError,
 )
@@ -114,19 +116,12 @@ class ConditionalOutput:
     def __post_init__(self):
         for name in ("plus_weight", "minus_weight"):
             w = getattr(self, name)
-            if w < -1e-12:
-                raise ValueError(f"{name} = {w!r} is negative")
+            if not w >= -NORM_CLAMP:
+                raise ValueError(f"{name} = {w!r} is negative or not finite")
             object.__setattr__(self, name, max(w, 0.0))
         closure = self.plus_weight + self.minus_weight + self.leakage
-        if abs(closure - 1.0) > WEIGHT_CLOSURE_TOL:
+        if not abs(closure - 1.0) <= WEIGHT_CLOSURE_TOL:
             raise ValueError(f"weights + leakage = {closure!r}, not 1 within {WEIGHT_CLOSURE_TOL}")
-
-
-class FringeSample(NamedTuple):
-    theta: float
-    p_plus: float
-    p_minus: float
-    fringe: float
 
 
 @dataclass(frozen=True)
@@ -155,22 +150,17 @@ class FringeCurve:
             elif arr.size != n:
                 raise ValueError("all fringe-curve columns must have equal length")
             object.__setattr__(self, name, arr)
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} holds non-finite values")
         if np.any(np.diff(arrays["theta"]) <= 0):
             raise ValueError("theta samples must be strictly increasing")
         for name in ("p_plus", "p_minus", "fringe", "fringe_complement"):
             arr = arrays[name]
-            if arr.min() < -1e-9 or arr.max() > 1.0 + 1e-9:
+            if not (-1e-9 <= arr.min() and arr.max() <= 1.0 + 1e-9):
                 raise ValueError(f"{name} leaves [0, 1]: range [{arr.min()!r}, {arr.max()!r}]")
 
     def __len__(self) -> int:
         return self.theta.size
-
-    @property
-    def samples(self) -> Iterator[FringeSample]:
-        return (
-            FringeSample(t, pp, pm, f)
-            for t, pp, pm, f in zip(self.theta, self.p_plus, self.p_minus, self.fringe)
-        )
 
 
 class CatProjections(NamedTuple):
@@ -189,30 +179,43 @@ class CatProjections(NamedTuple):
     minus: tuple[complex, complex, complex, complex]
 
 
-def _beamsplitter_terms(p: RealizationParams) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
-    """Coherent components (measured port, homodyne port) of the four
-    product terms of cat(theta) x cat after the beamsplitter."""
-    a = p.alpha
-    c, s = math.cos(p.phi), math.sin(p.phi)
-    e = complex(np.exp(1j * p.theta))
-    measured = (0j, 1j * a * s, a * c * e, a * c * e + 1j * a * s)
-    output = (0j, a * c + 0j, 1j * a * s * e, a * c + 1j * a * s * e)
-    return measured, output
-
-
 def _cat_norms(alpha: float) -> tuple[float, float]:
     eps = math.exp(-(alpha**2) / 2.0)
     return 1.0 / math.sqrt(2.0 + 2.0 * eps), 1.0 / math.sqrt(2.0 - 2.0 * eps)
 
 
+def _cat_projections(
+    alpha: float, phi: float, thetas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Beamsplitter expansion of cat(theta) x cat at every theta of a grid.
+
+    Returns the measured-port and homodyne-port amplitudes of the four
+    product terms, each of shape (n, 4), and the overlaps of the
+    normalized plus / minus cats with the measured-port components,
+    shape (n, 2, 4).  All of them are closed-form in e^{i theta}.
+    """
+    transmitted, reflected = alpha * math.cos(phi), 1j * alpha * math.sin(phi)
+    e = np.exp(1j * thetas)
+    zero = np.zeros_like(e)
+    measured = np.stack(
+        [zero, zero + reflected, transmitted * e, transmitted * e + reflected], axis=-1
+    )
+    output = np.stack(
+        [zero, zero + transmitted, reflected * e, transmitted + reflected * e], axis=-1
+    )
+    on_vacuum = np.exp(_log_overlap(0.0, measured))
+    on_alpha = np.exp(_log_overlap(alpha, measured))
+    n_plus, n_minus = _cat_norms(alpha)
+    cats = np.stack([n_plus * (on_vacuum + on_alpha), n_minus * (on_vacuum - on_alpha)], axis=-2)
+    return measured, output, cats
+
+
 def cat_coefficients(p: RealizationParams) -> CatProjections:
     """Overlaps of the normalized plus/minus cats with the four measured-port
     coherent components, derived from the beamsplitter expansion."""
-    measured, output = _beamsplitter_terms(p)
-    n_plus, n_minus = _cat_norms(p.alpha)
-    plus = tuple(n_plus * (overlap(0.0, g) + overlap(p.alpha, g)) for g in measured)
-    minus = tuple(n_minus * (overlap(0.0, g) - overlap(p.alpha, g)) for g in measured)
-    return CatProjections(measured, output, plus, minus)
+    measured, output, cats = _cat_projections(p.alpha, p.phi, np.array([p.theta]))
+    rows = (measured[0], output[0], cats[0, 0], cats[0, 1])
+    return CatProjections(*(tuple(complex(v) for v in row) for row in rows))
 
 
 def composite_coefficient_discrepancy(p: RealizationParams) -> float:
@@ -233,31 +236,90 @@ def composite_coefficient_discrepancy(p: RealizationParams) -> float:
     return max(abs(proj.plus[3] - variant_plus), abs(proj.minus[3] - variant_minus))
 
 
+class _ConditionalBatch(NamedTuple):
+    """Conditional outputs over a theta grid; axis 1 of the (n, 2, ...)
+    arrays runs over the (plus, minus) cat outcome."""
+
+    output_amplitudes: np.ndarray  # (n, 4) homodyne-port amplitudes
+    coefficients: np.ndarray  # (n, 2, 4) normalized conditional states
+    weights: np.ndarray  # (n, 2) outcome probabilities
+    leakage: np.ndarray  # (n,) measured-port mass outside the two-cat span
+    conditional: np.ndarray  # (n, 2) below-threshold probabilities per outcome
+
+    def probabilities(self, mode: str) -> np.ndarray:
+        """(n, 2) P_+, P_- in the given normalization mode."""
+        return self.conditional * self.weights if mode == "joint" else self.conditional
+
+
+def _require(ok: np.ndarray, thetas: np.ndarray, message: str) -> None:
+    """Raise IntegrationError naming the first theta at which ok fails."""
+    ok = np.asarray(ok).reshape(len(thetas), -1).all(axis=1)
+    if not ok.all():
+        theta = float(thetas[np.argmin(ok)])
+        raise IntegrationError(f"conditional output failed at theta = {theta!r}: {message}")
+
+
+def _conditional_batch(
+    alpha: float, phi: float, thetas: np.ndarray, conv: QuadratureConvention
+) -> _ConditionalBatch:
+    """Conditional homodyne-port states, weights, leakage and threshold
+    probabilities at every theta of a grid, in one batched evaluation.
+
+    Exactly normalized cat x cat input with the path phase on the measured
+    beam, beamsplitter relation applied to each of the four product terms,
+    projection of the measured port onto the orthonormal plus/minus cats,
+    then the closed-form threshold kernel at the midpoint alpha/2 between
+    the |0> and |alpha> quadrature means.  Every check of the per-state
+    path is made on the whole grid and names the first failing theta.
+    """
+    conv.require_self_consistent()
+    _, output, cats = _cat_projections(alpha, phi, thetas)
+    # both input cats carry the plus-cat normalization
+    raw = _cat_norms(alpha)[0] ** 2 * cats
+    gram, kernel = _threshold_kernel_erf(output, conv.mean_scale * alpha / 2.0, conv.mean_scale)
+    gram, kernel = gram[:, None], kernel[:, None]  # broadcast over the outcome axis
+
+    weights, ok = _hermitian_form(raw, gram)
+    _require(ok, thetas, "outcome weight is not finite or carries an imaginary residue")
+    weights = weights.real
+    _require(weights >= -NORM_CLAMP, thetas, "outcome weight is negative beyond tolerance")
+    weights = np.maximum(weights, 0.0)
+    leakage = 1.0 - weights[:, 0] - weights[:, 1]
+    closure = weights[:, 0] + weights[:, 1] + leakage
+    _require(np.abs(closure - 1.0) <= WEIGHT_CLOSURE_TOL, thetas,
+             f"weights + leakage differ from 1 by more than {WEIGHT_CLOSURE_TOL}")
+
+    coefficients = raw * (1.0 / np.sqrt(weights))[..., None]
+    norms, ok = _hermitian_form(coefficients, gram)
+    _require(ok & (norms.real >= -NORM_CLAMP), thetas, "conditional state norm is corrupted")
+    bound = np.maximum(norms.real, 0.0) * (1.0 + 1e-9)
+    value, ok = _hermitian_form(coefficients, kernel)
+    _require(ok, thetas, "threshold probability is not finite or carries an imaginary residue")
+    value = value.real
+    _require((-NORM_CLAMP <= value) & (value <= bound + NORM_CLAMP), thetas,
+             "threshold probability escaped [0, norm^2]")
+    conditional = np.minimum(np.maximum(value, 0.0), bound)
+    return _ConditionalBatch(output, coefficients, weights, leakage, conditional)
+
+
 def output_state(p: RealizationParams) -> ConditionalOutput:
     """Conditional homodyne-port states after the cat-basis measurement.
 
     Built from first principles: exactly normalized cat x cat input with
     the path phase on the measured beam, beamsplitter relation applied to
     each of the four product terms, then projection of the measured port
-    onto the orthonormal plus/minus cats.
+    onto the orthonormal plus/minus cats.  This is the one-point case of
+    the batched scan kernel.
     """
-    proj = cat_coefficients(p)
-    nc2 = 1.0 / (2.0 + 2.0 * math.exp(-(p.alpha**2) / 2.0))
-
-    raw_plus = CoherentSuperposition(
-        tuple((nc2 * w, g) for w, g in zip(proj.plus, proj.output_amplitudes))
-    )
-    raw_minus = CoherentSuperposition(
-        tuple((nc2 * w, g) for w, g in zip(proj.minus, proj.output_amplitudes))
-    )
-    w_plus = norm_squared(raw_plus)
-    w_minus = norm_squared(raw_minus)
+    b = _conditional_batch(p.alpha, p.phi, np.array([p.theta]), CANONICAL_CONVENTION)
+    amps = b.output_amplitudes[0]
+    plus, minus = (CoherentSuperposition(tuple(zip(c, amps))) for c in b.coefficients[0])
     return ConditionalOutput(
-        plus_state=raw_plus.scaled(1.0 / math.sqrt(w_plus)),
-        minus_state=raw_minus.scaled(1.0 / math.sqrt(w_minus)),
-        plus_weight=w_plus,
-        minus_weight=w_minus,
-        leakage=1.0 - w_plus - w_minus,
+        plus_state=plus,
+        minus_state=minus,
+        plus_weight=float(b.weights[0, 0]),
+        minus_weight=float(b.weights[0, 1]),
+        leakage=float(b.leakage[0]),
     )
 
 
@@ -265,7 +327,7 @@ def measurement_probabilities(
     p: RealizationParams,
     conv: QuadratureConvention = CANONICAL_CONVENTION,
     mode: str = "conditional",
-    method: str = "quad",
+    method: str = "erf",
 ) -> tuple[float, float]:
     """(P_+, P_-): probability of a quadrature outcome at or below the
     threshold midway between the |0> and |alpha> means, conditioned on
@@ -274,8 +336,16 @@ def measurement_probabilities(
     mode "conditional" normalizes each outcome state first (fringes span
     [0, 1]); mode "joint" scales by the outcome weights instead, giving
     the unconditioned probabilities of (outcome, below-threshold).
+
+    method "erf" is the one-point case of the batched scan kernel, so a
+    scan point and this call agree bit for bit; "quad" and "checked" run
+    threshold_probability's reference paths on the output_state states.
     """
     _check_mode(mode)
+    if method == "erf":
+        b = _conditional_batch(p.alpha, p.phi, np.array([p.theta]), conv)
+        p_plus, p_minus = b.probabilities(mode)[0]
+        return float(p_plus), float(p_minus)
     out = output_state(p)
     threshold = conv.mean_scale * p.alpha / 2.0
     p_plus = threshold_probability(out.plus_state, threshold, conv, method=method)
@@ -306,29 +376,23 @@ def fringe_scan(
     conv: QuadratureConvention = CANONICAL_CONVENTION,
     mode: str = "conditional",
     phi: float | None = None,
-    method: str = "quad",
 ) -> FringeCurve:
     """Uniformly sampled fringe curve over [theta_min, theta_max].
 
-    Each point is an independent pure computation; failures are re-raised
-    with the offending theta identified.
+    The whole grid is one batched closed-form evaluation; a failed check
+    raises IntegrationError naming the first offending theta.
     """
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
+    if not (math.isfinite(theta_min) and math.isfinite(theta_max)):
+        raise ValueError("theta_min and theta_max must be finite")
     if not theta_min < theta_max:
         raise ValueError("theta_min must be below theta_max")
     _check_mode(mode)
+    params = RealizationParams(alpha=alpha, phi=phi)
     thetas = np.linspace(theta_min, theta_max, n_points)
-    p_plus = np.empty(n_points)
-    p_minus = np.empty(n_points)
-    leak = np.empty(n_points)
-    for i, theta in enumerate(thetas):
-        params = RealizationParams(alpha=alpha, theta=float(theta), phi=phi)
-        try:
-            p_plus[i], p_minus[i] = measurement_probabilities(params, conv, mode, method)
-            leak[i] = output_state(params).leakage
-        except CatRulerError as exc:
-            raise IntegrationError(f"fringe scan failed at theta = {theta!r}: {exc}") from exc
+    batch = _conditional_batch(params.alpha, params.phi, thetas, conv)
+    p_plus, p_minus = batch.probabilities(mode).T
     fringe = (p_minus - p_plus + 1.0) / 2.0
     return FringeCurve(
         alpha=alpha,
@@ -337,7 +401,7 @@ def fringe_scan(
         p_minus=p_minus,
         fringe=fringe,
         fringe_complement=1.0 - fringe,
-        leakage=leak,
+        leakage=batch.leakage,
         normalization_mode=mode,
     )
 

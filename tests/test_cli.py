@@ -129,6 +129,15 @@ class TestWidthScaling:
         assert report["ratios"]["5/10"] == pytest.approx(4.0, abs=0.4)
         assert -2.2 <= report["exponent"] <= -1.8
 
+    @pytest.mark.parametrize("command", [
+        ["width-scaling", "--alpha", "0,5"],
+        ["width-scaling", "--alpha", "5,nan"],
+        ["fringe", "--alpha", "inf", "--points", "5"],
+        ["ruler", "--alpha", "-1", "--wavelength", "1e-6"],
+    ])
+    def test_bad_alpha_is_usage_error(self, tmp_path, command):
+        assert main(["--out", str(tmp_path), "--quiet"] + command) == 2
+
     def test_single_alpha_has_no_ratios(self, tmp_path):
         assert main(["--out", str(tmp_path), "--quiet", "width-scaling",
                      "--alpha", "5", "--points", "121"]) == 0

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from catruler.coherent_algebra import (
@@ -23,7 +25,7 @@ from catruler.coherent_algebra import (
     quadrature_wavefunction,
     threshold_probability,
 )
-from catruler.errors import IntegrationError, NormalizationError
+from catruler.errors import CatRulerError, IntegrationError, NormalizationError
 
 TIGHT = 1e-12
 SELF_CONSISTENCY_TOL = 1e-8
@@ -102,6 +104,11 @@ class TestNormSquared:
     def test_corrupted_quadratic_form_raises(self):
         # non-Hermitian kernel stands in for corrupted coefficients
         kernel = np.array([[1.0, 1j], [0.0, 1.0]])
+        with pytest.raises(NormalizationError):
+            _hermitian_value(np.array([1.0, 1.0], dtype=complex), kernel, "test form")
+
+    def test_non_finite_quadratic_form_raises(self):
+        kernel = np.array([[1.0, complex("nan")], [complex("nan"), 1.0]])
         with pytest.raises(NormalizationError):
             _hermitian_value(np.array([1.0, 1.0], dtype=complex), kernel, "test form")
 
@@ -303,6 +310,61 @@ class TestThresholdProbability:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             threshold_probability(CoherentSuperposition.single(0.0), 0.0, method="simpson")
+
+    def test_wide_imaginary_separation_is_finite(self):
+        # an underflowing overlap times an overflowing complex erf used to
+        # give NaN here; the Faddeeva form keeps the product finite
+        s = CoherentSuperposition(((1, 20j), (1, -20j))).normalized()
+        exact = threshold_probability(s, 0.3, method="erf")
+        assert exact == pytest.approx(0.71815, abs=1e-5)
+        assert abs(exact - threshold_probability(s, 0.3, method="quad")) <= 1e-8
+
+    def test_far_lower_tail_keeps_relative_precision(self):
+        # below every mean the kernel takes the exp(-z^2) w(-iz) branch,
+        # which neither cancels against 2 nor overflows
+        s = CoherentSuperposition.single(0.0)
+        for threshold in (-3.0, -8.0, -30.0):
+            expected = 0.5 * math.erfc(-threshold / (0.5 * math.sqrt(2)))
+            assert threshold_probability(s, threshold) == pytest.approx(expected, rel=1e-12, abs=0)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        separation=st.floats(0.0, 100.0),
+        shift=st.floats(-3.0, 3.0),
+        offset=st.floats(-2.0, 2.0),
+        phase=st.floats(0.0, 2 * math.pi),
+        threshold=st.floats(-3.0, 3.0),
+    )
+    def test_erf_matches_quad_at_wide_separations(
+        self, separation, shift, offset, phase, threshold
+    ):
+        s = CoherentSuperposition((
+            (1.0, complex(shift, separation / 2)),
+            (complex(math.cos(phase), math.sin(phase)), complex(shift + offset, -separation / 2)),
+            (0.5, complex(-shift, 0.3 * separation)),
+        )).normalized()
+        exact = threshold_probability(s, threshold, method="erf")
+        assert abs(exact - threshold_probability(s, threshold, method="quad")) <= 1e-8
+
+    def test_nan_from_quadrature_fails_the_range_guard(self, monkeypatch):
+        from catruler import coherent_algebra as ca
+
+        monkeypatch.setattr(ca, "_threshold_quad", lambda *args: math.nan)
+        with pytest.raises(IntegrationError, match="escaped"):
+            threshold_probability(CoherentSuperposition.single(0.0), 0.0, method="quad")
+
+    def test_checked_path_rejects_nan_closed_form(self, monkeypatch):
+        from catruler import coherent_algebra as ca
+
+        kernel_erf = ca._threshold_kernel_erf
+
+        def nan_kernel(amps, threshold, s):
+            gram, kernel = kernel_erf(amps, threshold, s)
+            return gram, np.full_like(kernel, complex("nan"))
+
+        monkeypatch.setattr(ca, "_threshold_kernel_erf", nan_kernel)
+        with pytest.raises(CatRulerError):
+            threshold_probability(CoherentSuperposition.single(1.0), 1.0, method="checked")
 
     def test_result_bounded_by_norm(self):
         s = CoherentSuperposition(((1.0, 0.0), (1.0, 2.0)))  # norm^2 = 2 + 2e^-2

@@ -139,6 +139,13 @@ class TestOutputState:
         with pytest.raises(ValueError):
             ConditionalOutput(out.plus_state, out.minus_state, 0.6, 0.6, 0.6)
 
+    def test_type_rejects_non_finite_weights(self):
+        out = output_state(RealizationParams(alpha=5.0))
+        with pytest.raises(ValueError):
+            ConditionalOutput(out.plus_state, out.minus_state, math.nan, 0.5, 0.5)
+        with pytest.raises(ValueError):
+            ConditionalOutput(out.plus_state, out.minus_state, 0.5, 0.5, math.nan)
+
 
 class TestCatCoefficients:
     def test_vacuum_projection_closed_form(self):
@@ -235,7 +242,7 @@ class TestFringeFunction:
 
 def small_scan(alpha, periods=3.0, n_points=241, **kw):
     period = 2 * math.pi / alpha**2
-    return fringe_scan(alpha, -periods * period, periods * period, n_points, method="erf", **kw)
+    return fringe_scan(alpha, -periods * period, periods * period, n_points, **kw)
 
 
 class TestFringeScan:
@@ -286,12 +293,51 @@ class TestFringeScan:
     def test_per_point_failure_identifies_theta(self, monkeypatch):
         from catruler import physical_realization as pr
 
-        def boom(*args, **kwargs):
-            raise IntegrationError("synthetic failure")
+        kernel_erf = pr._threshold_kernel_erf
 
-        monkeypatch.setattr(pr, "measurement_probabilities", boom)
-        with pytest.raises(IntegrationError, match="theta"):
+        def corrupt_one_point(amps, threshold, s):
+            gram, kernel = kernel_erf(amps, threshold, s)
+            kernel[3, 1, 2] = complex("nan")
+            return gram, kernel
+
+        monkeypatch.setattr(pr, "_threshold_kernel_erf", corrupt_one_point)
+        thetas = np.linspace(-0.1, 0.1, 5)
+        with pytest.raises(IntegrationError, match=f"theta = {float(thetas[3])!r}"):
             pr.fringe_scan(5.0, -0.1, 0.1, 5)
+
+    def test_non_finite_bounds_rejected(self):
+        with pytest.raises(ValueError):
+            fringe_scan(5.0, -math.inf, 0.1, 5)
+        with pytest.raises(ValueError):
+            fringe_scan(5.0, -0.1, math.nan, 5)
+
+    def test_warns_once_per_scan(self):
+        import warnings as _warnings
+
+        with _warnings.catch_warnings(record=True) as caught:
+            _warnings.simplefilter("always", ApproximationRegimeWarning)
+            fringe_scan(4.0, -0.1, 0.1, 9)
+        assert len([w for w in caught if w.category is ApproximationRegimeWarning]) == 1
+
+    @pytest.mark.parametrize("alpha", [5.0, 10.0, 20.0])
+    def test_batched_scan_matches_per_point_quadrature(self, alpha):
+        period = 2 * math.pi / alpha**2
+        curve = fringe_scan(alpha, -3 * period, 3 * period, 61)
+        for i in (0, 17, 30, 44):
+            p = RealizationParams(alpha=alpha, theta=float(curve.theta[i]))
+            p_plus, p_minus = measurement_probabilities(p, method="quad")
+            assert abs(curve.p_plus[i] - p_plus) <= 1e-8
+            assert abs(curve.p_minus[i] - p_minus) <= 1e-8
+
+    def test_batched_scan_matches_fock_oracle_at_alpha_five(self):
+        from catruler.fock_oracle import end_to_end_oracle
+
+        curve = fringe_scan(5.0, -0.3, 0.3, 7)
+        for i in (1, 4):
+            oracle = end_to_end_oracle(RealizationParams(alpha=5.0, theta=float(curve.theta[i])))
+            assert abs(curve.p_plus[i] - oracle.p_plus) <= 1e-6
+            assert abs(curve.p_minus[i] - oracle.p_minus) <= 1e-6
+            assert abs(curve.leakage[i] - oracle.leakage) <= 1e-6
 
     def test_curve_type_validation(self):
         with pytest.raises(ValueError):
@@ -311,6 +357,19 @@ class TestFringeScan:
                 leakage=np.zeros(2),
             )
 
+    @pytest.mark.parametrize("column", ["theta", "p_plus", "fringe", "leakage"])
+    def test_curve_rejects_non_finite_columns(self, column):
+        columns = dict(
+            theta=np.array([0.0, 1.0, 2.0]),
+            p_plus=np.zeros(3), p_minus=np.zeros(3),
+            fringe=np.zeros(3), fringe_complement=np.ones(3),
+            leakage=np.zeros(3),
+        )
+        columns[column] = columns[column].copy()
+        columns[column][1 if column != "theta" else 2] = math.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            FringeCurve(alpha=5.0, **columns)
+
 
 class TestWidths:
     def test_width_ratio_follows_inverse_square_law(self):
@@ -319,7 +378,7 @@ class TestWidths:
         assert 3.6 <= w5 / w10 <= 4.4
 
     def test_window_must_bracket_zero(self):
-        curve = fringe_scan(5.0, 0.01, 0.3, 41, method="erf")
+        curve = fringe_scan(5.0, 0.01, 0.3, 41)
         with pytest.raises(WidthUndefinedError):
             central_fringe_width(curve)
 
@@ -372,7 +431,7 @@ class TestPhaseOffset:
         # fringe period (not a quarter)
         alpha = 10.0
         period = 2 * math.pi / alpha**2
-        curve = fringe_scan(alpha, 0.0, 2 * period, 241, method="erf")
+        curve = fringe_scan(alpha, 0.0, 2 * period, 241)
         offset = fringe_phase_offset(curve)
         assert offset == pytest.approx(period / 2, rel=0.1)
         mid = np.abs(curve.p_plus + curve.p_minus - 1.0)
