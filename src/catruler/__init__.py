@@ -9,9 +9,7 @@ fringe scans, width-scaling fits and signal-to-noise comparisons.
 """
 
 from .coherent_algebra import (
-    CANONICAL_CONVENTION,
     CoherentSuperposition,
-    QuadratureConvention,
     beamsplitter,
     displace,
     norm_squared,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,7 +46,7 @@ class SweepConfig:
     """Sweep defaults; a JSON config file mirrors these field names."""
 
     alphas: list[float] | None = None
-    theta_span: object = "auto"  # "auto" or [min, max]
+    theta_span: str = "auto"  # "auto" or "min:max"; a config file may give [min, max]
     n_points: int | None = None
     normalization_mode: str | None = None
     output_path: str | None = None
@@ -61,11 +62,28 @@ class SweepConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         cfg = cls(**raw)
-        if cfg.alphas is not None:
-            cfg.alphas = [float(a) for a in cfg.alphas]
+        try:
+            if cfg.alphas is not None:
+                cfg.alphas = [float(a) for a in cfg.alphas]
+            if not isinstance(cfg.theta_span, str):
+                cfg.theta_span = ":".join(str(v) for v in cfg.theta_span)
+            if cfg.n_points is not None:
+                cfg.n_points = operator.index(cfg.n_points)
+            if cfg.seed is not None:
+                cfg.seed = operator.index(cfg.seed)
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"config value has the wrong type: {exc}") from exc
         if cfg.normalization_mode is not None and cfg.normalization_mode not in NORMALIZATION_MODES:
             raise ValueError(f"normalization_mode must be one of {NORMALIZATION_MODES}")
+        if cfg.output_path is not None and not isinstance(cfg.output_path, str):
+            raise ValueError("output_path must be a string")
         return cfg
+
+
+def _first(*values):
+    """The first value that is not None: a flag wins over the config file,
+    which wins over the default."""
+    return next(v for v in values if v is not None)
 
 
 def _parse_float_list(text: str, name: str) -> list[float]:
@@ -76,16 +94,6 @@ def _parse_float_list(text: str, name: str) -> list[float]:
     if not values:
         raise ValueError(f"{name} list is empty")
     return values
-
-
-def _require_alphas(alphas: list[float] | None) -> list[float]:
-    """The cat amplitudes of a scan command: at least one, each positive and finite."""
-    if not alphas:
-        raise ValueError("no alpha values given (use --alpha or a config file)")
-    for alpha in alphas:
-        if not (alpha > 0 and math.isfinite(alpha)):
-            raise ValueError(f"alpha values must be positive and finite, got {alpha!r}")
-    return alphas
 
 
 def _auto_span(alpha: float) -> tuple[float, float]:
@@ -103,55 +111,84 @@ def _parse_span(text: str, alpha: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _write_csv(path: Path, header: list[str], rows, comments=()) -> None:
+def _say(args, message: str) -> None:
+    if not args.quiet:
+        print(message)
+
+
+def _output_path(args, config: SweepConfig, name: str) -> Path:
+    """Path of an output file; the directory is created here, so call
+    this only once every argument is validated and the results exist."""
+    out_dir = Path(_first(args.out, config.output_path, "."))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir / name
+
+
+def _write_csv(args, config: SweepConfig, name: str, header: list[str], rows, comments=()) -> None:
     lines = [SCHEMA_LINE]
     lines.extend(f"# {c}" for c in comments)
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
+    path = _output_path(args, config, name)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _say(args, f"wrote {path}")
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+def _write_report(args, config: SweepConfig, name: str, report: dict) -> None:
+    """Write a JSON report and echo it to stdout."""
+    text = json.dumps(report, indent=2, sort_keys=True)
+    path = _output_path(args, config, name)
+    path.write_text(text + "\n", encoding="utf-8")
+    _say(args, text)
+    _say(args, f"wrote {path}")
 
 
-def _say(args, message: str) -> None:
-    if not args.quiet:
-        print(message)
+def _scan_settings(
+    args, config: SweepConfig, default_points: int = DEFAULT_POINTS
+) -> tuple[list[float], int, str]:
+    """(alphas, points, normalization mode) of fringe, width-scaling or
+    ruler, validated before any scan runs: at least one alpha, each
+    positive and finite, and at least two points."""
+    if args.alpha is None:
+        alphas = config.alphas
+    elif isinstance(args.alpha, str):
+        alphas = _parse_float_list(args.alpha, "alpha")
+    else:  # ruler's --alpha is a single float
+        alphas = [args.alpha]
+    if not alphas:
+        raise ValueError("no alpha values given (use --alpha or a config file)")
+    for alpha in alphas:
+        if not (alpha > 0 and math.isfinite(alpha)):
+            raise ValueError(f"alpha values must be positive and finite, got {alpha!r}")
+    n_points = _first(args.points, config.n_points, default_points)
+    if n_points < 2:
+        raise ValueError(f"points must be at least 2, got {n_points!r}")
+    mode = _first(args.normalization, config.normalization_mode, "conditional")
+    return alphas, n_points, mode
 
 
 # ---------------------------------------------------------------- fringe
 
 
 def cmd_fringe(args, config: SweepConfig) -> int:
-    alphas = _require_alphas(
-        _parse_float_list(args.alpha, "alpha") if args.alpha else config.alphas
-    )
-    n_points = args.points or config.n_points or DEFAULT_POINTS
-    mode = args.normalization or config.normalization_mode or "conditional"
-    out_dir = Path(args.out or config.output_path or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    span_text = args.theta_span or (
-        config.theta_span if isinstance(config.theta_span, str)
-        else ":".join(str(v) for v in config.theta_span)
-    )
+    alphas, n_points, mode = _scan_settings(args, config)
+    span_text = _first(args.theta_span, config.theta_span)
+    spans = [_parse_span(span_text, alpha) for alpha in alphas]
+    curves = [fringe_scan(alpha, lo, hi, n_points, mode=mode)
+              for alpha, (lo, hi) in zip(alphas, spans)]
 
-    for alpha in alphas:
-        lo, hi = _parse_span(span_text, alpha)
-        curve = fringe_scan(alpha, lo, hi, n_points, mode=mode)
+    for alpha, curve in zip(alphas, curves):
         rows = zip(
             curve.theta, curve.p_plus, curve.p_minus,
             curve.fringe, curve.fringe_complement, curve.leakage,
         )
-        path = out_dir / f"fringe_alpha{_fmt(alpha)}.csv"
         _write_csv(
-            path,
+            args, config, f"fringe_alpha{_fmt(alpha)}.csv",
             ["theta", "p_plus", "p_minus", "fringe", "fringe_complement", "leakage"],
             rows,
             comments=[f"alpha={_fmt(alpha)}", f"normalization={mode}"],
         )
-        _say(args, f"wrote {path}")
     return 0
 
 
@@ -159,13 +196,7 @@ def cmd_fringe(args, config: SweepConfig) -> int:
 
 
 def cmd_width_scaling(args, config: SweepConfig) -> int:
-    alphas = _require_alphas(
-        _parse_float_list(args.alpha, "alpha") if args.alpha else config.alphas
-    )
-    n_points = args.points or config.n_points or DEFAULT_POINTS
-    mode = args.normalization or config.normalization_mode or "conditional"
-    out_dir = Path(args.out or config.output_path or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    alphas, n_points, mode = _scan_settings(args, config)
 
     widths = {}
     for alpha in alphas:
@@ -187,10 +218,7 @@ def cmd_width_scaling(args, config: SweepConfig) -> int:
         slope = np.polyfit(np.log(np.array(alphas)), np.log(np.array([widths[a] for a in alphas])), 1)
         report["exponent"] = float(slope[0])
 
-    path = out_dir / "width_scaling.json"
-    _write_json(path, report)
-    _say(args, json.dumps(report, indent=2, sort_keys=True))
-    _say(args, f"wrote {path}")
+    _write_report(args, config, "width_scaling.json", report)
     return 0
 
 
@@ -212,8 +240,6 @@ def cmd_snr(args, config: SweepConfig) -> int:
     v_theta = args.v_theta
     if v_theta < 0:
         raise ValueError("v-theta must be nonnegative")
-    out_dir = Path(args.out or config.output_path or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     rows = []
     for n_bar in n_bars:
@@ -227,14 +253,8 @@ def cmd_snr(args, config: SweepConfig) -> int:
         adjusted = ideal / squeezed_doubled if squeezed_doubled > 0 else 0.0
         rows.append(SnrRow(n_bar, ideal, squeezed, ratio, adjusted))
 
-    path = out_dir / "snr.csv"
-    _write_csv(
-        path,
-        list(SnrRow._fields),
-        rows,
-        comments=[f"v_theta={_fmt(v_theta)}"],
-    )
-    _say(args, f"wrote {path}")
+    _write_csv(args, config, "snr.csv", list(SnrRow._fields), rows,
+               comments=[f"v_theta={_fmt(v_theta)}"])
     return 0
 
 
@@ -242,14 +262,8 @@ def cmd_snr(args, config: SweepConfig) -> int:
 
 
 def cmd_ruler(args, config: SweepConfig) -> int:
-    (alpha,) = _require_alphas([args.alpha])
+    (alpha,), n_points, mode = _scan_settings(args, config, default_points=1201)
     wavelength = args.wavelength
-    if not (wavelength > 0 and math.isfinite(wavelength)):
-        raise ValueError("wavelength must be positive and finite")
-    n_points = args.points or config.n_points or 1201
-    mode = args.normalization or config.normalization_mode or "conditional"
-    out_dir = Path(args.out or config.output_path or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     analytic = fringe_spacing_physical(alpha, wavelength)
     lo, hi = _auto_span(alpha)
@@ -263,10 +277,7 @@ def cmd_ruler(args, config: SweepConfig) -> int:
         "scan_spacing": measured,
         "relative_deviation": abs(measured - analytic) / analytic,
     }
-    path = out_dir / "ruler.json"
-    _write_json(path, report)
-    _say(args, json.dumps(report, indent=2, sort_keys=True))
-    _say(args, f"wrote {path}")
+    _write_report(args, config, "ruler.json", report)
     return 0
 
 
@@ -351,9 +362,7 @@ def _oracle_checks(max_alpha: float, cases: int, cap: int, seed: int, inject_bug
 def cmd_oracle(args, config: SweepConfig) -> int:
     if args.cases <= 0:
         raise ValueError("--cases must be positive")
-    seed = args.seed if args.seed is not None else (config.seed or 0)
-    out_dir = Path(args.out or config.output_path or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    seed = _first(args.seed, config.seed, 0)
 
     checks = _oracle_checks(args.max_alpha, args.cases, args.truncation, seed, args.inject_bug)
     all_pass = all(c["pass"] for c in checks.values())
@@ -365,10 +374,7 @@ def cmd_oracle(args, config: SweepConfig) -> int:
         "checks": checks,
         "all_pass": all_pass,
     }
-    path = out_dir / "oracle_report.json"
-    _write_json(path, report)
-    _say(args, json.dumps(report, indent=2, sort_keys=True))
-    _say(args, f"wrote {path}")
+    _write_report(args, config, "oracle_report.json", report)
     if not all_pass:
         print("oracle validation failed", file=sys.stderr)
         return 3
@@ -384,8 +390,6 @@ def cmd_phase_error(args, config: SweepConfig) -> int:
         raise ValueError("--theta-max must be positive")
     if args.theta_points < 2:
         raise ValueError("--theta-points must be at least 2")
-    out_dir = Path(args.out or config.output_path or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     thetas = np.linspace(0.0, args.theta_max, args.theta_points)
     rows = []
@@ -394,13 +398,8 @@ def cmd_phase_error(args, config: SweepConfig) -> int:
             rows.append(
                 (theta, alpha, phase_gate_error(alpha, theta), theta**2 * alpha**2)
             )
-    path = out_dir / "phase_error.csv"
-    _write_csv(
-        path,
-        ["theta", "alpha", "error", "theta_sq_alpha_sq"],
-        rows,
-    )
-    _say(args, f"wrote {path}")
+    _write_csv(args, config, "phase_error.csv",
+               ["theta", "alpha", "error", "theta_sq_alpha_sq"], rows)
     return 0
 
 
@@ -462,10 +461,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once: argparse returns a fresh namespace from every parse
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:  # argparse already printed the message
         return 0 if exc.code in (0, None) else 2
 

@@ -10,20 +10,20 @@ that one identity: norms of finite superpositions sum_k c_k |g_k> come
 from the Gram matrix, displacements act term by term, and homodyne
 threshold probabilities reduce to Gaussian integrals of pairwise terms.
 
-Quadrature convention
----------------------
-The amplitude quadrature x is fixed so that <x> for |g> equals
-mean_scale * Re(g).  Requiring the position-space wave functions to be
-normalized *and* to reproduce the overlap identity through
-integral(conj(psi_t) psi_g) forces the vacuum variance to equal
-mean_scale^2 / 4; the convention is unique up to a global phase.  With
-the canonical mean_scale = 1 the wave function is
+Quadrature units
+----------------
+The amplitude quadrature x is fixed so that <x> for |g> equals Re(g).
+Requiring the position-space wave functions to be normalized *and* to
+reproduce the overlap identity through integral(conj(psi_t) psi_g) then
+forces the vacuum variance to 1/4; the wave function is unique up to a
+global phase.  These are the only quadrature units in the package, and
+every threshold is given in them; fringe positions and widths depend
+only on means and relative phases, so no rescaling would change them.
+The wave function is
 
     psi_g(x) = (2/pi)^(1/4) exp(-x^2 + 2 g x - g^2/2 - |g|^2/2)
 
 whose modulus squared is a Gaussian of mean Re(g) and variance 1/4.
-Fringe positions and widths depend only on means and relative phases, so
-results are invariant under the admissible rescalings of mean_scale.
 """
 
 from __future__ import annotations
@@ -53,41 +53,6 @@ def _require_finite_complex(value: complex, name: str) -> complex:
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
-
-
-@dataclass(frozen=True)
-class QuadratureConvention:
-    """Scaling of the amplitude quadrature.
-
-    mean_scale: <x> for |g> is mean_scale * Re(g).
-    variance:   vacuum variance of x; self-consistency with the coherent
-                overlap formula forces variance == mean_scale^2 / 4.
-    """
-
-    mean_scale: float = 1.0
-    variance: float = 0.25
-
-    def __post_init__(self):
-        if not (self.mean_scale > 0 and math.isfinite(self.mean_scale)):
-            raise ValueError("mean_scale must be positive and finite")
-        if not (self.variance > 0 and math.isfinite(self.variance)):
-            raise ValueError("variance must be positive and finite")
-
-    @property
-    def sigma(self) -> float:
-        return math.sqrt(self.variance)
-
-    def require_self_consistent(self) -> None:
-        """Reject conventions that cannot reproduce the overlap identity."""
-        forced = self.mean_scale**2 / 4.0
-        if abs(self.variance - forced) > 1e-12 * max(1.0, forced):
-            raise ValueError(
-                "inconsistent quadrature convention: variance must equal "
-                f"mean_scale^2/4 = {forced!r}, got {self.variance!r}"
-            )
-
-
-CANONICAL_CONVENTION = QuadratureConvention()
 
 
 @dataclass(frozen=True)
@@ -142,6 +107,12 @@ def overlap(tau: complex, gamma: complex) -> complex:
     tau = _require_finite_complex(tau, "tau")
     gamma = _require_finite_complex(gamma, "gamma")
     return complex(np.exp(_log_overlap(tau, gamma)))
+
+
+def cat_norm_squared(alpha: float, sign: int = 1) -> float:
+    """Squared norm 2 + 2 sign e^{-alpha^2/2} of the unnormalized cat
+    |0> + sign |alpha>; sign = 1 gives the plus cat, sign = -1 the minus cat."""
+    return 2.0 + sign * 2.0 * math.exp(-(alpha**2) / 2.0)
 
 
 def _log_overlap_matrix(amps: np.ndarray) -> np.ndarray:
@@ -221,33 +192,33 @@ def beamsplitter(gamma_a: complex, gamma_b: complex, mix_angle: float) -> tuple[
     return (c * gamma_a + 1j * s * gamma_b, c * gamma_b + 1j * s * gamma_a)
 
 
-def quadrature_wavefunction(gamma, x, conv: QuadratureConvention = CANONICAL_CONVENTION):
-    """Complex position-space amplitude psi_g(x) in the given convention.
-
-    |psi_g(x)|^2 is Gaussian with mean mean_scale*Re(g) and variance
-    conv.variance, and integral(conj(psi_t) psi_g) = overlap(t, g)
-    exactly.  x may be a scalar or an ndarray.
-    """
-    conv.require_self_consistent()
-    gamma = _require_finite_complex(gamma, "gamma")
-    s = conv.mean_scale
-    u = np.asarray(x, dtype=float) / s
-    psi = (2.0 / np.pi) ** 0.25 / math.sqrt(s) * np.exp(
-        -(u**2) + 2.0 * gamma * u - gamma**2 / 2.0 - abs(gamma) ** 2 / 2.0
+def _wavefunction(gamma, x):
+    """psi_g(x), elementwise over broadcast amplitude and position arrays."""
+    return (2.0 / np.pi) ** 0.25 * np.exp(
+        -(x**2) + 2.0 * gamma * x - gamma**2 / 2.0 - np.abs(gamma) ** 2 / 2.0
     )
+
+
+def quadrature_wavefunction(gamma, x):
+    """Complex position-space amplitude psi_g(x).
+
+    |psi_g(x)|^2 is Gaussian with mean Re(g) and variance 1/4, and
+    integral(conj(psi_t) psi_g) = overlap(t, g) exactly.  x may be a
+    scalar or an ndarray.
+    """
+    gamma = _require_finite_complex(gamma, "gamma")
+    psi = _wavefunction(gamma, np.asarray(x, dtype=float))
     if np.isscalar(x):
         return complex(psi)
     return psi
 
 
-def _threshold_kernel_erf(
-    amps: np.ndarray, threshold: float, s: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _threshold_kernel_erf(amps: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
     """Gram matrix and pairwise integrals int_{-inf}^{T} conj(psi_k) psi_l dx,
     closed form, over the last axis of amps and broadcast over leading axes.
 
     Each pair evaluates to <g_k|g_l> (1 + erf(z_kl))/2 with
-    z_kl = sqrt(2) (T/s - (conj(g_k) + g_l)/2).  For complex z, erf(z)
+    z_kl = sqrt(2) (T - (conj(g_k) + g_l)/2).  For complex z, erf(z)
     overflows where the overlap underflows, so the overlap exponent is
     folded into the Faddeeva function w (scipy.special.wofz), which stays
     bounded in the upper half plane:
@@ -256,29 +227,22 @@ def _threshold_kernel_erf(
     """
     log_gram = _log_overlap_matrix(amps)
     gram = np.exp(log_gram)
-    z = math.sqrt(2.0) * (threshold / s - (np.conj(amps)[..., :, None] + amps[..., None, :]) / 2.0)
+    z = math.sqrt(2.0) * (threshold - (np.conj(amps)[..., :, None] + amps[..., None, :]) / 2.0)
     lower = z.real < 0.0
     tail = 0.5 * np.exp(log_gram - z**2) * wofz(np.where(lower, -1j * z, 1j * z))
     return gram, np.where(lower, tail, gram - tail)
 
 
 def _threshold_quad(
-    s_state: CoherentSuperposition,
-    threshold: float,
-    conv: QuadratureConvention,
-    rtol: float,
-    quad_limit: int,
+    s_state: CoherentSuperposition, threshold: float, rtol: float, quad_limit: int
 ) -> float:
     coeffs = s_state.coefficients
     amps = s_state.amplitudes
-    means = conv.mean_scale * amps.real
-    lower = min(float(means.min()), threshold) - 12.0 * conv.sigma
+    # 12 vacuum standard deviations (1/2 each) below the lowest mean
+    lower = min(float(amps.real.min()), threshold) - 6.0
 
     def integrand(x: float) -> float:
-        total = 0j
-        for c, g in zip(coeffs, amps):
-            total += c * quadrature_wavefunction(g, x, conv)
-        return abs(total) ** 2
+        return abs(coeffs @ _wavefunction(amps, x)) ** 2
 
     result = quad(
         integrand, lower, threshold, epsabs=1e-14, epsrel=rtol,
@@ -298,15 +262,14 @@ def _threshold_quad(
 def threshold_probability(
     s: CoherentSuperposition,
     threshold: float,
-    conv: QuadratureConvention = CANONICAL_CONVENTION,
     method: str = "erf",
     rtol: float = 1e-9,
     quad_limit: int = 200,
 ) -> float:
     """Probability that the amplitude quadrature lies at or below threshold.
 
-    Returns int_{-inf}^{T} |sum_k c_k psi_{g_k}(x)|^2 dx, where T is the
-    threshold expressed in the convention's quadrature units.  For a
+    Returns int_{-inf}^{T} |sum_k c_k psi_{g_k}(x)|^2 dx, in the
+    module's quadrature units (<x> = Re g, vacuum variance 1/4).  For a
     normalized state this is a probability; for an unnormalized one it
     carries the state's squared norm.
 
@@ -315,18 +278,17 @@ def threshold_probability(
     over [mu_min - 12 sigma, T], an independent reference), or "checked"
     (both, raising IntegrationError if they disagree beyond 1e-8).
     """
-    conv.require_self_consistent()
     if not math.isfinite(threshold):
         raise ValueError("threshold must be finite")
     if method not in ("erf", "quad", "checked"):
         raise ValueError(f"unknown method {method!r}; use 'erf', 'quad' or 'checked'")
     coeffs = s.coefficients
     # every path takes its [0, norm^2] bound from the kernel's Gram matrix
-    gram, kernel = _threshold_kernel_erf(s.amplitudes, threshold, conv.mean_scale)
+    gram, kernel = _threshold_kernel_erf(s.amplitudes, threshold)
     if method == "erf":
         value = _hermitian_value(coeffs, kernel, "threshold probability")
     else:
-        value = _threshold_quad(s, threshold, conv, rtol, quad_limit)
+        value = _threshold_quad(s, threshold, rtol, quad_limit)
     if method == "checked":
         exact = _hermitian_value(coeffs, kernel, "threshold probability")
         if not abs(value - exact) <= DUAL_PATH_TOLERANCE * max(1.0, abs(exact)):

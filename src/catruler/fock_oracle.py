@@ -5,10 +5,13 @@ here by brute force: coherent states expand as
 c_n = e^{-|g|^2/2} g^n / sqrt(n!), beamsplitters act through the matrix
 exponential of the two-mode mixing generator, cat-basis outcomes are
 projections, and quadrature statistics come from the harmonic-oscillator
-eigenfunctions.  Agreement between the two routes at small amplitude is
-what licenses trusting the closed forms at large amplitude, so nothing
-in this module reuses the analytic formulas beyond the bare overlap
-definition in the tests.
+eigenfunctions, in the fixed quadrature units of coherent_algebra
+(<x> = Re g, vacuum variance 1/4).  Agreement between the two routes at
+small amplitude is what licenses trusting the closed forms at large
+amplitude, so nothing in this module reuses the analytic formulas beyond
+the bare overlap definition in the tests; in particular the cat
+normalization is written out here rather than taken from
+coherent_algebra.cat_norm_squared.
 
 Truncations follow N = max(30, ceil(|g|^2 + 8 |g| + 20)) per mode
 (a Poisson-tail bound), and every constructor or unitary verifies the
@@ -25,11 +28,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import expm_multiply
 
-from .coherent_algebra import (
-    CANONICAL_CONVENTION,
-    CoherentSuperposition,
-    QuadratureConvention,
-)
+from .coherent_algebra import CoherentSuperposition
 from .coherent_algebra import norm_squared as _gram_norm_squared
 from .errors import GridResolutionError, TruncationError
 from .physical_realization import RealizationParams, _check_mode
@@ -217,21 +216,19 @@ def parity_distribution(state: FockVector, norm_tol: float = 1e-6) -> tuple[floa
     return p_even, 1.0 - p_even
 
 
-def _eigenfunction_table(truncation: int, x: np.ndarray, mean_scale: float) -> np.ndarray:
+def _eigenfunction_table(truncation: int, x: np.ndarray) -> np.ndarray:
     """psi_n(x) for n = 0..N by upward recurrence with underflow guards.
 
-    Convention: <x>_g = mean_scale * Re(g), vacuum variance
-    mean_scale^2/4.  The recurrence on normalized eigenfunctions is
-    stable pointwise; a per-point power-of-two rescaling keeps deep-tail
-    values representable and is undone on accumulation.
+    Units: <x>_g = Re(g), vacuum variance 1/4 (as in coherent_algebra).
+    The recurrence on normalized eigenfunctions is stable pointwise; a
+    per-point power-of-two rescaling keeps deep-tail values representable
+    and is undone on accumulation.
     """
-    s = mean_scale
-    u = x / s
-    xi = math.sqrt(2.0) * u
+    xi = math.sqrt(2.0) * x
     table = np.zeros((truncation + 1, x.size))
     scale_pow = np.zeros(x.size)  # log2 of the factor applied to the running pair
     prev = np.zeros(x.size)
-    curr = (2.0 / np.pi) ** 0.25 / math.sqrt(s) * np.exp(-(u**2))
+    curr = (2.0 / np.pi) ** 0.25 * np.exp(-(x**2))
     table[0] = curr
     for n in range(truncation):
         nxt = math.sqrt(2.0 / (n + 1)) * xi * curr - math.sqrt(n / (n + 1.0)) * prev
@@ -260,38 +257,36 @@ def _gauss_panel_rule(lower: float, upper: float, n_panels: int, order: int = 16
 def quadrature_cdf_fock(
     state: FockVector,
     threshold: float,
-    conv: QuadratureConvention = CANONICAL_CONVENTION,
     rtol: float = 1e-9,
     base_panels: int | None = None,
     max_refinements: int = 4,
 ) -> float:
     """Probability of a quadrature outcome at or below threshold.
 
-    Expands the state in the oscillator eigenbasis consistent with conv
-    and integrates |psi(x)|^2 by composite Gauss-Legendre panels, doubling
-    the panel count until two successive refinements agree to rtol.
+    Expands the state in the oscillator eigenbasis (<x>_g = Re(g), vacuum
+    variance 1/4) and integrates |psi(x)|^2 by composite Gauss-Legendre
+    panels, doubling the panel count until two successive refinements
+    agree to rtol.
     """
-    conv.require_self_consistent()
     if not math.isfinite(threshold):
         raise ValueError("threshold must be finite")
     n2 = state.norm_squared
     if abs(n2 - 1.0) > 1e-6:
         raise ValueError("quadrature CDF expects a normalized state")
-    s = conv.mean_scale
     # support of every basis state up to N ends near the classical
     # turning point; pad well beyond it
-    turning = s * math.sqrt((2.0 * state.truncation + 1.0) / 2.0)
-    lower = -(turning + 8.0 * s)
+    turning = math.sqrt((2.0 * state.truncation + 1.0) / 2.0)
+    lower = -(turning + 8.0)
     if threshold <= lower:
         return 0.0
     if base_panels is None:
         # several panels per oscillation of the highest basis state
-        shortest = s * math.pi / math.sqrt(2.0 * state.truncation + 1.0)
+        shortest = math.pi / math.sqrt(2.0 * state.truncation + 1.0)
         base_panels = max(32, math.ceil(2.0 * (threshold - lower) / shortest))
 
     def evaluate(n_panels: int) -> float:
         x, w = _gauss_panel_rule(lower, threshold, n_panels)
-        table = _eigenfunction_table(state.truncation, x, s)
+        table = _eigenfunction_table(state.truncation, x)
         amplitude = state.coefficients @ table.astype(complex)
         return float(np.sum(w * np.abs(amplitude) ** 2))
 
@@ -320,7 +315,6 @@ class OracleProbabilities(NamedTuple):
 def end_to_end_oracle(
     p: RealizationParams,
     truncation: int | None = None,
-    conv: QuadratureConvention = CANONICAL_CONVENTION,
     mode: str = "conditional",
     rtol: float = 1e-9,
 ) -> OracleProbabilities:
@@ -354,12 +348,12 @@ def end_to_end_oracle(
     w_minus = float(np.vdot(conditional_minus, conditional_minus).real)
     leakage = 1.0 - w_plus - w_minus
 
-    threshold = conv.mean_scale * alpha / 2.0
+    threshold = alpha / 2.0
     p_plus = quadrature_cdf_fock(
-        FockVector(conditional_plus / math.sqrt(w_plus), truncation), threshold, conv, rtol
+        FockVector(conditional_plus / math.sqrt(w_plus), truncation), threshold, rtol
     )
     p_minus = quadrature_cdf_fock(
-        FockVector(conditional_minus / math.sqrt(w_minus), truncation), threshold, conv, rtol
+        FockVector(conditional_minus / math.sqrt(w_minus), truncation), threshold, rtol
     )
     if mode == "joint":
         p_plus *= w_plus

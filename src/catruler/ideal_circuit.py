@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent_algebra import CoherentSuperposition
+from .coherent_algebra import CoherentSuperposition, cat_norm_squared
 
 QUBIT_NORM_TOL = 1e-12
 
@@ -99,7 +99,7 @@ def prepare_plus_cat(alpha: float, exact_norm: bool = False) -> CoherentSuperpos
     if not (alpha > 0 and math.isfinite(alpha)):
         raise ValueError("alpha must be positive and finite")
     if exact_norm:
-        w = 1.0 / math.sqrt(2.0 + 2.0 * math.exp(-(alpha**2) / 2.0))
+        w = 1.0 / math.sqrt(cat_norm_squared(alpha))
     else:
         w = math.sqrt(0.5)
     return CoherentSuperposition(((w, 0.0), (w, complex(alpha))))
@@ -164,7 +164,7 @@ def cat_mean_photon_number(alpha: float, exact: bool = False) -> float:
     if not (alpha > 0 and math.isfinite(alpha)):
         raise ValueError("alpha must be positive and finite")
     if exact:
-        return alpha**2 / (2.0 + 2.0 * math.exp(-(alpha**2) / 2.0))
+        return alpha**2 / cat_norm_squared(alpha)
     return alpha**2 / 2.0
 
 

@@ -33,13 +33,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .coherent_algebra import (
-    CANONICAL_CONVENTION,
     NORM_CLAMP,
     CoherentSuperposition,
-    QuadratureConvention,
     _hermitian_form,
     _log_overlap,
+    _overlap_matrix,
     _threshold_kernel_erf,
+    cat_norm_squared,
     overlap,
     threshold_probability,
 )
@@ -180,8 +180,7 @@ class CatProjections(NamedTuple):
 
 
 def _cat_norms(alpha: float) -> tuple[float, float]:
-    eps = math.exp(-(alpha**2) / 2.0)
-    return 1.0 / math.sqrt(2.0 + 2.0 * eps), 1.0 / math.sqrt(2.0 - 2.0 * eps)
+    return 1.0 / math.sqrt(cat_norm_squared(alpha)), 1.0 / math.sqrt(cat_norm_squared(alpha, -1))
 
 
 def _cat_projections(
@@ -259,9 +258,7 @@ def _require(ok: np.ndarray, thetas: np.ndarray, message: str) -> None:
         raise IntegrationError(f"conditional output failed at theta = {theta!r}: {message}")
 
 
-def _conditional_batch(
-    alpha: float, phi: float, thetas: np.ndarray, conv: QuadratureConvention
-) -> _ConditionalBatch:
+def _conditional_batch(alpha: float, phi: float, thetas: np.ndarray) -> _ConditionalBatch:
     """Conditional homodyne-port states, weights, leakage and threshold
     probabilities at every theta of a grid, in one batched evaluation.
 
@@ -271,12 +268,21 @@ def _conditional_batch(
     then the closed-form threshold kernel at the midpoint alpha/2 between
     the |0> and |alpha> quadrature means.  Every check of the per-state
     path is made on the whole grid and names the first failing theta.
+
+    The weight closure is checked on the two-mode norm of the four product
+    terms, n_+^4 sum_kl <m_k|m_l><o_k|o_l> over measured-port amplitudes m
+    and homodyne-port amplitudes o, which must be 1 for a unitary
+    beamsplitter; leakage is what the two outcomes leave of 1, and must
+    not be negative.
     """
-    conv.require_self_consistent()
-    _, output, cats = _cat_projections(alpha, phi, thetas)
+    measured, output, cats = _cat_projections(alpha, phi, thetas)
     # both input cats carry the plus-cat normalization
-    raw = _cat_norms(alpha)[0] ** 2 * cats
-    gram, kernel = _threshold_kernel_erf(output, conv.mean_scale * alpha / 2.0, conv.mean_scale)
+    n_plus_sq = _cat_norms(alpha)[0] ** 2
+    raw = n_plus_sq * cats
+    gram, kernel = _threshold_kernel_erf(output, alpha / 2.0)
+    norm = n_plus_sq**2 * (_overlap_matrix(measured) * gram).sum(axis=(-2, -1))
+    _require(np.abs(norm - 1.0) <= WEIGHT_CLOSURE_TOL, thetas,
+             f"two-mode norm differs from 1 by more than {WEIGHT_CLOSURE_TOL}")
     gram, kernel = gram[:, None], kernel[:, None]  # broadcast over the outcome axis
 
     weights, ok = _hermitian_form(raw, gram)
@@ -285,9 +291,7 @@ def _conditional_batch(
     _require(weights >= -NORM_CLAMP, thetas, "outcome weight is negative beyond tolerance")
     weights = np.maximum(weights, 0.0)
     leakage = 1.0 - weights[:, 0] - weights[:, 1]
-    closure = weights[:, 0] + weights[:, 1] + leakage
-    _require(np.abs(closure - 1.0) <= WEIGHT_CLOSURE_TOL, thetas,
-             f"weights + leakage differ from 1 by more than {WEIGHT_CLOSURE_TOL}")
+    _require(leakage >= -NORM_CLAMP, thetas, "outcome weights exceed the two-mode norm")
 
     coefficients = raw * (1.0 / np.sqrt(weights))[..., None]
     norms, ok = _hermitian_form(coefficients, gram)
@@ -311,7 +315,7 @@ def output_state(p: RealizationParams) -> ConditionalOutput:
     onto the orthonormal plus/minus cats.  This is the one-point case of
     the batched scan kernel.
     """
-    b = _conditional_batch(p.alpha, p.phi, np.array([p.theta]), CANONICAL_CONVENTION)
+    b = _conditional_batch(p.alpha, p.phi, np.array([p.theta]))
     amps = b.output_amplitudes[0]
     plus, minus = (CoherentSuperposition(tuple(zip(c, amps))) for c in b.coefficients[0])
     return ConditionalOutput(
@@ -325,7 +329,6 @@ def output_state(p: RealizationParams) -> ConditionalOutput:
 
 def measurement_probabilities(
     p: RealizationParams,
-    conv: QuadratureConvention = CANONICAL_CONVENTION,
     mode: str = "conditional",
     method: str = "erf",
 ) -> tuple[float, float]:
@@ -343,13 +346,13 @@ def measurement_probabilities(
     """
     _check_mode(mode)
     if method == "erf":
-        b = _conditional_batch(p.alpha, p.phi, np.array([p.theta]), conv)
+        b = _conditional_batch(p.alpha, p.phi, np.array([p.theta]))
         p_plus, p_minus = b.probabilities(mode)[0]
         return float(p_plus), float(p_minus)
     out = output_state(p)
-    threshold = conv.mean_scale * p.alpha / 2.0
-    p_plus = threshold_probability(out.plus_state, threshold, conv, method=method)
-    p_minus = threshold_probability(out.minus_state, threshold, conv, method=method)
+    threshold = p.alpha / 2.0
+    p_plus = threshold_probability(out.plus_state, threshold, method=method)
+    p_minus = threshold_probability(out.minus_state, threshold, method=method)
     if mode == "joint":
         p_plus *= out.plus_weight
         p_minus *= out.minus_weight
@@ -373,7 +376,6 @@ def fringe_scan(
     theta_min: float,
     theta_max: float,
     n_points: int,
-    conv: QuadratureConvention = CANONICAL_CONVENTION,
     mode: str = "conditional",
     phi: float | None = None,
 ) -> FringeCurve:
@@ -391,7 +393,7 @@ def fringe_scan(
     _check_mode(mode)
     params = RealizationParams(alpha=alpha, phi=phi)
     thetas = np.linspace(theta_min, theta_max, n_points)
-    batch = _conditional_batch(params.alpha, params.phi, thetas, conv)
+    batch = _conditional_batch(params.alpha, params.phi, thetas)
     p_plus, p_minus = batch.probabilities(mode).T
     fringe = (p_minus - p_plus + 1.0) / 2.0
     return FringeCurve(
@@ -412,19 +414,14 @@ def _local_extrema(theta: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, n
     Returns (positions, refined values), ordered by theta.
     """
     d = np.diff(values)
-    idx = [i for i in range(1, len(values) - 1) if d[i - 1] * d[i] < 0]
-    positions, refined = [], []
-    h = theta[1] - theta[0]
-    for i in idx:
-        denom = values[i + 1] - 2.0 * values[i] + values[i - 1]
-        if denom == 0.0:
-            positions.append(theta[i])
-            refined.append(values[i])
-            continue
-        shift = 0.5 * (values[i - 1] - values[i + 1]) / denom
-        positions.append(theta[i] + shift * h)
-        refined.append(values[i] - 0.25 * (values[i - 1] - values[i + 1]) * shift)
-    return np.asarray(positions), np.asarray(refined)
+    idx = np.flatnonzero(d[:-1] * d[1:] < 0) + 1
+    before, at, after = values[idx - 1], values[idx], values[idx + 1]
+    denom = after - 2.0 * at + before
+    # where the three samples have no curvature, keep the middle one (zero shift)
+    shift = np.divide(
+        0.5 * (before - after), denom, out=np.zeros_like(denom), where=denom != 0.0
+    )
+    return theta[idx] + shift * (theta[1] - theta[0]), at - 0.25 * (before - after) * shift
 
 
 def central_fringe_width(curve: FringeCurve) -> float:
@@ -524,7 +521,8 @@ def fringe_phase_offset(curve: FringeCurve, max_lag_fraction: float = 0.6) -> fl
     max_lag = int(n * max_lag_fraction)
     if max_lag < 2:
         raise WidthUndefinedError("scan too short for a cross-correlation offset")
-    cc = np.array([np.mean(a[: n - j] * b[j:]) for j in range(max_lag)])
+    # cc[j] = mean over the overlap of a[i] * b[i + j]
+    cc = np.correlate(b, a, "full")[n - 1 : n - 1 + max_lag] / (n - np.arange(max_lag))
     j = int(np.argmax(cc))
     h = curve.theta[1] - curve.theta[0]
     if 0 < j < max_lag - 1:

@@ -77,6 +77,21 @@ class TestFringeCommand:
         assert main(["--out", str(tmp_path), "--quiet", "fringe", "--alpha", "5",
                      "--theta-span", "oops"]) == 2
 
+    def test_bad_span_creates_no_directory(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "--quiet", "fringe", "--alpha", "5",
+                     "--theta-span", "oops"]) == 2
+        assert not out.exists()
+
+    def test_zero_points_is_usage_error(self, tmp_path):
+        # 0 is an explicit value, not a missing one: it must not fall back to the default
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "--quiet", "fringe", "--alpha", "5", "--points", "0"]) == 2
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"alphas": [5.0], "n_points": 0}))
+        assert main(["--config", str(cfg), "--out", str(out), "--quiet", "fringe"]) == 2
+        assert not out.exists()
+
     def test_missing_alpha_is_usage_error(self, tmp_path):
         assert main(["--out", str(tmp_path), "--quiet", "fringe"]) == 2
 
@@ -114,6 +129,13 @@ class TestConfigFile:
         cfg = tmp_path / "sweep.json"
         cfg.write_text(json.dumps({"alpha_values": [5.0]}))
         assert main(["--config", str(cfg), "--quiet", "fringe"]) == 2
+
+    @pytest.mark.parametrize("raw", [{"alphas": 5}, {"alphas": [5.0], "n_points": "x"}])
+    def test_wrong_value_type_is_config_error(self, tmp_path, capsys, raw):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["--config", str(cfg), "--out", str(tmp_path), "--quiet", "fringe"]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_missing_config_file_rejected(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.json"), "--quiet",
@@ -223,6 +245,16 @@ class TestTopLevel:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "catruler" in capsys.readouterr().out
+
+    def test_parser_keeps_no_state_between_calls(self, tmp_path):
+        fringe = ["fringe", "--alpha", "5", "--points", "3"]
+        assert main(["--out", str(tmp_path / "a"), "--quiet", *fringe]) == 0
+        assert main(["--out", str(tmp_path / "j"), "--quiet", "--normalization", "joint", *fringe]) == 0
+        assert main(["--quiet", "fringe", "--bogus"]) == 2
+        assert main(["--out", str(tmp_path / "b"), "--quiet", *fringe]) == 0
+        first, after = (tmp_path / d / "fringe_alpha5.csv" for d in ("a", "b"))
+        assert "# normalization=conditional" in after.read_text().splitlines()
+        assert after.read_bytes() == first.read_bytes()
 
     def test_quiet_suppresses_stdout(self, tmp_path, capsys):
         main(["--out", str(tmp_path), "--quiet", "fringe", "--alpha", "5", "--points", "2"])

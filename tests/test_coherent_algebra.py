@@ -14,9 +14,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from catruler.coherent_algebra import (
-    CANONICAL_CONVENTION,
     CoherentSuperposition,
-    QuadratureConvention,
     _hermitian_value,
     beamsplitter,
     displace,
@@ -229,7 +227,7 @@ class TestQuadratureWavefunction:
             lambda x: (x - gamma.real) ** 2 * abs(quadrature_wavefunction(gamma, x)) ** 2,
             -15, 15, limit=200,
         )[0]
-        assert var == pytest.approx(CANONICAL_CONVENTION.variance, abs=1e-9)
+        assert var == pytest.approx(0.25, abs=1e-9)
 
     def test_overlap_self_consistency_property(self):
         # the convention must reproduce <t|g> for arbitrary pairs
@@ -242,19 +240,6 @@ class TestQuadratureWavefunction:
             im = quad(lambda x: (np.conj(quadrature_wavefunction(t, x)) * quadrature_wavefunction(g, x)).imag, -30, 30, limit=300)[0]
             worst = max(worst, abs(re + 1j * im - overlap(t, g)))
         assert worst < SELF_CONSISTENCY_TOL
-
-    def test_inconsistent_convention_rejected(self):
-        bad = QuadratureConvention(mean_scale=1.0, variance=0.5)
-        with pytest.raises(ValueError, match="inconsistent"):
-            quadrature_wavefunction(1.0, 0.0, bad)
-
-    def test_rescaled_convention_is_consistent(self):
-        conv = QuadratureConvention(mean_scale=2.0, variance=1.0)
-        gamma = 1.2 + 0.3j
-        total = quad(lambda x: abs(quadrature_wavefunction(gamma, x, conv)) ** 2, -20, 25, limit=200)[0]
-        assert total == pytest.approx(1.0, abs=1e-9)
-        mean = quad(lambda x: x * abs(quadrature_wavefunction(gamma, x, conv)) ** 2, -20, 25, limit=200)[0]
-        assert mean == pytest.approx(2.0 * gamma.real, abs=1e-9)
 
 
 class TestThresholdProbability:
@@ -358,8 +343,8 @@ class TestThresholdProbability:
 
         kernel_erf = ca._threshold_kernel_erf
 
-        def nan_kernel(amps, threshold, s):
-            gram, kernel = kernel_erf(amps, threshold, s)
+        def nan_kernel(amps, threshold):
+            gram, kernel = kernel_erf(amps, threshold)
             return gram, np.full_like(kernel, complex("nan"))
 
         monkeypatch.setattr(ca, "_threshold_kernel_erf", nan_kernel)
@@ -389,9 +374,3 @@ class TestSuperpositionType:
         s = CoherentSuperposition(((1.0, 0.0), (-1.0, 0.0)))
         with pytest.raises(NormalizationError):
             s.normalized()
-
-    def test_convention_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureConvention(mean_scale=0.0)
-        with pytest.raises(ValueError):
-            QuadratureConvention(variance=-1.0)

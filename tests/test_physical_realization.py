@@ -295,8 +295,8 @@ class TestFringeScan:
 
         kernel_erf = pr._threshold_kernel_erf
 
-        def corrupt_one_point(amps, threshold, s):
-            gram, kernel = kernel_erf(amps, threshold, s)
+        def corrupt_one_point(amps, threshold):
+            gram, kernel = kernel_erf(amps, threshold)
             kernel[3, 1, 2] = complex("nan")
             return gram, kernel
 
@@ -304,6 +304,29 @@ class TestFringeScan:
         thetas = np.linspace(-0.1, 0.1, 5)
         with pytest.raises(IntegrationError, match=f"theta = {float(thetas[3])!r}"):
             pr.fringe_scan(5.0, -0.1, 0.1, 5)
+
+    def test_port_swap_slip_fails_the_norm_check(self, monkeypatch):
+        # the composite-term slip of the module docstring: the cats are
+        # projected on the homodyne-port composite amplitude instead of the
+        # measured-port one.  Leakage still closes the outcome weights to 1,
+        # but the two-mode norm of the product terms no longer is 1.
+        from catruler import physical_realization as pr
+
+        projections = pr._cat_projections
+
+        def slipped(alpha, phi, thetas):
+            measured, output, _ = projections(alpha, phi, thetas)
+            measured = measured.copy()
+            measured[:, 3] = output[:, 3]
+            on_vacuum = np.exp(-np.abs(measured) ** 2 / 2)
+            on_alpha = np.exp(-(alpha**2 + np.abs(measured) ** 2) / 2 + alpha * measured)
+            n_plus, n_minus = pr._cat_norms(alpha)
+            plus, minus = n_plus * (on_vacuum + on_alpha), n_minus * (on_vacuum - on_alpha)
+            return measured, output, np.stack([plus, minus], axis=-2)
+
+        monkeypatch.setattr(pr, "_cat_projections", slipped)
+        with pytest.raises(IntegrationError, match=r"theta = .*two-mode norm"):
+            pr.fringe_scan(5.0, -0.3, 0.3, 7)
 
     def test_non_finite_bounds_rejected(self):
         with pytest.raises(ValueError):
@@ -436,3 +459,60 @@ class TestPhaseOffset:
         assert offset == pytest.approx(period / 2, rel=0.1)
         mid = np.abs(curve.p_plus + curve.p_minus - 1.0)
         assert mid.max() < 0.06
+
+
+class TestLoopReferences:
+    """The vectorised helpers against the per-index loops they replaced."""
+
+    @staticmethod
+    def loop_extrema(theta, values):
+        d = np.diff(values)
+        positions, refined = [], []
+        h = theta[1] - theta[0]
+        for i in range(1, len(values) - 1):
+            if d[i - 1] * d[i] >= 0:
+                continue
+            denom = values[i + 1] - 2.0 * values[i] + values[i - 1]
+            if denom == 0.0:
+                positions.append(theta[i])
+                refined.append(values[i])
+                continue
+            shift = 0.5 * (values[i - 1] - values[i + 1]) / denom
+            positions.append(theta[i] + shift * h)
+            refined.append(values[i] - 0.25 * (values[i - 1] - values[i + 1]) * shift)
+        return np.asarray(positions), np.asarray(refined)
+
+    @staticmethod
+    def loop_offset(curve, max_lag_fraction=0.6):
+        a = curve.p_plus - curve.p_plus.mean()
+        b = curve.p_minus - curve.p_minus.mean()
+        n = len(a)
+        max_lag = int(n * max_lag_fraction)
+        cc = np.array([np.mean(a[: n - j] * b[j:]) for j in range(max_lag)])
+        j = int(np.argmax(cc))
+        if 0 < j < max_lag - 1:
+            denom = cc[j + 1] - 2.0 * cc[j] + cc[j - 1]
+            if denom != 0.0:
+                j = j + 0.5 * (cc[j - 1] - cc[j + 1]) / denom
+        return float(j * (curve.theta[1] - curve.theta[0]))
+
+    @pytest.mark.parametrize("alpha", [5.0, 10.0, 20.0])
+    def test_extrema_equal_the_loop(self, alpha):
+        from catruler.physical_realization import _local_extrema
+
+        curve = small_scan(alpha, n_points=301)
+        rng = np.random.default_rng(int(alpha))
+        noisy = curve.fringe + rng.normal(0.0, 1e-3, curve.fringe.size)
+        for values in (curve.fringe, noisy):
+            got = _local_extrema(curve.theta, values)
+            want = self.loop_extrema(curve.theta, values)
+            assert got[0].size > 0
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("alpha", [2.0, 5.0, 10.0, 20.0])
+    def test_offset_matches_the_lag_loop(self, alpha):
+        # np.correlate sums in another order: equal to a few ulps, not bit for bit
+        period = 2 * math.pi / alpha**2
+        curve = fringe_scan(alpha, 0.0, 2 * period, 241)
+        assert fringe_phase_offset(curve) == pytest.approx(self.loop_offset(curve), rel=1e-12)
