@@ -20,7 +20,6 @@ from .coherent_algebra import (
 from .errors import (
     ApproximationRegimeWarning,
     CatRulerError,
-    GridResolutionError,
     IntegrationError,
     NormalizationError,
     TruncationError,

@@ -18,10 +18,6 @@ class TruncationError(CatRulerError):
     """A Fock-space truncation is too small for the requested state or unitary."""
 
 
-class GridResolutionError(CatRulerError):
-    """The quadrature-eigenbasis grid did not converge under refinement."""
-
-
 class WidthUndefinedError(CatRulerError):
     """A fringe width or spacing cannot be extracted from the given scan."""
 

@@ -1,17 +1,16 @@
 """Independent ground-truth engine in a truncated number basis.
 
 Everything the analytic modules compute in closed form is recomputed
-here by brute force: coherent states expand as
-c_n = e^{-|g|^2/2} g^n / sqrt(n!), beamsplitters act through the matrix
-exponential of the two-mode mixing generator, cat-basis outcomes are
-projections, and quadrature statistics come from the harmonic-oscillator
-eigenfunctions, in the fixed quadrature units of coherent_algebra
-(<x> = Re g, vacuum variance 1/4).  Agreement between the two routes at
-small amplitude is what licenses trusting the closed forms at large
-amplitude, so nothing in this module reuses the analytic formulas beyond
-the bare overlap definition in the tests; in particular the cat
-normalization is written out here rather than taken from
-coherent_algebra.cat_norm_squared.
+here in number-basis algebra: coherent states expand as
+c_n = e^{-|g|^2/2} g^n / sqrt(n!), beamsplitters act through the
+Chebyshev-Bessel series of exp(i t (a^dag b + a b^dag)), cat-basis
+outcomes are projections, and quadrature CDFs are exact sums over
+Hermite-function Wronskians at the threshold, in the fixed quadrature
+units of coherent_algebra (<x> = Re g, vacuum variance 1/4).  Agreement
+between the two routes is what licenses trusting the closed forms, so
+nothing in this module reuses the analytic formulas beyond the bare
+overlap definition in the tests; in particular the cat normalization is
+written out here rather than taken from coherent_algebra.cat_norm_squared.
 
 Truncations follow N = max(30, ceil(|g|^2 + 8 |g| + 20)) per mode
 (a Poisson-tail bound), and every constructor or unitary verifies the
@@ -25,12 +24,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import expm_multiply
+from scipy.special import erfc, jv
 
 from .coherent_algebra import CoherentSuperposition
 from .coherent_algebra import norm_squared as _gram_norm_squared
-from .errors import GridResolutionError, TruncationError
+from .errors import TruncationError
 from .physical_realization import RealizationParams, _check_mode
 
 DEFAULT_TAIL_TOL = 1e-8
@@ -160,33 +158,58 @@ def phase_rotate(state: FockVector, theta: float) -> FockVector:
     return FockVector(state.coefficients * phases, state.truncation, state.tail_mass)
 
 
-def _mixing_generator(truncation: int) -> sparse.csc_matrix:
-    """a^dag b + a b^dag on the flattened two-mode space."""
-    d = truncation + 1
-    lowering = sparse.diags(np.sqrt(np.arange(1.0, d)), 1)
-    raising = lowering.T
-    return (sparse.kron(raising, lowering) + sparse.kron(lowering, raising)).tocsc()
-
-
 def beamsplitter_fock(
     state: TwoModeFockTensor, mix_angle: float, norm_tol: float = UNITARY_NORM_TOL
 ) -> TwoModeFockTensor:
     """exp[i t (a^dag b + a b^dag)], the unitary whose coherent-amplitude
     action is |g>|b> -> |cos t g + i sin t b>|cos t b + i sin t g>.
 
-    Evaluated by scaling-and-squaring-type action of the matrix
-    exponential on the state.  The truncated generator is Hermitian, so
-    the evolution is exactly unitary and norm loss cannot witness an
-    undersized truncation; instead, probability reaching the occupation
-    cutoff (where the truncated dynamics diverge from the untruncated
-    ones) raises a truncation error.
+    Evaluated as the Chebyshev-Bessel series of the propagator
+    (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)),
+    exp(i x y) = J_0(x) + 2 sum_k i^k J_k(x) T_k(y) with y = H / s, where
+    s = 2N + 1 bounds the spectrum of the truncated generator H
+    (Gershgorin) and x = |t| s; a negative t turns i^k into (-i)^k.  The
+    series stops after the last order with |J_k(x)| > 1e-17.  The
+    truncated generator is Hermitian, so the evolution is exactly unitary
+    and norm loss cannot witness an undersized truncation; instead,
+    probability reaching the occupation cutoff (where the truncated
+    dynamics diverge from the untruncated ones) raises a truncation error.
     """
     if not math.isfinite(mix_angle):
         raise ValueError("mix_angle must be finite")
-    d = state.truncation + 1
+    n_cut = state.truncation
+    d = n_cut + 1
     flat = state.coefficients.reshape(-1)
     before = float(np.vdot(flat, flat).real)
-    out = expm_multiply(1j * mix_angle * _mixing_generator(state.truncation), flat)
+
+    s = 2.0 * n_cut + 1.0
+    x = abs(mix_angle) * s
+    # |J_k(x)| stays below 1e-17 beyond about k = x + 12 x^(1/3) + 12
+    bessel = jv(np.arange(math.ceil(x + 15.0 * x ** (1.0 / 3.0) + 30.0)), x)
+    order = int(np.flatnonzero(np.abs(bessel) > 1e-17)[-1])
+    # H couples flat index j = m (N+1) + n, i.e. |m, n>, to j + N, i.e.
+    # |m+1, n-1>, with weight sqrt(m+1) sqrt(n); the weight is zero at
+    # n = 0, where the flat step would wrap into the next row
+    m, n = np.divmod(np.arange(d * d - n_cut), d)
+    # complex, so that the products below need no dtype conversion
+    double = ((2.0 / s) * np.sqrt(m + 1.0) * np.sqrt(n)).astype(complex)
+    span = double.size
+
+    def recur(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """2 (H / s) v - w, written over w."""
+        w *= -1.0
+        w[n_cut:] += double * v[:span]
+        w[:span] += double * v[n_cut:]
+        return w
+
+    # T_0 = v, T_1 = (H / s) v, T_{k+1} = 2 (H / s) T_k - T_{k-1}
+    previous, current = flat.copy(), recur(flat, np.zeros_like(flat)) / 2.0
+    out = bessel[0] * flat
+    unit = 1j if mix_angle >= 0 else -1j
+    for c in 2.0 * bessel[1 : order + 1] * unit ** np.arange(1, order + 1):
+        out += c * current
+        previous, current = current, recur(current, previous)
+
     after = float(np.vdot(out, out).real)
     if abs(after - before) > norm_tol * max(1.0, before):
         raise TruncationError(
@@ -216,57 +239,42 @@ def parity_distribution(state: FockVector, norm_tol: float = 1e-6) -> tuple[floa
     return p_even, 1.0 - p_even
 
 
-def _eigenfunction_table(truncation: int, x: np.ndarray) -> np.ndarray:
-    """psi_n(x) for n = 0..N by upward recurrence with underflow guards.
+def _hermite_functions(count: int, xi: float) -> np.ndarray:
+    """Hermite functions phi_0(xi) .. phi_{count-1}(xi) by upward recurrence.
 
-    Units: <x>_g = Re(g), vacuum variance 1/4 (as in coherent_algebra).
-    The recurrence on normalized eigenfunctions is stable pointwise; a
-    per-point power-of-two rescaling keeps deep-tail values representable
-    and is undone on accumulation.
+    The recurrence on normalized functions is stable, but phi_0 underflows
+    past xi^2/2 ~ 700, where the higher orders can be of order one.  The
+    running pair therefore carries a power-of-two factor 2^-scale: phi_0
+    starts multiplied by enough factors 2^900 to be representable, a factor
+    comes off whenever the pair grows past 2^900, and the stored values
+    undo the rest.
     """
-    xi = math.sqrt(2.0) * x
-    table = np.zeros((truncation + 1, x.size))
-    scale_pow = np.zeros(x.size)  # log2 of the factor applied to the running pair
-    prev = np.zeros(x.size)
-    curr = (2.0 / np.pi) ** 0.25 * np.exp(-(x**2))
-    table[0] = curr
-    for n in range(truncation):
-        nxt = math.sqrt(2.0 / (n + 1)) * xi * curr - math.sqrt(n / (n + 1.0)) * prev
-        prev, curr = curr, nxt
-        # rescale points whose running values risk underflow
-        small = (np.abs(curr) < 1e-280) & (np.abs(prev) < 1e-280) & ((np.abs(curr) > 0) | (np.abs(prev) > 0))
-        if np.any(small):
-            prev[small] *= 2.0**900
-            curr[small] *= 2.0**900
-            scale_pow[small] -= 900
-        table[n + 1] = curr * 2.0**scale_pow
-    return table
+    shifts = max(0, math.ceil((xi * xi / 2.0 - 640.0) / (900.0 * math.log(2.0))))
+    scale = -900 * shifts
+    prev, curr = 0.0, math.pi**-0.25 * math.exp(900.0 * shifts * math.log(2.0) - xi * xi / 2.0)
+    values = np.empty(count)
+    values[0] = math.ldexp(curr, scale)
+    for n in range(1, count):
+        prev, curr = curr, math.sqrt(2.0 / n) * xi * curr - math.sqrt((n - 1.0) / n) * prev
+        if abs(curr) > 2.0**900:
+            prev, curr, scale = math.ldexp(prev, -900), math.ldexp(curr, -900), scale + 900
+        values[n] = math.ldexp(curr, scale)
+    return values
 
 
-def _gauss_panel_rule(lower: float, upper: float, n_panels: int, order: int = 16):
-    """Composite Gauss-Legendre nodes and weights on [lower, upper]."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(lower, upper, n_panels + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    x = (mid[:, None] + half[:, None] * nodes[None, :]).reshape(-1)
-    w = (half[:, None] * weights[None, :]).reshape(-1)
-    return x, w
-
-
-def quadrature_cdf_fock(
-    state: FockVector,
-    threshold: float,
-    rtol: float = 1e-9,
-    base_panels: int | None = None,
-    max_refinements: int = 4,
-) -> float:
+def quadrature_cdf_fock(state: FockVector, threshold: float) -> float:
     """Probability of a quadrature outcome at or below threshold.
 
-    Expands the state in the oscillator eigenbasis (<x>_g = Re(g), vacuum
-    variance 1/4) and integrates |psi(x)|^2 by composite Gauss-Legendre
-    panels, doubling the panel count until two successive refinements
-    agree to rtol.
+    In the oscillator eigenbasis psi_n (<x>_g = Re(g), vacuum variance
+    1/4) the probability is c^dag I c with I_mn the integral of
+    psi_m psi_n below the threshold, which is exact at a single point
+    xi = sqrt(2) threshold.  The Hermite functions phi_n obey
+    phi_m'' = (xi^2 - (2m + 1)) phi_m, so off the diagonal the Wronskian
+    gives I_mn = [phi_m' phi_n - phi_m phi_n'](xi) / (2 (n - m)), with
+    phi_n' = sqrt(n/2) phi_{n-1} - sqrt((n+1)/2) phi_{n+1}; on the
+    diagonal the ladder operators give
+    I_nn = I_{n-1,n-1} - phi_{n-1} phi_n / sqrt(2n) from the vacuum
+    Gaussian I_00 = erfc(-xi) / 2.
     """
     if not math.isfinite(threshold):
         raise ValueError("threshold must be finite")
@@ -274,36 +282,26 @@ def quadrature_cdf_fock(
     if abs(n2 - 1.0) > 1e-6:
         raise ValueError("quadrature CDF expects a normalized state")
     # support of every basis state up to N ends near the classical
-    # turning point; pad well beyond it
+    # turning point; far below it nothing is left to integrate
     turning = math.sqrt((2.0 * state.truncation + 1.0) / 2.0)
     lower = -(turning + 8.0)
     if threshold <= lower:
         return 0.0
-    if base_panels is None:
-        # several panels per oscillation of the highest basis state
-        shortest = math.pi / math.sqrt(2.0 * state.truncation + 1.0)
-        base_panels = max(32, math.ceil(2.0 * (threshold - lower) / shortest))
-
-    def evaluate(n_panels: int) -> float:
-        x, w = _gauss_panel_rule(lower, threshold, n_panels)
-        table = _eigenfunction_table(state.truncation, x)
-        amplitude = state.coefficients @ table.astype(complex)
-        return float(np.sum(w * np.abs(amplitude) ** 2))
-
-    panels = base_panels
-    previous = evaluate(panels)
-    delta = math.inf
-    for _ in range(max_refinements):
-        panels *= 2
-        current = evaluate(panels)
-        delta = abs(current - previous)
-        if delta <= max(rtol * abs(current), 1e-12):
-            return min(max(current, 0.0), 1.0 + 1e-9)
-        previous = current
-    raise GridResolutionError(
-        f"quadrature grid did not converge to rtol = {rtol:.1e} within "
-        f"{max_refinements} refinements (last delta {delta:.3e})"
-    )
+    xi = math.sqrt(2.0) * threshold
+    n = np.arange(state.truncation + 1)
+    phi = _hermite_functions(state.truncation + 2, xi)  # phi_0 .. phi_{N+1}
+    below = np.concatenate(([0.0], phi[:-2]))  # phi_{n-1}, zero at n = 0
+    phi, above = phi[:-1], phi[1:]
+    slope = np.sqrt(n / 2.0) * below - np.sqrt((n + 1.0) / 2.0) * above
+    gap = 2.0 * (n[None, :] - n[:, None])
+    np.fill_diagonal(gap, 1.0)
+    integrals = (np.outer(slope, phi) - np.outer(phi, slope)) / gap
+    steps = phi[:-1] * phi[1:] / np.sqrt(2.0 * n[1:])
+    np.fill_diagonal(integrals, 0.5 * erfc(-xi) - np.concatenate(([0.0], np.cumsum(steps))))
+    # I is real symmetric, so c^dag I c = a^T I a + b^T I b for c = a + i b
+    parts = np.stack([state.coefficients.real, state.coefficients.imag])
+    probability = float(np.sum(parts * (parts @ integrals)))
+    return min(max(probability, 0.0), 1.0 + 1e-9)
 
 
 class OracleProbabilities(NamedTuple):
@@ -316,14 +314,14 @@ def end_to_end_oracle(
     p: RealizationParams,
     truncation: int | None = None,
     mode: str = "conditional",
-    rtol: float = 1e-9,
 ) -> OracleProbabilities:
     """Full pipeline in Fock space: cat x cat, path phase, beamsplitter,
     cat projection of the measured mode, threshold statistics of the
     homodyne mode.
 
-    Intended for alpha <= 3 or so; the cost grows with the truncation,
-    which must cover per-mode amplitudes up to about alpha sqrt(2).
+    The truncation must cover per-mode amplitudes up to about
+    alpha (cos phi + sin phi), so N grows as alpha^2; the beamsplitter on
+    the (N+1)^2 grid sets the cost.
     """
     _check_mode(mode)
     alpha = p.alpha
@@ -350,10 +348,10 @@ def end_to_end_oracle(
 
     threshold = alpha / 2.0
     p_plus = quadrature_cdf_fock(
-        FockVector(conditional_plus / math.sqrt(w_plus), truncation), threshold, rtol
+        FockVector(conditional_plus / math.sqrt(w_plus), truncation), threshold
     )
     p_minus = quadrature_cdf_fock(
-        FockVector(conditional_minus / math.sqrt(w_minus), truncation), threshold, rtol
+        FockVector(conditional_minus / math.sqrt(w_minus), truncation), threshold
     )
     if mode == "joint":
         p_plus *= w_plus

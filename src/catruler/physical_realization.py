@@ -244,6 +244,7 @@ class _ConditionalBatch(NamedTuple):
     weights: np.ndarray  # (n, 2) outcome probabilities
     leakage: np.ndarray  # (n,) measured-port mass outside the two-cat span
     conditional: np.ndarray  # (n, 2) below-threshold probabilities per outcome
+    norm: np.ndarray  # (n,) complex two-mode norm, 1 for a unitary beamsplitter
 
     def probabilities(self, mode: str) -> np.ndarray:
         """(n, 2) P_+, P_- in the given normalization mode."""
@@ -303,7 +304,7 @@ def _conditional_batch(alpha: float, phi: float, thetas: np.ndarray) -> _Conditi
     _require((-NORM_CLAMP <= value) & (value <= bound + NORM_CLAMP), thetas,
              "threshold probability escaped [0, norm^2]")
     conditional = np.minimum(np.maximum(value, 0.0), bound)
-    return _ConditionalBatch(output, coefficients, weights, leakage, conditional)
+    return _ConditionalBatch(output, coefficients, weights, leakage, conditional, norm)
 
 
 def output_state(p: RealizationParams) -> ConditionalOutput:

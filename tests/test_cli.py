@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from catruler import physical_realization
 from catruler.cli import main
 from catruler.physical_realization import RealizationParams, measurement_probabilities, output_state
 
@@ -220,6 +221,28 @@ class TestOracleCommand:
 
     def test_empty_case_list_is_usage_error(self, tmp_path):
         assert main(["--out", str(tmp_path), "--quiet", "oracle", "--cases", "0"]) == 2
+
+    @pytest.mark.parametrize("value", ["0.1", "0.4", "-inf", "inf", "nan"])
+    def test_bad_max_alpha_is_usage_error(self, tmp_path, capsys, value):
+        # cases draw alpha from [0.4, max-alpha), which needs a finite bound above 0.4
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "--quiet", "oracle", "--max-alpha", value]) == 2
+        assert "--max-alpha" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_weight_closure_reports_the_two_mode_norm(self, tmp_path, monkeypatch):
+        kernel = physical_realization._conditional_batch
+
+        def drifting(*args):
+            batch = kernel(*args)
+            return batch._replace(norm=batch.norm + 1e-8)
+
+        monkeypatch.setattr(physical_realization, "_conditional_batch", drifting)
+        assert main(["--out", str(tmp_path), "--seed", "5", "--quiet", "oracle",
+                     "--cases", "2", "--max-alpha", "2.5"]) == 3
+        closure = json.loads((tmp_path / "oracle_report.json").read_text())["checks"]["weight_closure"]
+        assert closure["pass"] is False
+        assert closure["value"] == pytest.approx(1e-8, rel=1e-6)
 
 
 class TestPhaseErrorCommand:

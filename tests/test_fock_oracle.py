@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.linalg import expm
 
 from catruler.coherent_algebra import CoherentSuperposition, threshold_probability
-from catruler.errors import GridResolutionError, TruncationError
+from catruler.errors import TruncationError
 from catruler.fock_oracle import (
     FockVector,
     TwoModeFockTensor,
@@ -20,7 +22,12 @@ from catruler.fock_oracle import (
     superposition_to_fock,
     two_mode_product,
 )
-from catruler.physical_realization import RealizationParams, measurement_probabilities, output_state
+from catruler.physical_realization import (
+    RealizationParams,
+    fringe_scan,
+    measurement_probabilities,
+    output_state,
+)
 
 pytestmark = pytest.mark.filterwarnings("ignore::catruler.errors.ApproximationRegimeWarning")
 
@@ -104,6 +111,22 @@ class TestBeamsplitterFock:
         out = beamsplitter_fock(state, 1.1)
         assert out.norm_squared == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("angle", [0.0, 0.17, -0.17, 9.8, -9.8])
+    @pytest.mark.parametrize("truncation", [1, 20])
+    def test_matches_dense_exponential(self, angle, truncation):
+        # 9.8 rad is the default mixing angle at alpha = 0.4
+        d = truncation + 1
+        lowering = np.diag(np.sqrt(np.arange(1.0, d)), 1)
+        generator = np.kron(lowering.T, lowering) + np.kron(lowering, lowering.T)
+        rng = np.random.default_rng(truncation)
+        grid = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        grid /= np.linalg.norm(grid)
+        # the whole grid is occupied, so mass reaches the cutoff: compare
+        # the truncated dynamics with the checks off
+        out = beamsplitter_fock(TwoModeFockTensor(grid, truncation), angle, norm_tol=math.inf)
+        expected = expm(1j * angle * generator) @ grid.reshape(-1)
+        assert np.max(np.abs(out.coefficients.reshape(-1) - expected)) < 1e-12
+
     def test_cutoff_overflow_detected(self):
         n = 6
         grid = np.zeros((n + 1, n + 1), dtype=complex)
@@ -168,11 +191,32 @@ class TestQuadratureCdf:
     def test_far_left_threshold_is_zero(self):
         assert quadrature_cdf_fock(coherent_to_fock(0.0, 40), -60.0) == 0.0
 
-    def test_unconverged_grid_raises(self):
-        with pytest.raises(GridResolutionError):
-            quadrature_cdf_fock(
-                coherent_to_fock(2.0, 60), 1.0, base_panels=2, max_refinements=0
-            )
+    @pytest.mark.parametrize("truncation", [0, 7, 60])
+    def test_matches_direct_integration(self, truncation):
+        # psi_n in the package's quadrature units (vacuum variance 1/4)
+        def density(x):
+            prev, curr = 0.0, (2.0 / math.pi) ** 0.25 * math.exp(-(x**2))
+            amplitude = coefficients[0] * curr
+            for n in range(1, truncation + 1):
+                prev, curr = curr, (2.0 * x * curr - math.sqrt(n - 1.0) * prev) / math.sqrt(n)
+                amplitude += coefficients[n] * curr
+            return abs(amplitude) ** 2
+
+        rng = np.random.default_rng(truncation)
+        coefficients = rng.normal(size=truncation + 1) + 1j * rng.normal(size=truncation + 1)
+        coefficients /= np.linalg.norm(coefficients)
+        state = FockVector(coefficients, truncation)
+        lower = -(math.sqrt(truncation + 0.5) + 8.0)
+        for threshold in (-4.0, -1.3, 0.0, 0.7, 4.0):
+            expected, _ = quad(density, lower, threshold, limit=400, epsabs=1e-13, epsrel=1e-12)
+            assert quadrature_cdf_fock(state, threshold) == pytest.approx(expected, abs=1e-10)
+
+    @pytest.mark.parametrize("amplitude, threshold, z", [(25.0, 27.5, 5.0), (-25.0, -27.5, -5.0)])
+    def test_deep_tail_of_a_large_coherent_state(self, amplitude, threshold, z):
+        # N = 845: phi_0 underflows at xi = sqrt(2) 27.5 while the orders
+        # near N are of order one there
+        value = quadrature_cdf_fock(coherent_to_fock(amplitude), threshold)
+        assert value == pytest.approx(0.5 * math.erfc(-z / math.sqrt(2)), abs=1e-9)
 
     def test_gaussian_tail_value(self):
         # P(x <= mean - 2 sigma) for a coherent state, sigma = 1/2
@@ -215,6 +259,17 @@ class TestEndToEnd:
         assert abs(joint.p_plus / oracle.p_plus - out.plus_weight) < 1e-6
         assert abs(joint.p_minus / oracle.p_minus - out.minus_weight) < 1e-6
         assert abs(oracle.leakage - out.leakage) < 1e-6
+
+    @pytest.mark.parametrize("alpha", [5.0, 10.0, 20.0])
+    def test_matches_acceptance_scan(self, alpha):
+        # the fringe / width-scaling / ruler scans: 801 points over +-3 periods
+        period = 2 * math.pi / alpha**2
+        curve = fringe_scan(alpha, -3 * period, 3 * period, 801)
+        for i in np.random.default_rng(int(alpha)).choice(len(curve), 3, replace=False):
+            oracle = end_to_end_oracle(RealizationParams(alpha=alpha, theta=float(curve.theta[i])))
+            assert abs(curve.p_plus[i] - oracle.p_plus) < 1e-6
+            assert abs(curve.p_minus[i] - oracle.p_minus) < 1e-6
+            assert abs(curve.leakage[i] - oracle.leakage) < 1e-6
 
     def test_joint_mode(self):
         params = RealizationParams(alpha=1.5, theta=0.4)
