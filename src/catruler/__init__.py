@@ -11,7 +11,6 @@ fringe scans, width-scaling fits and signal-to-noise comparisons.
 from .coherent_algebra import (
     CoherentSuperposition,
     beamsplitter,
-    displace,
     norm_squared,
     overlap,
     quadrature_wavefunction,
@@ -50,7 +49,6 @@ from .physical_realization import (
     RealizationParams,
     cat_coefficients,
     central_fringe_width,
-    fringe_function,
     fringe_scan,
     fringe_spacing_physical,
     measurement_probabilities,
@@ -59,7 +57,6 @@ from .physical_realization import (
 from .squeezed_baseline import (
     SqueezedBaselineParams,
     equal_power_params,
-    homodyne_sample,
     homodyne_samples,
     snr_squeezed,
 )

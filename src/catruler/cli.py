@@ -14,6 +14,7 @@ import json
 import math
 import operator
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -21,7 +22,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fock_oracle, physical_realization
-from .errors import CatRulerError
+from .coherent_algebra import beamsplitter, cat_norm_squared
+from .errors import ApproximationRegimeWarning, CatRulerError
 from .ideal_circuit import phase_gate_error, snr_ideal
 from .physical_realization import (
     NORMALIZATION_MODES,
@@ -286,10 +288,6 @@ def cmd_ruler(args, config: SweepConfig) -> int:
 
 
 def _oracle_checks(max_alpha: float, cases: int, cap: int, seed: int, inject_bug: bool) -> dict:
-    import warnings
-
-    from .errors import ApproximationRegimeWarning
-
     rng = np.random.default_rng(seed)
     checks: dict[str, dict] = {}
 
@@ -300,8 +298,7 @@ def _oracle_checks(max_alpha: float, cases: int, cap: int, seed: int, inject_bug
     )
     mixed = fock_oracle.beamsplitter_fock(state, angle)
     predicted = fock_oracle.two_mode_product(
-        fock_oracle.coherent_to_fock(math.cos(angle) * g + 1j * math.sin(angle) * b, n),
-        fock_oracle.coherent_to_fock(math.cos(angle) * b + 1j * math.sin(angle) * g, n),
+        *(fock_oracle.coherent_to_fock(amp, n) for amp in beamsplitter(g, b, angle))
     )
     fidelity = abs(np.vdot(predicted.coefficients, mixed.coefficients)) ** 2
     checks["beamsplitter_fidelity"] = {
@@ -312,7 +309,7 @@ def _oracle_checks(max_alpha: float, cases: int, cap: int, seed: int, inject_bug
     worst_parity = 0.0
     for alpha in (1.0, 2.0, 3.0):
         for sign in (+1, -1):
-            norm = 1.0 / math.sqrt(2.0 + sign * 2.0 * math.exp(-(alpha**2) / 2.0))
+            norm = 1.0 / math.sqrt(cat_norm_squared(alpha, sign))
             lo_amp = fock_oracle.coherent_to_fock(-alpha / 2.0, 60)
             hi_amp = fock_oracle.coherent_to_fock(alpha / 2.0, 60)
             vec = fock_oracle.FockVector(
@@ -396,8 +393,8 @@ def cmd_oracle(args, config: SweepConfig) -> int:
 
 def cmd_phase_error(args, config: SweepConfig) -> int:
     alphas = _parse_float_list(args.alpha, "alpha")
-    if args.theta_max <= 0:
-        raise ValueError("--theta-max must be positive")
+    if not (args.theta_max > 0 and math.isfinite(args.theta_max)):
+        raise ValueError("--theta-max must be positive and finite")
     if args.theta_points < 2:
         raise ValueError("--theta-points must be at least 2")
 

@@ -20,6 +20,7 @@ realized tail mass / norm loss rather than assuming the bound.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -59,8 +60,8 @@ class FockVector:
             raise ValueError("coefficients must be one-dimensional with length truncation + 1")
         coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
-        if self.norm_squared > 1.0 + 1e-9:
-            raise ValueError(f"norm^2 = {self.norm_squared!r} exceeds 1")
+        if not self.norm_squared <= 1.0 + 1e-9:
+            raise ValueError(f"norm^2 = {self.norm_squared!r} exceeds 1 or is not finite")
 
     @property
     def norm_squared(self) -> float:
@@ -98,16 +99,38 @@ def coherent_to_fock(
     gamma: complex, truncation: int | None = None, tail_tol: float = DEFAULT_TAIL_TOL
 ) -> FockVector:
     """|gamma> in the number basis, built by the stable ratio recurrence
-    c_n = c_{n-1} gamma / sqrt(n) from c_0 = e^{-|gamma|^2/2}."""
+    c_n = c_{n-1} gamma / sqrt(n) from c_0 = e^{-|gamma|^2/2}.
+
+    c_0 leaves the normal floating-point range past |gamma| ~ 37.6, while
+    the coefficients near n = |gamma|^2 stay of order |gamma|^(-1/2).  As
+    in _hermite_functions, the running coefficient then carries a
+    power-of-two factor 2^-scale: c_0 starts multiplied by enough factors
+    2^900 to be representable, a factor comes off whenever a coefficient
+    grows past 2^900, and the stored values undo the rest.  While c_0 is
+    a normal number no factor is applied.
+    """
     gamma = complex(gamma)
+    if not (math.isfinite(gamma.real) and math.isfinite(gamma.imag)):
+        raise ValueError(f"gamma must be finite, got {gamma!r}")
     if truncation is None:
         truncation = default_truncation(abs(gamma))
     if truncation < 1:
         raise ValueError("truncation must be at least 1")
     coeffs = np.empty(truncation + 1, dtype=complex)
     coeffs[0] = math.exp(-abs(gamma) ** 2 / 2.0)
+    shifts = 0
+    if coeffs[0].real < sys.float_info.min:
+        shifts = math.ceil((abs(gamma) ** 2 / 2.0 - 640.0) / (900.0 * math.log(2.0)))
+        coeffs[0] = math.exp(900.0 * shifts * math.log(2.0) - abs(gamma) ** 2 / 2.0)
+    drops = []  # orders at which a factor 2^900 comes off
     for n in range(1, truncation + 1):
         coeffs[n] = coeffs[n - 1] * gamma / math.sqrt(n)
+        if shifts and abs(coeffs[n]) > 2.0**900:
+            coeffs[n] /= 2.0**900
+            drops.append(n)
+    if shifts:
+        scales = 900 * (np.searchsorted(drops, np.arange(truncation + 1), side="right") - shifts)
+        coeffs.real, coeffs.imag = np.ldexp(coeffs.real, scales), np.ldexp(coeffs.imag, scales)
     tail = max(0.0, 1.0 - float(np.sum(np.abs(coeffs) ** 2)))
     if tail > tail_tol:
         raise TruncationError(
@@ -154,6 +177,8 @@ def two_mode_product(mode_a: FockVector, mode_b: FockVector) -> TwoModeFockTenso
 
 def phase_rotate(state: FockVector, theta: float) -> FockVector:
     """Apply exp(i theta n): coefficient c_n picks up e^{i n theta}."""
+    if not math.isfinite(theta):
+        raise ValueError("theta must be finite")
     phases = np.exp(1j * theta * np.arange(state.truncation + 1))
     return FockVector(state.coefficients * phases, state.truncation, state.tail_mass)
 
@@ -232,7 +257,7 @@ def beamsplitter_fock(
 def parity_distribution(state: FockVector, norm_tol: float = 1e-6) -> tuple[float, float]:
     """(p_even, p_odd) photon-number parity masses of a normalized state."""
     n2 = state.norm_squared
-    if abs(n2 - 1.0) > norm_tol:
+    if not abs(n2 - 1.0) <= norm_tol:
         raise ValueError(f"state norm^2 = {n2!r}; parity needs a normalized state")
     probs = np.abs(state.coefficients) ** 2 / n2
     p_even = float(np.sum(probs[0::2]))
@@ -279,7 +304,7 @@ def quadrature_cdf_fock(state: FockVector, threshold: float) -> float:
     if not math.isfinite(threshold):
         raise ValueError("threshold must be finite")
     n2 = state.norm_squared
-    if abs(n2 - 1.0) > 1e-6:
+    if not abs(n2 - 1.0) <= 1e-6:
         raise ValueError("quadrature CDF expects a normalized state")
     # support of every basis state up to N ends near the classical
     # turning point; far below it nothing is left to integrate
@@ -301,6 +326,8 @@ def quadrature_cdf_fock(state: FockVector, threshold: float) -> float:
     # I is real symmetric, so c^dag I c = a^T I a + b^T I b for c = a + i b
     parts = np.stack([state.coefficients.real, state.coefficients.imag])
     probability = float(np.sum(parts * (parts @ integrals)))
+    if not math.isfinite(probability):
+        raise ValueError(f"quadrature CDF {probability!r} is not finite")
     return min(max(probability, 0.0), 1.0 + 1e-9)
 
 

@@ -15,6 +15,7 @@ theta^2 alpha^2 << 1.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,7 @@ class LogicalQubit:
         object.__setattr__(self, "c0", complex(self.c0))
         object.__setattr__(self, "c1", complex(self.c1))
         n2 = abs(self.c0) ** 2 + abs(self.c1) ** 2
-        if abs(n2 - 1.0) > QUBIT_NORM_TOL:
+        if not abs(n2 - 1.0) <= QUBIT_NORM_TOL:
             raise ValueError(f"|c0|^2 + |c1|^2 = {n2!r} is not 1 within {QUBIT_NORM_TOL}")
 
     def as_superposition(self) -> CoherentSuperposition:
@@ -60,7 +61,7 @@ class PropagationSetting:
         if not math.isfinite(self.delta):
             raise ValueError("delta must be finite")
         expected = 2.0 * math.pi * self.delta / self.wavelength
-        if abs(self.theta - expected) > 1e-12 * max(1.0, abs(expected)):
+        if not abs(self.theta - expected) <= 1e-12 * max(1.0, abs(expected)):
             raise ValueError(
                 f"theta = {self.theta!r} inconsistent with 2 pi delta / wavelength = {expected!r}"
             )
@@ -76,8 +77,8 @@ class PropagationSetting:
 
 def v_theta_from_length_power(v_delta: float, wavelength: float) -> float:
     """Convert length-fluctuation power (length^2) to phase power (rad^2)."""
-    if v_delta < 0:
-        raise ValueError("fluctuation power must be nonnegative")
+    if not (v_delta >= 0 and math.isfinite(v_delta)):
+        raise ValueError("fluctuation power must be nonnegative and finite")
     if not (wavelength > 0 and math.isfinite(wavelength)):
         raise ValueError("wavelength must be positive and finite")
     return (2.0 * math.pi / wavelength) ** 2 * v_delta
@@ -121,8 +122,9 @@ def phase_gate_error(beta: float, theta: float) -> float:
     It vanishes at theta = 0 and stays below theta^2 beta^2 throughout
     the weak-phase regime theta^2 beta^2 <= 0.01.
     """
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
+    # beta^2 must be finite too, or the exponents below overflow
+    if not 0 <= beta <= math.sqrt(sys.float_info.max):
+        raise ValueError(f"beta must be nonnegative with a finite square, got {beta!r}")
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
     exact = np.exp(-(beta**2) * (1.0 - math.cos(theta) - 1j * math.sin(theta)))
@@ -139,6 +141,8 @@ def ideal_output(alpha: float, theta: float) -> LogicalQubit:
     """
     if not (alpha > 0 and math.isfinite(alpha)):
         raise ValueError("alpha must be positive and finite")
+    if not math.isfinite(theta):
+        raise ValueError("theta must be finite")
     phase = complex(np.exp(1j * theta * alpha**2))
     return LogicalQubit((1.0 + phase) / 2.0, (1.0 - phase) / 2.0, alpha)
 

@@ -15,12 +15,9 @@ approximation.  The two-outcome projection is not complete: the measured
 port has support outside the two-cat span, and that probability mass is
 reported as `leakage` instead of being silently renormalized.
 
-The conditional-output coefficients are derived from first principles.
-When written out by hand, the composite-term overlap invites a
-port-swap slip (evaluating it against the homodyne-port composite
-amplitude instead of the measured-port one); the two readings agree
-only at theta = 0 mod 2 pi, and composite_coefficient_discrepancy
-quantifies the difference for cross-checking derivations.
+The bit-flip-corrected fringe (P_- - P_+ + 1)/2, which makes the
+interferometer a ruler, is derived from the two conditional threshold
+probabilities (FringeCurve.fringe) rather than stored next to them.
 """
 
 from __future__ import annotations
@@ -40,7 +37,6 @@ from .coherent_algebra import (
     _overlap_matrix,
     _threshold_kernel_erf,
     cat_norm_squared,
-    overlap,
     threshold_probability,
 )
 from .errors import (
@@ -104,7 +100,9 @@ class ConditionalOutput:
 
     plus_state / minus_state are normalized; plus_weight / minus_weight
     are the outcome probabilities and leakage the mass of the measured
-    port outside the two-cat span.  The three sum to 1.
+    port outside the two-cat span.  The three sum to 1 by construction
+    (leakage is what the weights leave of 1); the closure that can fail,
+    the two-mode norm, is checked where the weights are computed.
     """
 
     plus_state: CoherentSuperposition
@@ -119,9 +117,8 @@ class ConditionalOutput:
             if not w >= -NORM_CLAMP:
                 raise ValueError(f"{name} = {w!r} is negative or not finite")
             object.__setattr__(self, name, max(w, 0.0))
-        closure = self.plus_weight + self.minus_weight + self.leakage
-        if not abs(closure - 1.0) <= WEIGHT_CLOSURE_TOL:
-            raise ValueError(f"weights + leakage = {closure!r}, not 1 within {WEIGHT_CLOSURE_TOL}")
+        if not (math.isfinite(self.leakage) and self.leakage >= -NORM_CLAMP):
+            raise ValueError(f"leakage = {self.leakage!r} is negative or not finite")
 
 
 @dataclass(frozen=True)
@@ -132,8 +129,6 @@ class FringeCurve:
     theta: np.ndarray
     p_plus: np.ndarray
     p_minus: np.ndarray
-    fringe: np.ndarray
-    fringe_complement: np.ndarray
     leakage: np.ndarray
     normalization_mode: str = "conditional"
 
@@ -141,7 +136,7 @@ class FringeCurve:
         _check_mode(self.normalization_mode)
         arrays = {}
         n = None
-        for name in ("theta", "p_plus", "p_minus", "fringe", "fringe_complement", "leakage"):
+        for name in ("theta", "p_plus", "p_minus", "leakage"):
             arr = np.asarray(getattr(self, name), dtype=float).copy()
             arr.setflags(write=False)
             arrays[name] = arr
@@ -154,13 +149,24 @@ class FringeCurve:
                 raise ValueError(f"{name} holds non-finite values")
         if np.any(np.diff(arrays["theta"]) <= 0):
             raise ValueError("theta samples must be strictly increasing")
-        for name in ("p_plus", "p_minus", "fringe", "fringe_complement"):
+        # the fringe columns stay in [0, 1] (up to the same slack) because these do
+        for name in ("p_plus", "p_minus"):
             arr = arrays[name]
             if not (-1e-9 <= arr.min() and arr.max() <= 1.0 + 1e-9):
                 raise ValueError(f"{name} leaves [0, 1]: range [{arr.min()!r}, {arr.max()!r}]")
 
     def __len__(self) -> int:
         return self.theta.size
+
+    @property
+    def fringe(self) -> np.ndarray:
+        """Bit-flip-corrected fringe (P_- - P_+ + 1)/2."""
+        return (self.p_minus - self.p_plus + 1.0) / 2.0
+
+    @property
+    def fringe_complement(self) -> np.ndarray:
+        """The complementary combination 1 - fringe."""
+        return 1.0 - self.fringe
 
 
 class CatProjections(NamedTuple):
@@ -215,24 +221,6 @@ def cat_coefficients(p: RealizationParams) -> CatProjections:
     measured, output, cats = _cat_projections(p.alpha, p.phi, np.array([p.theta]))
     rows = (measured[0], output[0], cats[0, 0], cats[0, 1])
     return CatProjections(*(tuple(complex(v) for v in row) for row in rows))
-
-
-def composite_coefficient_discrepancy(p: RealizationParams) -> float:
-    """Largest deviation between the derived composite-term coefficients and
-    the variant that evaluates them against the homodyne-port composite
-    amplitude.
-
-    The first three coefficient pairs are identical under both readings;
-    only the composite term differs (the two ports carry e^{i theta} on
-    different quadrature components), so the discrepancy vanishes at
-    theta = 0 mod 2 pi and is otherwise nonzero.
-    """
-    proj = cat_coefficients(p)
-    n_plus, n_minus = _cat_norms(p.alpha)
-    g_out = proj.output_amplitudes[3]
-    variant_plus = n_plus * (overlap(0.0, g_out) + overlap(p.alpha, g_out))
-    variant_minus = n_minus * (overlap(0.0, g_out) - overlap(p.alpha, g_out))
-    return max(abs(proj.plus[3] - variant_plus), abs(proj.minus[3] - variant_minus))
 
 
 class _ConditionalBatch(NamedTuple):
@@ -342,8 +330,8 @@ def measurement_probabilities(
     the unconditioned probabilities of (outcome, below-threshold).
 
     method "erf" is the one-point case of the batched scan kernel, so a
-    scan point and this call agree bit for bit; "quad" and "checked" run
-    threshold_probability's reference paths on the output_state states.
+    scan point and this call agree bit for bit; "quad" runs
+    threshold_probability's quadrature reference on the output_state states.
     """
     _check_mode(mode)
     if method == "erf":
@@ -358,18 +346,6 @@ def measurement_probabilities(
         p_plus *= out.plus_weight
         p_minus *= out.minus_weight
     return p_plus, p_minus
-
-
-def fringe_function(p_plus: float, p_minus: float) -> float:
-    """Bit-flip-corrected fringe value (P_- - P_+ + 1)/2, in [0, 1]."""
-    if not (0.0 <= p_plus <= 1.0 and 0.0 <= p_minus <= 1.0):
-        raise ValueError("fringe inputs must lie in [0, 1]")
-    return (p_minus - p_plus + 1.0) / 2.0
-
-
-def fringe_complement(p_plus: float, p_minus: float) -> float:
-    """The complementary combination (P_+ - P_- + 1)/2."""
-    return 1.0 - fringe_function(p_plus, p_minus)
 
 
 def fringe_scan(
@@ -396,14 +372,11 @@ def fringe_scan(
     thetas = np.linspace(theta_min, theta_max, n_points)
     batch = _conditional_batch(params.alpha, params.phi, thetas)
     p_plus, p_minus = batch.probabilities(mode).T
-    fringe = (p_minus - p_plus + 1.0) / 2.0
     return FringeCurve(
         alpha=alpha,
         theta=thetas,
         p_plus=p_plus,
         p_minus=p_minus,
-        fringe=fringe,
-        fringe_complement=1.0 - fringe,
         leakage=batch.leakage,
         normalization_mode=mode,
     )

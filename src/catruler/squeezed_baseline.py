@@ -65,11 +65,6 @@ def homodyne_samples(
     return x_a * (theta / 2.0) + x_b
 
 
-def homodyne_sample(p: SqueezedBaselineParams, theta: float, rng_seed: int) -> float:
-    """Single homodyne outcome; see homodyne_samples."""
-    return float(homodyne_samples(p, theta, 1, rng_seed)[0])
-
-
 def snr_squeezed(p: SqueezedBaselineParams) -> float:
     """Closed-form signal-to-noise (beta^2 + 1) v_theta / (4 v_b_minus)."""
     return (p.beta**2 + 1.0) * p.v_theta / (4.0 * p.v_b_minus)

@@ -260,6 +260,18 @@ class TestPhaseErrorCommand:
         assert main(["--out", str(tmp_path), "--quiet", "phase-error",
                      "--alpha", "1", "--theta-max", "-1"]) == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--alpha", "nan"],
+        ["--alpha", "inf"],
+        ["--alpha", "1e200"],  # finite, but its square overflows
+        ["--alpha", "1", "--theta-max", "inf"],
+    ])
+    def test_non_finite_input_is_usage_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "--quiet", "phase-error"] + flags) == 2
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert not out.exists()
+
 
 class TestTopLevel:
     def test_unknown_command_is_usage_error(self):

@@ -17,7 +17,6 @@ from catruler.coherent_algebra import (
     CoherentSuperposition,
     _hermitian_value,
     beamsplitter,
-    displace,
     norm_squared,
     overlap,
     quadrature_wavefunction,
@@ -124,54 +123,6 @@ class TestNormSquared:
                 for cm, gm in minus.terms
             )
             assert abs(inner) < TIGHT
-
-
-class TestDisplace:
-    def test_cat_basis_transformation(self):
-        # (|0> +- |a>)/sqrt2 displaced by -a/2 -> (|-a/2> +- |a/2>)/sqrt2
-        alpha = 2.0
-        w = math.sqrt(0.5)
-        for sign in (+1.0, -1.0):
-            cat = CoherentSuperposition(((w, 0.0), (sign * w, alpha)))
-            moved = displace(cat, -alpha / 2)
-            assert moved.amplitudes == pytest.approx([-alpha / 2, alpha / 2])
-            # real displacement of real amplitudes: no phase factors
-            assert moved.coefficients == pytest.approx([w, sign * w], abs=TIGHT)
-
-    def test_zero_displacement_is_identity(self):
-        s = CoherentSuperposition(((0.3 + 0.1j, 1.5), (0.7, -2j)))
-        assert displace(s, 0.0).terms == s.terms
-
-    def test_norm_preserved(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            s = CoherentSuperposition(
-                tuple(
-                    (complex(rng.normal(), rng.normal()), complex(rng.normal(scale=2), rng.normal(scale=2)))
-                    for _ in range(3)
-                )
-            )
-            d = complex(rng.normal(), rng.normal())
-            assert norm_squared(displace(s, d)) == pytest.approx(norm_squared(s), abs=1e-11)
-
-    def test_composition_up_to_global_phase(self):
-        rng = np.random.default_rng(11)
-        for _ in range(10):
-            s = CoherentSuperposition(
-                tuple((complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal())) for _ in range(2))
-            )
-            d1 = complex(rng.normal(), rng.normal())
-            d2 = complex(rng.normal(), rng.normal())
-            two_step = displace(displace(s, d1), d2)
-            one_step = displace(s, d1 + d2)
-            n_two, n_one = norm_squared(two_step), norm_squared(one_step)
-            assert n_two == pytest.approx(n_one, abs=1e-12)
-            inner = sum(
-                np.conj(ca) * cb * overlap(ga, gb)
-                for ca, ga in two_step.terms
-                for cb, gb in one_step.terms
-            )
-            assert abs(inner) == pytest.approx(math.sqrt(n_two * n_one), abs=1e-10)
 
 
 class TestBeamsplitter:
@@ -282,10 +233,6 @@ class TestThresholdProbability:
             b = threshold_probability(s, threshold, method="erf")
             assert abs(a - b) <= 1e-8 * max(1.0, abs(b))
 
-    def test_checked_method_runs(self):
-        s = CoherentSuperposition.single(1.0)
-        assert threshold_probability(s, 1.0, method="checked") == pytest.approx(0.5, abs=1e-9)
-
     def test_unreachable_tolerance_raises(self):
         # widely separated peaks cannot be resolved with one subdivision
         s = CoherentSuperposition(((0.5, -8.0), (0.5, 8.0)))
@@ -349,7 +296,7 @@ class TestThresholdProbability:
 
         monkeypatch.setattr(ca, "_threshold_kernel_erf", nan_kernel)
         with pytest.raises(CatRulerError):
-            threshold_probability(CoherentSuperposition.single(1.0), 1.0, method="checked")
+            threshold_probability(CoherentSuperposition.single(1.0), 1.0, method="erf")
 
     def test_result_bounded_by_norm(self):
         s = CoherentSuperposition(((1.0, 0.0), (1.0, 2.0)))  # norm^2 = 2 + 2e^-2

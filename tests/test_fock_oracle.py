@@ -61,6 +61,24 @@ class TestCoherentToFock:
         with pytest.raises(TruncationError):
             coherent_to_fock(6.0, 20)
 
+    @pytest.mark.parametrize("gamma", [40.0, 40.0j, 60.0 * complex(math.cos(1.0), math.sin(1.0))])
+    def test_amplitude_past_the_vacuum_term_underflow(self, gamma):
+        # c_0 = e^{-|gamma|^2/2} underflows, the coefficients near n = |gamma|^2 do not
+        v = coherent_to_fock(gamma)
+        n = np.arange(v.truncation + 1)
+        assert abs(v.norm_squared - 1.0) <= 1e-8
+        mean = float(np.sum(n * np.abs(v.coefficients) ** 2))
+        assert mean == pytest.approx(abs(gamma) ** 2, rel=1e-9)
+
+    def test_no_rescaling_while_the_vacuum_term_is_normal(self):
+        gamma = 37.0
+        v = coherent_to_fock(gamma)
+        plain = np.empty(v.truncation + 1, dtype=complex)
+        plain[0] = math.exp(-(gamma**2) / 2.0)
+        for k in range(1, v.truncation + 1):
+            plain[k] = plain[k - 1] * gamma / math.sqrt(k)
+        assert np.array_equal(v.coefficients, plain)
+
     def test_default_truncation_heuristic(self):
         assert default_truncation(0.0) == 30
         assert default_truncation(3.0) == math.ceil(9 + 24 + 20)

@@ -19,10 +19,7 @@ from catruler.physical_realization import (
     RealizationParams,
     cat_coefficients,
     central_fringe_width,
-    composite_coefficient_discrepancy,
     extremum_spacing,
-    fringe_complement,
-    fringe_function,
     fringe_period,
     fringe_phase_offset,
     fringe_scan,
@@ -135,9 +132,10 @@ class TestOutputState:
                 assert ga == pytest.approx(gb, abs=1e-12)
 
     def test_closure_validation_in_type(self):
+        # weights beyond the two-mode norm leave a negative leakage
         out = output_state(RealizationParams(alpha=5.0))
-        with pytest.raises(ValueError):
-            ConditionalOutput(out.plus_state, out.minus_state, 0.6, 0.6, 0.6)
+        with pytest.raises(ValueError, match="leakage"):
+            ConditionalOutput(out.plus_state, out.minus_state, 0.6, 0.6, -0.2)
 
     def test_type_rejects_non_finite_weights(self):
         out = output_state(RealizationParams(alpha=5.0))
@@ -188,11 +186,6 @@ class TestCatCoefficients:
         gc, gd = proj.measured_amplitudes[3], proj.output_amplitudes[3]
         assert abs(gc) ** 2 + abs(gd) ** 2 == pytest.approx(2 * a**2, rel=1e-12)
 
-    def test_composite_discrepancy_vanishes_only_at_null_phase(self):
-        assert composite_coefficient_discrepancy(RealizationParams(alpha=2.0)) == pytest.approx(0.0, abs=1e-15)
-        assert composite_coefficient_discrepancy(RealizationParams(alpha=2.0, theta=2 * math.pi)) == pytest.approx(0.0, abs=1e-12)
-        assert composite_coefficient_discrepancy(RealizationParams(alpha=2.0, theta=1.0)) > 0.1
-
 
 class TestMeasurementProbabilities:
     @pytest.mark.parametrize("alpha,pp,pm,wp,wm,leak", NULL_PHASE_TABLE)
@@ -221,23 +214,34 @@ class TestMeasurementProbabilities:
             measurement_probabilities(RealizationParams(alpha=5.0), mode="bayesian")
 
 
+def curve_from(p_plus, p_minus):
+    """A FringeCurve with the given probability columns."""
+    n = len(p_plus)
+    return FringeCurve(
+        alpha=5.0, theta=np.arange(n, dtype=float),
+        p_plus=np.array(p_plus, dtype=float), p_minus=np.array(p_minus, dtype=float),
+        leakage=np.zeros(n),
+    )
+
+
 class TestFringeFunction:
+    """The fringe (P_- - P_+ + 1)/2 as FringeCurve derives it."""
+
     def test_endpoints(self):
-        assert fringe_function(1.0, 0.0) == 0.0
-        assert fringe_function(0.0, 1.0) == 1.0
+        assert list(curve_from([1.0, 0.0], [0.0, 1.0]).fringe) == [0.0, 1.0]
 
     def test_symmetry(self):
-        for x in (0.0, 0.3, 0.77, 1.0):
-            assert fringe_function(x, x) == pytest.approx(0.5, abs=1e-15)
+        x = [0.0, 0.3, 0.77, 1.0]
+        assert curve_from(x, x).fringe == pytest.approx(0.5, abs=1e-15)
 
     def test_complement(self):
-        assert fringe_complement(0.2, 0.9) == pytest.approx(1.0 - fringe_function(0.2, 0.9), abs=1e-15)
+        assert curve_from([0.2], [0.9]).fringe_complement == pytest.approx((0.2 - 0.9 + 1) / 2, abs=1e-15)
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
-            fringe_function(-0.1, 0.5)
+            curve_from([-0.1], [0.5])
         with pytest.raises(ValueError):
-            fringe_function(0.5, 1.2)
+            curve_from([0.5], [1.2])
 
 
 def small_scan(alpha, periods=3.0, n_points=241, **kw):
@@ -368,7 +372,6 @@ class TestFringeScan:
                 alpha=5.0,
                 theta=np.array([0.0, 0.0, 1.0]),
                 p_plus=np.zeros(3), p_minus=np.zeros(3),
-                fringe=np.zeros(3), fringe_complement=np.ones(3),
                 leakage=np.zeros(3),
             )
         with pytest.raises(ValueError):
@@ -376,16 +379,14 @@ class TestFringeScan:
                 alpha=5.0,
                 theta=np.array([0.0, 1.0]),
                 p_plus=np.array([0.0, 1.5]), p_minus=np.zeros(2),
-                fringe=np.zeros(2), fringe_complement=np.ones(2),
                 leakage=np.zeros(2),
             )
 
-    @pytest.mark.parametrize("column", ["theta", "p_plus", "fringe", "leakage"])
+    @pytest.mark.parametrize("column", ["theta", "p_plus", "leakage"])
     def test_curve_rejects_non_finite_columns(self, column):
         columns = dict(
             theta=np.array([0.0, 1.0, 2.0]),
             p_plus=np.zeros(3), p_minus=np.zeros(3),
-            fringe=np.zeros(3), fringe_complement=np.ones(3),
             leakage=np.zeros(3),
         )
         columns[column] = columns[column].copy()
@@ -410,7 +411,6 @@ class TestWidths:
         flat = FringeCurve(
             alpha=5.0, theta=theta,
             p_plus=np.full(11, 0.5), p_minus=np.full(11, 0.5),
-            fringe=np.full(11, 0.5), fringe_complement=np.full(11, 0.5),
             leakage=np.zeros(11),
         )
         with pytest.raises(WidthUndefinedError):

@@ -7,7 +7,6 @@ import pytest
 from catruler.squeezed_baseline import (
     SqueezedBaselineParams,
     equal_power_params,
-    homodyne_sample,
     homodyne_samples,
     snr_monte_carlo,
     snr_squeezed,
@@ -53,8 +52,8 @@ class TestHomodyneSampling:
 
     def test_deterministic_per_seed(self):
         p = SqueezedBaselineParams(beta=5.0, v_b_minus=0.1)
-        assert homodyne_sample(p, 0.02, rng_seed=7) == homodyne_sample(p, 0.02, rng_seed=7)
-        assert homodyne_sample(p, 0.02, rng_seed=7) != homodyne_sample(p, 0.02, rng_seed=8)
+        assert homodyne_samples(p, 0.02, 1, rng_seed=7) == homodyne_samples(p, 0.02, 1, rng_seed=7)
+        assert homodyne_samples(p, 0.02, 1, rng_seed=7) != homodyne_samples(p, 0.02, 1, rng_seed=8)
 
 
 class TestSnrSqueezed:
