@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fock_oracle, physical_realization
-from .coherent_algebra import beamsplitter, cat_norm_squared
+from .coherent_algebra import _require_alpha, beamsplitter, cat_norm_squared
 from .errors import ApproximationRegimeWarning, CatRulerError
 from .ideal_circuit import phase_gate_error, snr_ideal
 from .physical_realization import (
@@ -162,8 +162,7 @@ def _scan_settings(
     if not alphas:
         raise ValueError("no alpha values given (use --alpha or a config file)")
     for alpha in alphas:
-        if not (alpha > 0 and math.isfinite(alpha)):
-            raise ValueError(f"alpha values must be positive and finite, got {alpha!r}")
+        _require_alpha(alpha, "alpha values")
     n_points = _first(args.points, config.n_points, default_points)
     if n_points < 2:
         raise ValueError(f"points must be at least 2, got {n_points!r}")
@@ -287,7 +286,7 @@ def cmd_ruler(args, config: SweepConfig) -> int:
 # ------------------------------------------------------------------ oracle
 
 
-def _oracle_checks(max_alpha: float, cases: int, cap: int, seed: int, inject_bug: bool) -> dict:
+def _oracle_checks(max_alpha: float, cases: int, seed: int, inject_bug: bool) -> dict:
     rng = np.random.default_rng(seed)
     checks: dict[str, dict] = {}
 
@@ -312,9 +311,7 @@ def _oracle_checks(max_alpha: float, cases: int, cap: int, seed: int, inject_bug
             norm = 1.0 / math.sqrt(cat_norm_squared(alpha, sign))
             lo_amp = fock_oracle.coherent_to_fock(-alpha / 2.0, 60)
             hi_amp = fock_oracle.coherent_to_fock(alpha / 2.0, 60)
-            vec = fock_oracle.FockVector(
-                (lo_amp.coefficients + sign * hi_amp.coefficients) * norm, 60
-            )
+            vec = fock_oracle.FockVector((lo_amp.coefficients + sign * hi_amp.coefficients) * norm)
             p_even, p_odd = fock_oracle.parity_distribution(vec)
             worst_parity = max(worst_parity, p_odd if sign > 0 else p_even)
     checks["parity_theorem"] = {
@@ -333,9 +330,7 @@ def _oracle_checks(max_alpha: float, cases: int, cap: int, seed: int, inject_bug
             alpha = float(rng.uniform(ORACLE_MIN_ALPHA, max_alpha))
             theta = float(rng.uniform(0.0, 2.0 * math.pi))
             params = RealizationParams(alpha=alpha, theta=theta)
-            reach = alpha * (math.cos(params.phi) + math.sin(params.phi))
-            truncation = min(cap, fock_oracle.default_truncation(reach))
-            oracle = fock_oracle.end_to_end_oracle(params, truncation)
+            oracle = fock_oracle.end_to_end_oracle(params)
             # the one-point case of the scan kernel, as measurement_probabilities
             # and output_state evaluate it
             batch = physical_realization._conditional_batch(
@@ -371,12 +366,11 @@ def cmd_oracle(args, config: SweepConfig) -> int:
         )
     seed = _first(args.seed, config.seed, 0)
 
-    checks = _oracle_checks(args.max_alpha, args.cases, args.truncation, seed, args.inject_bug)
+    checks = _oracle_checks(args.max_alpha, args.cases, seed, args.inject_bug)
     all_pass = all(c["pass"] for c in checks.values())
     report = {
         "cases": args.cases,
         "max_alpha": args.max_alpha,
-        "truncation_cap": args.truncation,
         "seed": seed,
         "checks": checks,
         "all_pass": all_pass,
@@ -455,7 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-alpha", type=float, default=3.0,
                    help=f"cases draw alpha from [{ORACLE_MIN_ALPHA}, max-alpha) (default 3)")
     p.add_argument("--cases", type=int, default=50)
-    p.add_argument("--truncation", type=int, default=120, help="per-mode truncation cap")
     p.add_argument("--inject-bug", action="store_true",
                    help="test-only: perturb one compared value to prove failures are caught")
     p.set_defaults(func=cmd_oracle)

@@ -29,6 +29,7 @@ whose modulus squared is a Gaussian of mean Re(g) and variance 1/4.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,11 @@ IMAG_RESIDUE_LIMIT = 1e-9
 # an error.  Gram matrices of near-parallel coherent states are
 # ill-conditioned, so small negatives are expected.
 NORM_CLAMP = 1e-12
+# Largest amplitude whose square is a finite double.
+MAX_AMPLITUDE = math.sqrt(sys.float_info.max)
+# Adaptive-quadrature reference path: relative tolerance and subinterval limit.
+QUAD_RTOL = 1e-9
+QUAD_LIMIT = 200
 
 
 def _require_finite_complex(value: complex, name: str) -> complex:
@@ -51,6 +57,16 @@ def _require_finite_complex(value: complex, name: str) -> complex:
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
+
+
+def _require_alpha(alpha: float, name: str = "alpha") -> float:
+    """Reject a cat amplitude that is not positive or whose square (which
+    every alpha formula of the package takes) overflows."""
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise ValueError(f"{name} must be positive and finite, got {alpha!r}")
+    if alpha > MAX_AMPLITUDE:
+        raise ValueError(f"{name} must have a finite square, got {alpha!r}")
+    return alpha
 
 
 @dataclass(frozen=True)
@@ -74,8 +90,8 @@ class CoherentSuperposition:
         object.__setattr__(self, "terms", tuple(cleaned))
 
     @classmethod
-    def single(cls, gamma: complex, coefficient: complex = 1.0) -> "CoherentSuperposition":
-        return cls(((coefficient, gamma),))
+    def single(cls, gamma: complex) -> "CoherentSuperposition":
+        return cls(((1.0, gamma),))
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -215,9 +231,7 @@ def _threshold_kernel_erf(amps: np.ndarray, threshold: float) -> tuple[np.ndarra
     return gram, np.where(lower, tail, gram - tail)
 
 
-def _threshold_quad(
-    s_state: CoherentSuperposition, threshold: float, rtol: float, quad_limit: int
-) -> float:
+def _threshold_quad(s_state: CoherentSuperposition, threshold: float) -> float:
     coeffs = s_state.coefficients
     amps = s_state.amplitudes
     # 12 vacuum standard deviations (1/2 each) below the lowest mean
@@ -227,16 +241,16 @@ def _threshold_quad(
         return abs(coeffs @ _wavefunction(amps, x)) ** 2
 
     result = quad(
-        integrand, lower, threshold, epsabs=1e-14, epsrel=rtol,
-        limit=quad_limit, full_output=1,
+        integrand, lower, threshold, epsabs=1e-14, epsrel=QUAD_RTOL,
+        limit=QUAD_LIMIT, full_output=1,
     )
     if len(result) == 4:  # quad appends an explanation string on failure
         raise IntegrationError(f"adaptive quadrature failed: {result[3].strip()}")
     value, abserr = result[0], result[1]
-    if abserr > max(rtol * abs(value), 1e-12):
+    if abserr > max(QUAD_RTOL * abs(value), 1e-12):
         raise IntegrationError(
             f"adaptive quadrature reached error {abserr:.3e} for value {value:.6e}, "
-            f"worse than relative tolerance {rtol:.1e}"
+            f"worse than relative tolerance {QUAD_RTOL:.1e}"
         )
     return value
 
@@ -245,8 +259,6 @@ def threshold_probability(
     s: CoherentSuperposition,
     threshold: float,
     method: str = "erf",
-    rtol: float = 1e-9,
-    quad_limit: int = 200,
 ) -> float:
     """Probability that the amplitude quadrature lies at or below threshold.
 
@@ -270,7 +282,7 @@ def threshold_probability(
     if method == "erf":
         value = _hermitian_value(coeffs, kernel, "threshold probability")
     else:
-        value = _threshold_quad(s, threshold, rtol, quad_limit)
+        value = _threshold_quad(s, threshold)
 
     bound = _clamped_norm(coeffs, gram) * (1.0 + 1e-9)
     if not -NORM_CLAMP <= value <= bound + NORM_CLAMP:

@@ -32,8 +32,13 @@ from .coherent_algebra import norm_squared as _gram_norm_squared
 from .errors import TruncationError
 from .physical_realization import RealizationParams, _check_mode
 
-DEFAULT_TAIL_TOL = 1e-8
+# Largest tail mass a coherent-state or superposition expansion may leave
+# beyond its truncation.
+TAIL_TOL = 1e-8
+# Largest norm drift, or mass at the occupation cutoff, of the beamsplitter.
 UNITARY_NORM_TOL = 1e-8
+# Largest |norm^2 - 1| of a state that parity and the quadrature CDF accept.
+STATE_NORM_TOL = 1e-6
 
 
 def default_truncation(max_abs_amplitude: float) -> int:
@@ -44,34 +49,27 @@ def default_truncation(max_abs_amplitude: float) -> int:
 
 @dataclass(frozen=True)
 class FockVector:
-    """Single-mode state as number-basis coefficients c_0 .. c_N.
-
-    tail_mass estimates the probability the intended (untruncated) state
-    carries beyond the truncation.
-    """
+    """Single-mode state as number-basis coefficients c_0 .. c_N."""
 
     coefficients: np.ndarray
-    truncation: int
-    tail_mass: float = 0.0
 
     def __post_init__(self):
         coeffs = np.asarray(self.coefficients, dtype=complex).copy()
-        if coeffs.ndim != 1 or coeffs.size != self.truncation + 1:
-            raise ValueError("coefficients must be one-dimensional with length truncation + 1")
+        if coeffs.ndim != 1:
+            raise ValueError("coefficients must be one-dimensional")
         coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
         if not self.norm_squared <= 1.0 + 1e-9:
             raise ValueError(f"norm^2 = {self.norm_squared!r} exceeds 1 or is not finite")
 
     @property
+    def truncation(self) -> int:
+        """Highest photon number N held."""
+        return self.coefficients.size - 1
+
+    @property
     def norm_squared(self) -> float:
         return float(np.sum(np.abs(self.coefficients) ** 2))
-
-    def normalized(self) -> "FockVector":
-        n2 = self.norm_squared
-        if n2 <= 0.0:
-            raise ValueError("cannot normalize a zero vector")
-        return FockVector(self.coefficients / math.sqrt(n2), self.truncation, self.tail_mass)
 
 
 @dataclass(frozen=True)
@@ -79,25 +77,25 @@ class TwoModeFockTensor:
     """Two-mode state as an (N+1) x (N+1) coefficient grid (mode a, mode b)."""
 
     coefficients: np.ndarray
-    truncation: int
-    tail_mass: float = 0.0
 
     def __post_init__(self):
         coeffs = np.asarray(self.coefficients, dtype=complex).copy()
-        n = self.truncation + 1
-        if coeffs.shape != (n, n):
-            raise ValueError(f"coefficients must have shape {(n, n)}, got {coeffs.shape}")
+        if coeffs.ndim != 2 or coeffs.shape[0] != coeffs.shape[1]:
+            raise ValueError(f"coefficients must be a square grid, got shape {coeffs.shape}")
         coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
+
+    @property
+    def truncation(self) -> int:
+        """Highest photon number N held per mode."""
+        return self.coefficients.shape[0] - 1
 
     @property
     def norm_squared(self) -> float:
         return float(np.sum(np.abs(self.coefficients) ** 2))
 
 
-def coherent_to_fock(
-    gamma: complex, truncation: int | None = None, tail_tol: float = DEFAULT_TAIL_TOL
-) -> FockVector:
+def coherent_to_fock(gamma: complex, truncation: int | None = None) -> FockVector:
     """|gamma> in the number basis, built by the stable ratio recurrence
     c_n = c_{n-1} gamma / sqrt(n) from c_0 = e^{-|gamma|^2/2}.
 
@@ -132,47 +130,41 @@ def coherent_to_fock(
         scales = 900 * (np.searchsorted(drops, np.arange(truncation + 1), side="right") - shifts)
         coeffs.real, coeffs.imag = np.ldexp(coeffs.real, scales), np.ldexp(coeffs.imag, scales)
     tail = max(0.0, 1.0 - float(np.sum(np.abs(coeffs) ** 2)))
-    if tail > tail_tol:
+    if tail > TAIL_TOL:
         raise TruncationError(
             f"coherent state |{gamma}| leaves tail mass {tail:.3e} beyond N = {truncation}"
         )
-    return FockVector(coeffs, truncation, tail)
+    return FockVector(coeffs)
 
 
-def superposition_to_fock(
-    s: CoherentSuperposition, truncation: int | None = None, tail_tol: float = DEFAULT_TAIL_TOL
-) -> FockVector:
-    """Represent sum_k c_k |g_k> in the number basis, scaled to unit norm.
+def superposition_to_fock(s: CoherentSuperposition) -> FockVector:
+    """Represent sum_k c_k |g_k> in the number basis, scaled to unit norm,
+    truncated to cover the largest amplitude.
 
     The scale divides out the exact Gram-matrix norm of s, so passing an
     already normalized superposition reproduces it coefficient for
     coefficient.
     """
-    if truncation is None:
-        truncation = default_truncation(float(np.max(np.abs(s.amplitudes))))
+    truncation = default_truncation(float(np.max(np.abs(s.amplitudes))))
     total = np.zeros(truncation + 1, dtype=complex)
     for c, g in s.terms:
-        total += c * coherent_to_fock(g, truncation, tail_tol).coefficients
+        total += c * coherent_to_fock(g, truncation).coefficients
     exact = _gram_norm_squared(s)
     if exact <= 0.0:
         raise ValueError("cannot represent a zero-norm superposition")
     realized = float(np.sum(np.abs(total) ** 2))
     tail = max(0.0, (exact - realized) / exact)
-    if tail > tail_tol:
+    if tail > TAIL_TOL:
         raise TruncationError(
             f"superposition leaves tail fraction {tail:.3e} beyond N = {truncation}"
         )
-    return FockVector(total / math.sqrt(exact), truncation, tail)
+    return FockVector(total / math.sqrt(exact))
 
 
 def two_mode_product(mode_a: FockVector, mode_b: FockVector) -> TwoModeFockTensor:
     if mode_a.truncation != mode_b.truncation:
         raise ValueError("both modes must share one truncation")
-    return TwoModeFockTensor(
-        np.outer(mode_a.coefficients, mode_b.coefficients),
-        mode_a.truncation,
-        mode_a.tail_mass + mode_b.tail_mass,
-    )
+    return TwoModeFockTensor(np.outer(mode_a.coefficients, mode_b.coefficients))
 
 
 def phase_rotate(state: FockVector, theta: float) -> FockVector:
@@ -180,12 +172,10 @@ def phase_rotate(state: FockVector, theta: float) -> FockVector:
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
     phases = np.exp(1j * theta * np.arange(state.truncation + 1))
-    return FockVector(state.coefficients * phases, state.truncation, state.tail_mass)
+    return FockVector(state.coefficients * phases)
 
 
-def beamsplitter_fock(
-    state: TwoModeFockTensor, mix_angle: float, norm_tol: float = UNITARY_NORM_TOL
-) -> TwoModeFockTensor:
+def beamsplitter_fock(state: TwoModeFockTensor, mix_angle: float) -> TwoModeFockTensor:
     """exp[i t (a^dag b + a b^dag)], the unitary whose coherent-amplitude
     action is |g>|b> -> |cos t g + i sin t b>|cos t b + i sin t g>.
 
@@ -236,9 +226,9 @@ def beamsplitter_fock(
         previous, current = current, recur(current, previous)
 
     after = float(np.vdot(out, out).real)
-    if abs(after - before) > norm_tol * max(1.0, before):
+    if abs(after - before) > UNITARY_NORM_TOL * max(1.0, before):
         raise TruncationError(
-            f"beamsplitter norm drift {after - before:.3e} exceeds {norm_tol:.1e}"
+            f"beamsplitter norm drift {after - before:.3e} exceeds {UNITARY_NORM_TOL:.1e}"
         )
     grid = out.reshape(d, d)
     boundary = (
@@ -246,18 +236,18 @@ def beamsplitter_fock(
         + float(np.sum(np.abs(grid[:, -1]) ** 2))
         - float(np.abs(grid[-1, -1]) ** 2)
     )
-    if boundary > norm_tol * max(1.0, before):
+    if boundary > UNITARY_NORM_TOL * max(1.0, before):
         raise TruncationError(
             f"occupation mass {boundary:.3e} reached the cutoff N = {state.truncation}; "
             "increase the truncation"
         )
-    return TwoModeFockTensor(grid, state.truncation, state.tail_mass)
+    return TwoModeFockTensor(grid)
 
 
-def parity_distribution(state: FockVector, norm_tol: float = 1e-6) -> tuple[float, float]:
+def parity_distribution(state: FockVector) -> tuple[float, float]:
     """(p_even, p_odd) photon-number parity masses of a normalized state."""
     n2 = state.norm_squared
-    if not abs(n2 - 1.0) <= norm_tol:
+    if not abs(n2 - 1.0) <= STATE_NORM_TOL:
         raise ValueError(f"state norm^2 = {n2!r}; parity needs a normalized state")
     probs = np.abs(state.coefficients) ** 2 / n2
     p_even = float(np.sum(probs[0::2]))
@@ -304,14 +294,16 @@ def quadrature_cdf_fock(state: FockVector, threshold: float) -> float:
     if not math.isfinite(threshold):
         raise ValueError("threshold must be finite")
     n2 = state.norm_squared
-    if not abs(n2 - 1.0) <= 1e-6:
+    if not abs(n2 - 1.0) <= STATE_NORM_TOL:
         raise ValueError("quadrature CDF expects a normalized state")
     # support of every basis state up to N ends near the classical
-    # turning point; far below it nothing is left to integrate
-    turning = math.sqrt((2.0 * state.truncation + 1.0) / 2.0)
-    lower = -(turning + 8.0)
-    if threshold <= lower:
+    # turning point; far below it nothing is left to integrate, far
+    # above it everything is
+    edge = math.sqrt((2.0 * state.truncation + 1.0) / 2.0) + 8.0
+    if threshold <= -edge:
         return 0.0
+    if threshold >= edge:
+        return min(n2, 1.0 + 1e-9)
     xi = math.sqrt(2.0) * threshold
     n = np.arange(state.truncation + 1)
     phi = _hermite_functions(state.truncation + 2, xi)  # phi_0 .. phi_{N+1}
@@ -337,31 +329,25 @@ class OracleProbabilities(NamedTuple):
     leakage: float
 
 
-def end_to_end_oracle(
-    p: RealizationParams,
-    truncation: int | None = None,
-    mode: str = "conditional",
-) -> OracleProbabilities:
+def end_to_end_oracle(p: RealizationParams, mode: str = "conditional") -> OracleProbabilities:
     """Full pipeline in Fock space: cat x cat, path phase, beamsplitter,
     cat projection of the measured mode, threshold statistics of the
     homodyne mode.
 
-    The truncation must cover per-mode amplitudes up to about
+    The truncation is sized here to cover per-mode amplitudes up to
     alpha (cos phi + sin phi), so N grows as alpha^2; the beamsplitter on
     the (N+1)^2 grid sets the cost.
     """
     _check_mode(mode)
     alpha = p.alpha
-    if truncation is None:
-        reach = alpha * (math.cos(p.phi) + math.sin(p.phi))
-        truncation = default_truncation(reach)
+    truncation = default_truncation(alpha * (math.cos(p.phi) + math.sin(p.phi)))
 
     norm = 1.0 / math.sqrt(2.0 + 2.0 * math.exp(-(alpha**2) / 2.0))
     vac = coherent_to_fock(0.0, truncation)
     amp = coherent_to_fock(alpha, truncation)
-    plus_cat = FockVector((vac.coefficients + amp.coefficients) * norm, truncation)
+    plus_cat = FockVector((vac.coefficients + amp.coefficients) * norm)
     minus_norm = 1.0 / math.sqrt(2.0 - 2.0 * math.exp(-(alpha**2) / 2.0))
-    minus_cat = FockVector((vac.coefficients - amp.coefficients) * minus_norm, truncation)
+    minus_cat = FockVector((vac.coefficients - amp.coefficients) * minus_norm)
 
     signal = phase_rotate(plus_cat, p.theta)
     joint = two_mode_product(signal, plus_cat)
@@ -374,12 +360,8 @@ def end_to_end_oracle(
     leakage = 1.0 - w_plus - w_minus
 
     threshold = alpha / 2.0
-    p_plus = quadrature_cdf_fock(
-        FockVector(conditional_plus / math.sqrt(w_plus), truncation), threshold
-    )
-    p_minus = quadrature_cdf_fock(
-        FockVector(conditional_minus / math.sqrt(w_minus), truncation), threshold
-    )
+    p_plus = quadrature_cdf_fock(FockVector(conditional_plus / math.sqrt(w_plus)), threshold)
+    p_minus = quadrature_cdf_fock(FockVector(conditional_minus / math.sqrt(w_minus)), threshold)
     if mode == "joint":
         p_plus *= w_plus
         p_minus *= w_minus

@@ -15,12 +15,11 @@ theta^2 alpha^2 << 1.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent_algebra import CoherentSuperposition, cat_norm_squared
+from .coherent_algebra import MAX_AMPLITUDE, CoherentSuperposition, _require_alpha, cat_norm_squared
 
 QUBIT_NORM_TOL = 1e-12
 
@@ -34,8 +33,7 @@ class LogicalQubit:
     alpha: float
 
     def __post_init__(self):
-        if not (self.alpha > 0 and math.isfinite(self.alpha)):
-            raise ValueError("alpha must be positive and finite")
+        _require_alpha(self.alpha)
         object.__setattr__(self, "c0", complex(self.c0))
         object.__setattr__(self, "c1", complex(self.c1))
         n2 = abs(self.c0) ** 2 + abs(self.c1) ** 2
@@ -97,8 +95,7 @@ def prepare_plus_cat(alpha: float, exact_norm: bool = False) -> CoherentSuperpos
     in the orthogonal large-alpha limit); with exact_norm=True they are
     1/sqrt(2 + 2 e^{-alpha^2/2}) and the norm is exactly 1.
     """
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise ValueError("alpha must be positive and finite")
+    _require_alpha(alpha)
     if exact_norm:
         w = 1.0 / math.sqrt(cat_norm_squared(alpha))
     else:
@@ -123,7 +120,7 @@ def phase_gate_error(beta: float, theta: float) -> float:
     the weak-phase regime theta^2 beta^2 <= 0.01.
     """
     # beta^2 must be finite too, or the exponents below overflow
-    if not 0 <= beta <= math.sqrt(sys.float_info.max):
+    if not 0 <= beta <= MAX_AMPLITUDE:
         raise ValueError(f"beta must be nonnegative with a finite square, got {beta!r}")
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
@@ -139,11 +136,12 @@ def ideal_output(alpha: float, theta: float) -> LogicalQubit:
     which is 2 pi / alpha^2 periodic in theta: raising the photon number
     compresses the fringes exactly like raising the optical frequency.
     """
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise ValueError("alpha must be positive and finite")
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
-    phase = complex(np.exp(1j * theta * alpha**2))
+    gate = theta * _require_alpha(alpha) ** 2
+    if not math.isfinite(gate):
+        raise ValueError(f"theta alpha^2 overflows at theta = {theta!r}, alpha = {alpha!r}")
+    phase = complex(np.exp(1j * gate))
     return LogicalQubit((1.0 + phase) / 2.0, (1.0 - phase) / 2.0, alpha)
 
 
@@ -165,8 +163,7 @@ def detection_probabilities(q: LogicalQubit, exact_overlaps: bool = False) -> tu
 def cat_mean_photon_number(alpha: float, exact: bool = False) -> float:
     """Mean photon number of (|0> + |alpha>)/w: alpha^2/2, or the exact
     value alpha^2 / (2 + 2 e^{-alpha^2/2})."""
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise ValueError("alpha must be positive and finite")
+    _require_alpha(alpha)
     if exact:
         return alpha**2 / cat_norm_squared(alpha)
     return alpha**2 / 2.0
@@ -179,11 +176,14 @@ def snr_ideal(v_theta: float, alpha: float) -> float:
     noise; averaging over theta ~ N(0, v_theta) gives
     v_theta alpha^4 / 4 = v_theta nbar^2 with nbar = alpha^2/2.
     """
-    if v_theta < 0:
-        raise ValueError("v_theta must be nonnegative")
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise ValueError("alpha must be positive and finite")
-    return v_theta * (alpha**2 / 2.0) ** 2
+    if not (v_theta >= 0 and math.isfinite(v_theta)):
+        raise ValueError("v_theta must be nonnegative and finite")
+    nbar = _require_alpha(alpha) ** 2 / 2.0
+    # nbar^2 raises OverflowError past MAX_AMPLITUDE; below it the product may still reach inf
+    snr = v_theta * nbar**2 if nbar <= MAX_AMPLITUDE else math.inf
+    if not math.isfinite(snr):
+        raise ValueError(f"v_theta nbar^2 overflows at alpha = {alpha!r}")
+    return snr
 
 
 def snr_monte_carlo(
@@ -191,12 +191,11 @@ def snr_monte_carlo(
     v_theta: float,
     n_samples: int = 20000,
     rng_seed: int = 0,
-    exact_overlaps: bool = True,
 ) -> float:
     """Monte Carlo estimate of snr_ideal from the exact circuit output.
 
     Draws theta ~ N(0, v_theta) and averages the per-draw detection
-    ratio P(|1>)/P(|0>), using exact coherent overlaps by default so the
+    ratio P(|1>)/P(|0>), keeping the exact coherent overlaps so the
     finite-alpha correction is visible.
     """
     if n_samples < 1:
@@ -205,6 +204,6 @@ def snr_monte_carlo(
     thetas = rng.normal(0.0, math.sqrt(v_theta), n_samples)
     ratios = np.empty(n_samples)
     for i, theta in enumerate(thetas):
-        p_one, p_zero = detection_probabilities(ideal_output(alpha, theta), exact_overlaps)
+        p_one, p_zero = detection_probabilities(ideal_output(alpha, theta), exact_overlaps=True)
         ratios[i] = p_one / p_zero
     return float(ratios.mean())

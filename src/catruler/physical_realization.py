@@ -3,12 +3,13 @@
 The measurement path carries a cat state (|0> + |alpha> exactly
 normalized) whose |alpha> component picks up the path phase theta.  At a
 highly reflective beamsplitter of mixing angle phi (reflectivity
-cos^2 phi, default phi = pi / (2 alpha^2) so that phi * alpha^2 = pi/2)
-it meets a second, identical cat.  Expanding both cats and applying the
-beamsplitter relation term by term leaves four two-mode product terms;
-projecting the measured port onto the exactly orthonormal plus/minus
-cats (|0> +- |alpha>, normalized) conditions the homodyne port on the
-cat-basis outcome.
+cos^2 phi) it meets a second, identical cat.  phi is fixed at
+pi / (2 alpha^2), not a parameter: the gate phase phi * alpha^2 = pi/2 is
+what makes the cat-basis measurement act as the ruler's phase gate.
+Expanding both cats and applying the beamsplitter relation term by term
+leaves four two-mode product terms; projecting the measured port onto
+the exactly orthonormal plus/minus cats (|0> +- |alpha>, normalized)
+conditions the homodyne port on the cat-basis outcome.
 
 Everything here is computed from the overlap formula with no large-alpha
 approximation.  The two-outcome projection is not complete: the measured
@@ -35,6 +36,7 @@ from .coherent_algebra import (
     _hermitian_form,
     _log_overlap,
     _overlap_matrix,
+    _require_alpha,
     _threshold_kernel_erf,
     cat_norm_squared,
     threshold_probability,
@@ -49,6 +51,8 @@ NORMALIZATION_MODES = ("conditional", "joint")
 WEIGHT_CLOSURE_TOL = 1e-9
 # Above this value of phi^2 alpha^2 the weak-mixing picture degrades.
 APPROXIMATION_WARNING_LEVEL = 0.1
+# fringe_phase_offset correlates over lags up to this fraction of the scan
+MAX_LAG_FRACTION = 0.6
 
 
 def _check_mode(mode: str) -> str:
@@ -59,22 +63,16 @@ def _check_mode(mode: str) -> str:
 
 @dataclass(frozen=True)
 class RealizationParams:
-    """alpha: cat amplitude (> 0); theta: path phase (rad);
-    phi: beamsplitter mixing angle, default pi / (2 alpha^2)."""
+    """alpha: cat amplitude (> 0); theta: path phase (rad).  The
+    beamsplitter mixing angle phi is fixed by alpha, not set."""
 
     alpha: float
     theta: float = 0.0
-    phi: float | None = None
 
     def __post_init__(self):
-        if not (self.alpha > 0 and math.isfinite(self.alpha)):
-            raise ValueError("alpha must be positive and finite")
+        _require_alpha(self.alpha)
         if not math.isfinite(self.theta):
             raise ValueError("theta must be finite")
-        if self.phi is None:
-            object.__setattr__(self, "phi", math.pi / (2.0 * self.alpha**2))
-        elif not (0 <= self.phi and math.isfinite(self.phi)):
-            raise ValueError("phi must be nonnegative and finite")
         if self.approximation_parameter > APPROXIMATION_WARNING_LEVEL:
             warnings.warn(
                 f"phi^2 alpha^2 = {self.approximation_parameter:.3g} exceeds "
@@ -84,9 +82,9 @@ class RealizationParams:
             )
 
     @property
-    def gate_phase(self) -> float:
-        """phi * alpha^2; pi/2 at the default mixing angle."""
-        return self.phi * self.alpha**2
+    def phi(self) -> float:
+        """Beamsplitter mixing angle pi / (2 alpha^2): gate phase phi alpha^2 = pi/2."""
+        return math.pi / (2.0 * self.alpha**2)
 
     @property
     def approximation_parameter(self) -> float:
@@ -354,7 +352,6 @@ def fringe_scan(
     theta_max: float,
     n_points: int,
     mode: str = "conditional",
-    phi: float | None = None,
 ) -> FringeCurve:
     """Uniformly sampled fringe curve over [theta_min, theta_max].
 
@@ -368,7 +365,7 @@ def fringe_scan(
     if not theta_min < theta_max:
         raise ValueError("theta_min must be below theta_max")
     _check_mode(mode)
-    params = RealizationParams(alpha=alpha, phi=phi)
+    params = RealizationParams(alpha=alpha)
     thetas = np.linspace(theta_min, theta_max, n_points)
     batch = _conditional_batch(params.alpha, params.phi, thetas)
     p_plus, p_minus = batch.probabilities(mode).T
@@ -464,8 +461,7 @@ def fringe_spacing_physical(alpha: float, wavelength: float) -> float:
     At alpha = 1 this is the standard interferometer's wavelength/2; the
     cat state compresses it by alpha^2.
     """
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise ValueError("alpha must be positive and finite")
+    _require_alpha(alpha)
     if not (wavelength > 0 and math.isfinite(wavelength)):
         raise ValueError("wavelength must be positive and finite")
     return wavelength / (2.0 * alpha**2)
@@ -479,20 +475,18 @@ def scan_extracted_spacing(curve: FringeCurve, wavelength: float) -> float:
     return extremum_spacing(curve) * wavelength / (2.0 * math.pi)
 
 
-def fringe_phase_offset(curve: FringeCurve, max_lag_fraction: float = 0.6) -> float:
+def fringe_phase_offset(curve: FringeCurve) -> float:
     """Lag (in theta) at which the P_+ / P_- cross-correlation peaks.
 
     Uses mean-removed, overlap-averaged correlation over lags up to
-    max_lag_fraction of the scan window, with parabolic refinement of the
+    MAX_LAG_FRACTION of the scan window, with parabolic refinement of the
     peak.  For the exact pipeline the two conditional fringe patterns are
     antiphase, so the offset lands at half the fringe period.
     """
-    if not 0.0 < max_lag_fraction <= 1.0:
-        raise ValueError("max_lag_fraction must lie in (0, 1]")
     a = curve.p_plus - curve.p_plus.mean()
     b = curve.p_minus - curve.p_minus.mean()
     n = len(a)
-    max_lag = int(n * max_lag_fraction)
+    max_lag = int(n * MAX_LAG_FRACTION)
     if max_lag < 2:
         raise WidthUndefinedError("scan too short for a cross-correlation offset")
     # cc[j] = mean over the overlap of a[i] * b[i + j]

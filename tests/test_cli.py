@@ -2,6 +2,8 @@
 
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -157,6 +159,10 @@ class TestWidthScaling:
         ["width-scaling", "--alpha", "5,nan"],
         ["fringe", "--alpha", "inf", "--points", "5"],
         ["ruler", "--alpha", "-1", "--wavelength", "1e-6"],
+        # finite, but alpha^2 overflows
+        ["fringe", "--alpha", "1e200", "--points", "5"],
+        ["ruler", "--alpha", "1e200", "--wavelength", "1e-6"],
+        ["snr", "--n-bar", "1e200", "--v-theta", "1e-4"],
     ])
     def test_bad_alpha_is_usage_error(self, tmp_path, command):
         assert main(["--out", str(tmp_path), "--quiet"] + command) == 2
@@ -206,12 +212,15 @@ class TestRulerCommand:
 
 class TestOracleCommand:
     def test_default_checks_pass(self, tmp_path):
-        assert main(["--out", str(tmp_path), "--seed", "5", "--quiet", "oracle",
-                     "--cases", "4", "--max-alpha", "2.5"]) == 0
-        report = json.loads((tmp_path / "oracle_report.json").read_text())
-        assert report["all_pass"] is True
-        assert report["checks"]["probability_agreement"]["value"] < 1e-6
-        assert report["checks"]["weight_closure"]["value"] < 1e-9
+        # seed 4 draws alpha = 9.45, whose oracle case needs N = 190 per mode
+        for seed, cases, max_alpha in (("5", "4", "2.5"), ("4", "1", "10")):
+            out = tmp_path / seed
+            assert main(["--out", str(out), "--seed", seed, "--quiet", "oracle",
+                         "--cases", cases, "--max-alpha", max_alpha]) == 0
+            report = json.loads((out / "oracle_report.json").read_text())
+            assert report["all_pass"] is True
+            assert report["checks"]["probability_agreement"]["value"] < 1e-6
+            assert report["checks"]["weight_closure"]["value"] < 1e-9
 
     def test_injected_bug_fails(self, tmp_path):
         assert main(["--out", str(tmp_path), "--seed", "5", "--quiet", "oracle",
@@ -298,3 +307,15 @@ class TestTopLevel:
     def test_unquiet_reports_files(self, tmp_path, capsys):
         main(["--out", str(tmp_path), "fringe", "--alpha", "5", "--points", "2"])
         assert "fringe_alpha5.csv" in capsys.readouterr().out
+
+
+class TestReadme:
+    def test_cli_block_commands_run(self, tmp_path):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        commands = [shlex.split(line)[1:] for line in block.splitlines()
+                    if line.startswith("catruler ")]
+        assert len(commands) == 6
+        for argv in commands:
+            argv[argv.index("--out") + 1] = str(tmp_path)
+            assert main(["--quiet", *argv]) == 0, argv

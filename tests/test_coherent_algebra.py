@@ -215,9 +215,7 @@ class TestThresholdProbability:
         w = 1 / math.sqrt(2 + 2 * math.exp(-(alpha**2) / 2))
         s = CoherentSuperposition(((w, 0.0), (w, alpha)))
         analytic = threshold_probability(s, alpha / 2)
-        by_fock = fock_oracle.quadrature_cdf_fock(
-            fock_oracle.superposition_to_fock(s, 60), alpha / 2
-        )
+        by_fock = fock_oracle.quadrature_cdf_fock(fock_oracle.superposition_to_fock(s), alpha / 2)
         assert abs(analytic - by_fock) < 1e-6
 
     def test_quad_and_erf_agree(self):
@@ -233,11 +231,14 @@ class TestThresholdProbability:
             b = threshold_probability(s, threshold, method="erf")
             assert abs(a - b) <= 1e-8 * max(1.0, abs(b))
 
-    def test_unreachable_tolerance_raises(self):
+    def test_unreachable_tolerance_raises(self, monkeypatch):
+        from catruler import coherent_algebra as ca
+
         # widely separated peaks cannot be resolved with one subdivision
+        monkeypatch.setattr(ca, "QUAD_LIMIT", 1)
         s = CoherentSuperposition(((0.5, -8.0), (0.5, 8.0)))
         with pytest.raises(IntegrationError):
-            threshold_probability(s, 10.0, method="quad", quad_limit=1)
+            threshold_probability(s, 10.0, method="quad")
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
 
+from catruler import fock_oracle
 from catruler.coherent_algebra import CoherentSuperposition, threshold_probability
 from catruler.errors import TruncationError
 from catruler.fock_oracle import (
@@ -36,7 +37,7 @@ def exact_cat(alpha, sign, truncation):
     norm = 1.0 / math.sqrt(2 + sign * 2 * math.exp(-(alpha**2) / 2))
     vac = coherent_to_fock(0.0, truncation).coefficients
     amp = coherent_to_fock(alpha, truncation).coefficients
-    return FockVector((vac + sign * amp) * norm, truncation)
+    return FockVector((vac + sign * amp) * norm)
 
 
 class TestCoherentToFock:
@@ -44,7 +45,6 @@ class TestCoherentToFock:
         v = coherent_to_fock(0.0, 10)
         assert v.coefficients[0] == 1.0
         assert np.all(v.coefficients[1:] == 0.0)
-        assert v.tail_mass == 0.0
 
     def test_photon_number_moment(self):
         v = coherent_to_fock(2.0, 60)
@@ -85,9 +85,11 @@ class TestCoherentToFock:
 
     def test_vector_validation(self):
         with pytest.raises(ValueError):
-            FockVector(np.ones(5, dtype=complex), truncation=5)
+            FockVector(np.ones(6, dtype=complex) * 2.0)
         with pytest.raises(ValueError):
-            FockVector(np.ones(6, dtype=complex) * 2.0, truncation=5)
+            FockVector(np.zeros((2, 2)))
+        with pytest.raises(ValueError):
+            TwoModeFockTensor(np.zeros((2, 3)))
 
 
 class TestBeamsplitterFock:
@@ -125,14 +127,14 @@ class TestBeamsplitterFock:
         grid[12:, :] = 0.0
         grid[:, 12:] = 0.0
         grid /= np.linalg.norm(grid)
-        state = TwoModeFockTensor(grid, n)
+        state = TwoModeFockTensor(grid)
         out = beamsplitter_fock(state, 1.1)
         assert out.norm_squared == pytest.approx(1.0, abs=1e-8)
 
     @pytest.mark.parametrize("angle", [0.0, 0.17, -0.17, 9.8, -9.8])
     @pytest.mark.parametrize("truncation", [1, 20])
-    def test_matches_dense_exponential(self, angle, truncation):
-        # 9.8 rad is the default mixing angle at alpha = 0.4
+    def test_matches_dense_exponential(self, angle, truncation, monkeypatch):
+        # 9.8 rad is the mixing angle at alpha = 0.4
         d = truncation + 1
         lowering = np.diag(np.sqrt(np.arange(1.0, d)), 1)
         generator = np.kron(lowering.T, lowering) + np.kron(lowering, lowering.T)
@@ -141,7 +143,8 @@ class TestBeamsplitterFock:
         grid /= np.linalg.norm(grid)
         # the whole grid is occupied, so mass reaches the cutoff: compare
         # the truncated dynamics with the checks off
-        out = beamsplitter_fock(TwoModeFockTensor(grid, truncation), angle, norm_tol=math.inf)
+        monkeypatch.setattr(fock_oracle, "UNITARY_NORM_TOL", math.inf)
+        out = beamsplitter_fock(TwoModeFockTensor(grid), angle)
         expected = expm(1j * angle * generator) @ grid.reshape(-1)
         assert np.max(np.abs(out.coefficients.reshape(-1) - expected)) < 1e-12
 
@@ -150,7 +153,7 @@ class TestBeamsplitterFock:
         grid = np.zeros((n + 1, n + 1), dtype=complex)
         grid[4, 4] = 1.0  # total 8 quanta cannot fit one mode of size 6
         with pytest.raises(TruncationError):
-            beamsplitter_fock(TwoModeFockTensor(grid, n), math.pi / 4)
+            beamsplitter_fock(TwoModeFockTensor(grid), math.pi / 4)
 
 
 class TestParity:
@@ -163,7 +166,7 @@ class TestParity:
         norm = 1.0 / math.sqrt(2 + 2 * math.exp(-(alpha**2) / 2))
         lo = coherent_to_fock(-alpha / 2, 60).coefficients
         hi = coherent_to_fock(alpha / 2, 60).coefficients
-        _, p_odd = parity_distribution(FockVector((lo + hi) * norm, 60))
+        _, p_odd = parity_distribution(FockVector((lo + hi) * norm))
         assert p_odd < 1e-10
 
     @pytest.mark.parametrize("alpha", [1.0, 2.0, 3.0])
@@ -171,7 +174,7 @@ class TestParity:
         norm = 1.0 / math.sqrt(2 - 2 * math.exp(-(alpha**2) / 2))
         lo = coherent_to_fock(-alpha / 2, 60).coefficients
         hi = coherent_to_fock(alpha / 2, 60).coefficients
-        p_even, _ = parity_distribution(FockVector((lo - hi) * norm, 60))
+        p_even, _ = parity_distribution(FockVector((lo - hi) * norm))
         assert p_even < 1e-10
 
     def test_general_even_superposition(self):
@@ -181,12 +184,12 @@ class TestParity:
             if abs(g) < 0.3:
                 continue
             plus = coherent_to_fock(g, 80).coefficients + coherent_to_fock(-g, 80).coefficients
-            vec = FockVector(plus / np.linalg.norm(plus), 80)
+            vec = FockVector(plus / np.linalg.norm(plus))
             _, p_odd = parity_distribution(vec)
             assert p_odd < 1e-10
 
     def test_requires_normalized_state(self):
-        v = FockVector(np.array([0.5] + [0.0] * 30, dtype=complex), 30)
+        v = FockVector(np.array([0.5] + [0.0] * 30, dtype=complex))
         with pytest.raises(ValueError):
             parity_distribution(v)
 
@@ -203,11 +206,15 @@ class TestQuadratureCdf:
         w = 1 / math.sqrt(2 + 2 * math.exp(-(alpha**2) / 2))
         s = CoherentSuperposition(((w, 0.0), (w, alpha)))
         analytic = threshold_probability(s, alpha / 2, method="erf")
-        fock = quadrature_cdf_fock(superposition_to_fock(s, 60), alpha / 2)
+        fock = quadrature_cdf_fock(superposition_to_fock(s), alpha / 2)
         assert abs(analytic - fock) < 1e-6
 
     def test_far_left_threshold_is_zero(self):
         assert quadrature_cdf_fock(coherent_to_fock(0.0, 40), -60.0) == 0.0
+
+    @pytest.mark.parametrize("threshold", [1e50, 1e200])
+    def test_far_right_threshold_is_the_norm(self, threshold):
+        assert quadrature_cdf_fock(coherent_to_fock(1.0), threshold) == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("truncation", [0, 7, 60])
     def test_matches_direct_integration(self, truncation):
@@ -223,7 +230,7 @@ class TestQuadratureCdf:
         rng = np.random.default_rng(truncation)
         coefficients = rng.normal(size=truncation + 1) + 1j * rng.normal(size=truncation + 1)
         coefficients /= np.linalg.norm(coefficients)
-        state = FockVector(coefficients, truncation)
+        state = FockVector(coefficients)
         lower = -(math.sqrt(truncation + 0.5) + 8.0)
         for threshold in (-4.0, -1.3, 0.0, 0.7, 4.0):
             expected, _ = quad(density, lower, threshold, limit=400, epsabs=1e-13, epsrel=1e-12)
@@ -300,21 +307,22 @@ class TestEndToEnd:
         oracle = end_to_end_oracle(RealizationParams(alpha=2.5, theta=1.0))
         assert 0.0 <= oracle.leakage <= 1.0
 
-    def test_insufficient_cap_raises(self):
+    def test_insufficient_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(fock_oracle, "default_truncation", lambda reach: 12)
         with pytest.raises(TruncationError):
-            end_to_end_oracle(RealizationParams(alpha=3.0), truncation=12)
+            end_to_end_oracle(RealizationParams(alpha=3.0))
 
 
 class TestSuperpositionToFock:
     def test_round_trip_of_normalized_cat(self):
         s = CoherentSuperposition(((0.6, 1.0), (0.8j, -1.0))).normalized()
-        v = superposition_to_fock(s, 60)
+        v = superposition_to_fock(s)
         assert v.norm_squared == pytest.approx(1.0, abs=1e-10)
 
     def test_zero_norm_rejected(self):
         s = CoherentSuperposition(((1.0, 0.5), (-1.0, 0.5)))
         with pytest.raises(ValueError):
-            superposition_to_fock(s, 40)
+            superposition_to_fock(s)
 
     def test_mismatched_modes_rejected(self):
         with pytest.raises(ValueError):

@@ -50,7 +50,7 @@ class TestRealizationParams:
     def test_default_mixing_angle(self):
         p = RealizationParams(alpha=8.0)
         assert p.phi == pytest.approx(math.pi / 128, abs=1e-15)
-        assert p.gate_phase == pytest.approx(math.pi / 2, abs=1e-12)
+        assert p.phi * p.alpha**2 == pytest.approx(math.pi / 2, abs=1e-12)
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
-"""Range guards fail on NaN: every public entry point below rejects a NaN
-amplitude, angle, length or coefficient with ValueError instead of
-returning NaN."""
+"""Range guards fail on NaN and on overflow: every public entry point
+below rejects a NaN amplitude, angle, length or coefficient, or an input
+whose formula overflows, with ValueError instead of returning NaN or inf
+or raising OverflowError."""
 
 import math
 
@@ -17,10 +18,13 @@ from catruler.fock_oracle import (
 from catruler.ideal_circuit import (
     LogicalQubit,
     PropagationSetting,
+    cat_mean_photon_number,
     ideal_output,
     phase_gate_error,
+    snr_ideal,
     v_theta_from_length_power,
 )
+from catruler.physical_realization import RealizationParams, fringe_spacing_physical
 
 NAN = math.nan
 
@@ -28,7 +32,7 @@ NAN = math.nan
 def nan_vector() -> FockVector:
     """A FockVector holding NaN, past the constructor's own check, so that
     the guards of the functions that take one are reached."""
-    vec = FockVector(np.array([1.0, 0.0]), 1)
+    vec = FockVector(np.array([1.0, 0.0]))
     object.__setattr__(vec, "coefficients", np.array([NAN, 0.0], dtype=complex))
     return vec
 
@@ -39,11 +43,22 @@ CASES = {
     "PropagationSetting": lambda: PropagationSetting(NAN, 1.0, 1.0),
     "v_theta_from_length_power": lambda: v_theta_from_length_power(NAN, 1.0),
     "phase_gate_error": lambda: phase_gate_error(NAN, 0.01),
-    "FockVector": lambda: FockVector(np.array([NAN, 0.0]), 1),
+    "FockVector": lambda: FockVector(np.array([NAN, 0.0])),
     "parity_distribution": lambda: parity_distribution(nan_vector()),
     "quadrature_cdf_fock": lambda: quadrature_cdf_fock(nan_vector(), 0.0),
     "coherent_to_fock": lambda: coherent_to_fock(NAN, 10),
     "phase_rotate": lambda: phase_rotate(coherent_to_fock(1.0), NAN),
+    "snr_ideal-nan": lambda: snr_ideal(NAN, 2.0),
+    "snr_ideal-inf": lambda: snr_ideal(math.inf, 2.0),
+    # alpha = 1e200 is finite, but alpha^2 is not
+    "RealizationParams-overflow": lambda: RealizationParams(1e200),
+    "fringe_spacing_physical-overflow": lambda: fringe_spacing_physical(1e200, 1e-6),
+    "LogicalQubit-overflow": lambda: LogicalQubit(1.0, 0.0, 1e200),
+    "ideal_output-overflow": lambda: ideal_output(1e200, 0.1),
+    "ideal_output-phase-overflow": lambda: ideal_output(1e100, 1e300),
+    "cat_mean_photon_number-overflow": lambda: cat_mean_photon_number(1e200),
+    "snr_ideal-overflow": lambda: snr_ideal(1e-4, 1e100),
+    "snr_ideal-product-overflow": lambda: snr_ideal(1e300, 1e60),
 }
 
 
