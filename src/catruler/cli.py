@@ -239,6 +239,9 @@ class SnrRow(NamedTuple):
 
 def cmd_snr(args, config: SweepConfig) -> int:
     n_bars = _parse_float_list(args.n_bar, "n-bar")
+    for n_bar in n_bars:
+        if not (n_bar > 0 and math.isfinite(n_bar)):
+            raise ValueError(f"--n-bar values must be positive and finite, got {n_bar!r}")
     v_theta = args.v_theta
     if v_theta < 0:
         raise ValueError("v-theta must be nonnegative")

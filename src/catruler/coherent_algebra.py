@@ -33,7 +33,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import wofz
 
 from .errors import IntegrationError, NormalizationError
@@ -112,8 +111,14 @@ class CoherentSuperposition:
 
 
 def _log_overlap(tau, gamma):
-    """log <tau|gamma>, elementwise over broadcast amplitude arrays."""
-    return -0.5 * (np.abs(tau) ** 2 + np.abs(gamma) ** 2) + np.conj(tau) * gamma
+    """log <tau|gamma>, elementwise over broadcast amplitude arrays.
+
+    Written as -|tau - gamma|^2 / 2 + i Im(conj(tau) gamma), which equals
+    -(|tau|^2 + |gamma|^2)/2 + conj(tau) gamma without subtracting terms
+    of size |tau|^2 whose rounding would swamp the result at large
+    amplitudes.
+    """
+    return -0.5 * np.abs(tau - gamma) ** 2 + 1j * (np.conj(tau) * gamma).imag
 
 
 def overlap(tau: complex, gamma: complex) -> complex:
@@ -232,6 +237,10 @@ def _threshold_kernel_erf(amps: np.ndarray, threshold: float) -> tuple[np.ndarra
 
 
 def _threshold_quad(s_state: CoherentSuperposition, threshold: float) -> float:
+    # imported here so that it stays out of every start-up: scipy.integrate
+    # loads scipy.optimize and scipy.sparse, and only this path needs it
+    from scipy.integrate import quad
+
     coeffs = s_state.coefficients
     amps = s_state.amplitudes
     # 12 vacuum standard deviations (1/2 each) below the lowest mean

@@ -179,11 +179,18 @@ def beamsplitter_fock(state: TwoModeFockTensor, mix_angle: float) -> TwoModeFock
     """exp[i t (a^dag b + a b^dag)], the unitary whose coherent-amplitude
     action is |g>|b> -> |cos t g + i sin t b>|cos t b + i sin t g>.
 
-    Evaluated as the Chebyshev-Bessel series of the propagator
+    Whole quarter turns are taken out first: exp(i (pi/2) H) maps |m, n>
+    to i^(m+n) |n, m>, a phase times the mode swap, which keeps the
+    square grid.  Writing t = q pi/2 + t' with |t'| <= pi/4, the factor
+    i^(q (m+n)), and the transpose for odd q, is applied exactly, and
+    only t' is left to the series, whose length grows with |t'|.  For
+    |t| <= pi/4, q = 0 and this step is skipped.
+
+    The rest is the Chebyshev-Bessel series of the propagator
     (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)),
     exp(i x y) = J_0(x) + 2 sum_k i^k J_k(x) T_k(y) with y = H / s, where
     s = 2N + 1 bounds the spectrum of the truncated generator H
-    (Gershgorin) and x = |t| s; a negative t turns i^k into (-i)^k.  The
+    (Gershgorin) and x = |t'| s; a negative t' turns i^k into (-i)^k.  The
     series stops after the last order with |J_k(x)| > 1e-17.  The
     truncated generator is Hermitian, so the evolution is exactly unitary
     and norm loss cannot witness an undersized truncation; instead,
@@ -194,11 +201,18 @@ def beamsplitter_fock(state: TwoModeFockTensor, mix_angle: float) -> TwoModeFock
         raise ValueError("mix_angle must be finite")
     n_cut = state.truncation
     d = n_cut + 1
-    flat = state.coefficients.reshape(-1)
+    grid = state.coefficients
+    quarter = round(mix_angle / (math.pi / 2.0))
+    turn = mix_angle - quarter * (math.pi / 2.0)
+    if quarter % 4:
+        total = np.add.outer(np.arange(d), np.arange(d))
+        phase = np.array([1.0, 1j, -1.0, -1j])[(quarter % 4) * total % 4]
+        grid = phase * (grid.T if quarter % 2 else grid)
+    flat = grid.reshape(-1)
     before = float(np.vdot(flat, flat).real)
 
     s = 2.0 * n_cut + 1.0
-    x = abs(mix_angle) * s
+    x = abs(turn) * s
     # |J_k(x)| stays below 1e-17 beyond about k = x + 12 x^(1/3) + 12
     bessel = jv(np.arange(math.ceil(x + 15.0 * x ** (1.0 / 3.0) + 30.0)), x)
     order = int(np.flatnonzero(np.abs(bessel) > 1e-17)[-1])
@@ -220,7 +234,7 @@ def beamsplitter_fock(state: TwoModeFockTensor, mix_angle: float) -> TwoModeFock
     # T_0 = v, T_1 = (H / s) v, T_{k+1} = 2 (H / s) T_k - T_{k-1}
     previous, current = flat.copy(), recur(flat, np.zeros_like(flat)) / 2.0
     out = bessel[0] * flat
-    unit = 1j if mix_angle >= 0 else -1j
+    unit = 1j if turn >= 0 else -1j
     for c in 2.0 * bessel[1 : order + 1] * unit ** np.arange(1, order + 1):
         out += c * current
         previous, current = current, recur(current, previous)

@@ -24,6 +24,7 @@ probabilities (FringeCurve.fringe) rather than stored next to them.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -71,6 +72,11 @@ class RealizationParams:
 
     def __post_init__(self):
         _require_alpha(self.alpha)
+        if not self.phi >= sys.float_info.min:
+            raise ValueError(
+                f"alpha = {self.alpha!r} is too large: the mixing angle "
+                "pi / (2 alpha^2) is not a normal double"
+            )
         if not math.isfinite(self.theta):
             raise ValueError("theta must be finite")
         if self.approximation_parameter > APPROXIMATION_WARNING_LEVEL:

@@ -163,9 +163,25 @@ class TestWidthScaling:
         ["fringe", "--alpha", "1e200", "--points", "5"],
         ["ruler", "--alpha", "1e200", "--wavelength", "1e-6"],
         ["snr", "--n-bar", "1e200", "--v-theta", "1e-4"],
+        # finite square, but the mixing angle pi / (2 alpha^2) is subnormal
+        ["fringe", "--alpha", "1.2e154", "--points", "5"],
     ])
     def test_bad_alpha_is_usage_error(self, tmp_path, command):
         assert main(["--out", str(tmp_path), "--quiet"] + command) == 2
+
+    def test_subnormal_mixing_angle_names_alpha_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "--quiet", "fringe", "--alpha", "1.2e154",
+                     "--points", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "alpha" in err
+        assert not out.exists()
+
+    def test_large_alphas_keep_the_inverse_square_law(self, tmp_path):
+        assert main(["--out", str(tmp_path), "--quiet", "width-scaling",
+                     "--alpha", "1e3,1e4"]) == 0
+        report = json.loads((tmp_path / "width_scaling.json").read_text())
+        assert report["exponent"] == pytest.approx(-2.0, abs=1e-6)
 
     def test_single_alpha_has_no_ratios(self, tmp_path):
         assert main(["--out", str(tmp_path), "--quiet", "width-scaling",
@@ -192,6 +208,15 @@ class TestSnrCommand:
         _, _, rows = read_csv(tmp_path / "snr.csv")
         for row in rows:
             assert row[1:] == [0.0, 0.0, 0.0, 0.0]
+
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_bad_n_bar_is_usage_error(self, tmp_path, capsys, value):
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "--quiet", "snr", "--n-bar", value,
+                     "--v-theta", "1e-4"]) == 2
+        assert "n-bar" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRulerCommand:

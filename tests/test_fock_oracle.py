@@ -25,6 +25,7 @@ from catruler.fock_oracle import (
 )
 from catruler.physical_realization import (
     RealizationParams,
+    _conditional_batch,
     fringe_scan,
     measurement_probabilities,
     output_state,
@@ -38,6 +39,11 @@ def exact_cat(alpha, sign, truncation):
     vac = coherent_to_fock(0.0, truncation).coefficients
     amp = coherent_to_fock(alpha, truncation).coefficients
     return FockVector((vac + sign * amp) * norm)
+
+
+def total_quanta(truncation):
+    """m + n over the (N+1) x (N+1) two-mode grid."""
+    return np.add.outer(np.arange(truncation + 1), np.arange(truncation + 1))
 
 
 class TestCoherentToFock:
@@ -131,7 +137,9 @@ class TestBeamsplitterFock:
         out = beamsplitter_fock(state, 1.1)
         assert out.norm_squared == pytest.approx(1.0, abs=1e-8)
 
-    @pytest.mark.parametrize("angle", [0.0, 0.17, -0.17, 9.8, -9.8])
+    @pytest.mark.parametrize(
+        "angle", [0.0, 0.17, -0.17, math.pi / 4, 9.8, -9.8, math.pi / 2, -math.pi / 2, math.pi, 30.0]
+    )
     @pytest.mark.parametrize("truncation", [1, 20])
     def test_matches_dense_exponential(self, angle, truncation, monkeypatch):
         # 9.8 rad is the mixing angle at alpha = 0.4
@@ -140,13 +148,30 @@ class TestBeamsplitterFock:
         generator = np.kron(lowering.T, lowering) + np.kron(lowering, lowering.T)
         rng = np.random.default_rng(truncation)
         grid = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        if abs(angle) > math.pi / 4:
+            # whole quarter turns are applied as the exact mode swap, which
+            # the truncated generator reproduces only where m + n <= N
+            grid[total_quanta(truncation) > truncation] = 0.0
         grid /= np.linalg.norm(grid)
-        # the whole grid is occupied, so mass reaches the cutoff: compare
-        # the truncated dynamics with the checks off
+        # mass reaches the cutoff: compare the truncated dynamics with the
+        # checks off
         monkeypatch.setattr(fock_oracle, "UNITARY_NORM_TOL", math.inf)
         out = beamsplitter_fock(TwoModeFockTensor(grid), angle)
         expected = expm(1j * angle * generator) @ grid.reshape(-1)
         assert np.max(np.abs(out.coefficients.reshape(-1) - expected)) < 1e-12
+
+    @pytest.mark.parametrize("angle", [0.0, 0.3, -0.6, 2.0, 9.8])
+    def test_quarter_turn_is_phased_mode_swap(self, angle):
+        # exp(i (pi/2) H) maps |m, n> to i^(m+n) |n, m>
+        n = 30
+        rng = np.random.default_rng(9)
+        grid = rng.normal(size=(n + 1, n + 1)) + 1j * rng.normal(size=(n + 1, n + 1))
+        grid[total_quanta(n) >= n] = 0.0  # no mass can reach the cutoff
+        grid /= np.linalg.norm(grid)
+        state = TwoModeFockTensor(grid)
+        turned = beamsplitter_fock(state, angle + math.pi / 2).coefficients
+        swapped = 1j ** total_quanta(n) * beamsplitter_fock(state, angle).coefficients.T
+        assert np.max(np.abs(turned - swapped)) < 1e-12
 
     def test_cutoff_overflow_detected(self):
         n = 6
@@ -295,6 +320,22 @@ class TestEndToEnd:
             assert abs(curve.p_plus[i] - oracle.p_plus) < 1e-6
             assert abs(curve.p_minus[i] - oracle.p_minus) < 1e-6
             assert abs(curve.leakage[i] - oracle.leakage) < 1e-6
+
+    def test_matches_closed_form_past_a_quarter_turn(self):
+        # alpha <= 1 puts the mixing angle at pi/2 or beyond (9.8 rad at 0.4)
+        worst = 0.0
+        for alpha in (0.4, 0.507, 0.6, 0.8, 1.0):
+            thetas = np.linspace(-math.pi, math.pi, 7)
+            batch = _conditional_batch(alpha, RealizationParams(alpha=alpha).phi, thetas)
+            for i, theta in enumerate(thetas):
+                oracle = end_to_end_oracle(RealizationParams(alpha=alpha, theta=float(theta)))
+                worst = max(
+                    worst,
+                    abs(oracle.p_plus - batch.conditional[i, 0]),
+                    abs(oracle.p_minus - batch.conditional[i, 1]),
+                    abs(oracle.leakage - batch.leakage[i]),
+                )
+        assert worst < 2e-14
 
     def test_joint_mode(self):
         params = RealizationParams(alpha=1.5, theta=0.4)

@@ -58,6 +58,11 @@ class TestRealizationParams:
         with pytest.raises(ValueError):
             RealizationParams(alpha=-2.0)
 
+    def test_rejects_alpha_whose_mixing_angle_is_not_normal(self):
+        RealizationParams(alpha=8e153)  # pi / (2 alpha^2) is still a normal double
+        with pytest.raises(ValueError, match="alpha"):
+            RealizationParams(alpha=1.2e154)
+
     def test_warns_when_weak_mixing_violated(self):
         with pytest.warns(ApproximationRegimeWarning):
             RealizationParams(alpha=4.0)
@@ -345,6 +350,18 @@ class TestFringeScan:
             _warnings.simplefilter("always", ApproximationRegimeWarning)
             fringe_scan(4.0, -0.1, 0.1, 9)
         assert len([w for w in caught if w.category is ApproximationRegimeWarning]) == 1
+
+    @pytest.mark.parametrize("alpha", [3000.0, 1e4, 1e5])
+    def test_large_alpha_null_phase_follows_the_gate_error_law(self, alpha):
+        # the overlap exponent holds no alpha^2-sized terms whose rounding
+        # would trip the norm check or swamp deficits of order 1/alpha^2
+        period = 2 * math.pi / alpha**2
+        curve = fringe_scan(alpha, -3 * period, 3 * period, 801)
+        null = len(curve) // 2
+        assert curve.theta[null] == 0.0
+        law = math.pi**2 / (16 * alpha**2)
+        assert 1.0 - curve.p_plus[null] == pytest.approx(law, rel=1e-4)
+        assert curve.p_minus[null] == pytest.approx(law, rel=1e-4)
 
     @pytest.mark.parametrize("alpha", [5.0, 10.0, 20.0])
     def test_batched_scan_matches_per_point_quadrature(self, alpha):
