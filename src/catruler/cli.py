@@ -67,13 +67,18 @@ class SweepConfig:
         cfg = cls(**raw)
         try:
             if cfg.alphas is not None:
+                # float() would read "5" and True as numbers, and iterate a string
+                if not isinstance(cfg.alphas, list) or any(isinstance(a, (bool, str)) for a in cfg.alphas):
+                    raise TypeError(f"alphas must be a list of numbers, got {cfg.alphas!r}")
                 cfg.alphas = [float(a) for a in cfg.alphas]
             if not isinstance(cfg.theta_span, str):
                 cfg.theta_span = ":".join(str(v) for v in cfg.theta_span)
-            if cfg.n_points is not None:
-                cfg.n_points = operator.index(cfg.n_points)
-            if cfg.seed is not None:
-                cfg.seed = operator.index(cfg.seed)
+            for name in ("n_points", "seed"):
+                value = getattr(cfg, name)
+                if isinstance(value, bool):  # operator.index(True) is 1
+                    raise TypeError(f"{name} must be an integer, got {value!r}")
+                if value is not None:
+                    setattr(cfg, name, operator.index(value))
         except (TypeError, OverflowError) as exc:
             raise ValueError(f"config value has the wrong type: {exc}") from exc
         if cfg.normalization_mode is not None and cfg.normalization_mode not in NORMALIZATION_MODES:
@@ -199,6 +204,8 @@ def cmd_fringe(args, config: SweepConfig) -> int:
 
 def cmd_width_scaling(args, config: SweepConfig) -> int:
     alphas, n_points, mode = _scan_settings(args, config)
+    if len(set(alphas)) < len(alphas):
+        raise ValueError(f"width-scaling needs distinct alpha values, got {alphas}")
 
     widths = {}
     for alpha in alphas:
@@ -289,6 +296,13 @@ def cmd_ruler(args, config: SweepConfig) -> int:
 # ------------------------------------------------------------------ oracle
 
 
+def _check(value: float, tolerance: float, at_least: bool = False) -> dict:
+    """A check record: value below tolerance, or with at_least at or
+    above 1 - tolerance."""
+    passed = value >= 1 - tolerance if at_least else value < tolerance
+    return {"value": float(value), "tolerance": tolerance, "pass": bool(passed)}
+
+
 def _oracle_checks(max_alpha: float, cases: int, seed: int, inject_bug: bool) -> dict:
     rng = np.random.default_rng(seed)
     checks: dict[str, dict] = {}
@@ -303,9 +317,7 @@ def _oracle_checks(max_alpha: float, cases: int, seed: int, inject_bug: bool) ->
         *(fock_oracle.coherent_to_fock(amp, n) for amp in beamsplitter(g, b, angle))
     )
     fidelity = abs(np.vdot(predicted.coefficients, mixed.coefficients)) ** 2
-    checks["beamsplitter_fidelity"] = {
-        "value": float(fidelity), "tolerance": 1e-8, "pass": bool(fidelity >= 1 - 1e-8),
-    }
+    checks["beamsplitter_fidelity"] = _check(fidelity, 1e-8, at_least=True)
 
     # parity of displaced cats
     worst_parity = 0.0
@@ -317,9 +329,7 @@ def _oracle_checks(max_alpha: float, cases: int, seed: int, inject_bug: bool) ->
             vec = fock_oracle.FockVector((lo_amp.coefficients + sign * hi_amp.coefficients) * norm)
             p_even, p_odd = fock_oracle.parity_distribution(vec)
             worst_parity = max(worst_parity, p_odd if sign > 0 else p_even)
-    checks["parity_theorem"] = {
-        "value": worst_parity, "tolerance": 1e-10, "pass": bool(worst_parity < 1e-10),
-    }
+    checks["parity_theorem"] = _check(worst_parity, 1e-10)
 
     # randomized end-to-end agreement with the analytic pipeline; small
     # alpha deliberately violates the weak-mixing regime, so silence the
@@ -336,26 +346,18 @@ def _oracle_checks(max_alpha: float, cases: int, seed: int, inject_bug: bool) ->
             oracle = fock_oracle.end_to_end_oracle(params)
             # the one-point case of the scan kernel, as measurement_probabilities
             # and output_state evaluate it
-            batch = physical_realization._conditional_batch(
-                params.alpha, params.phi, np.array([params.theta])
-            )
+            batch = physical_realization._conditional_batch(alpha, np.array([theta]))
             p_plus, p_minus = batch.probabilities("conditional")[0]
             if inject_bug and index == 0:
                 p_plus += 1e-4
             worst_dp = max(worst_dp, abs(p_plus - oracle.p_plus), abs(p_minus - oracle.p_minus))
             worst_dl = max(worst_dl, abs(batch.leakage[0] - oracle.leakage))
             worst_norm = max(worst_norm, abs(batch.norm[0] - 1.0))
-    checks["probability_agreement"] = {
-        "value": worst_dp, "tolerance": 1e-6, "pass": bool(worst_dp < 1e-6),
-    }
-    checks["leakage_agreement"] = {
-        "value": worst_dl, "tolerance": 1e-6, "pass": bool(worst_dl < 1e-6),
-    }
+    checks["probability_agreement"] = _check(worst_dp, 1e-6)
+    checks["leakage_agreement"] = _check(worst_dl, 1e-6)
     # outcome weights plus leakage sum to 1 by construction; what can fail
     # is the two-mode norm they are taken from
-    checks["weight_closure"] = {
-        "value": worst_norm, "tolerance": 1e-9, "pass": bool(worst_norm < 1e-9),
-    }
+    checks["weight_closure"] = _check(worst_norm, 1e-9)
     return checks
 
 

@@ -125,6 +125,11 @@ def overlap(tau: complex, gamma: complex) -> complex:
     """Coherent-state overlap <tau|gamma>; |result| <= 1 always."""
     tau = _require_finite_complex(tau, "tau")
     gamma = _require_finite_complex(gamma, "gamma")
+    # |<tau|gamma>| = exp(-d^2 / 2) is 0 in double precision past
+    # d = |tau - gamma| ~ 38.6, and far beyond that the exponent overflows
+    d = tau - gamma
+    if math.hypot(d.real, d.imag) > 40.0:
+        return 0j
     return complex(np.exp(_log_overlap(tau, gamma)))
 
 
@@ -144,15 +149,17 @@ def _overlap_matrix(amps: np.ndarray) -> np.ndarray:
     return np.exp(_log_overlap_matrix(amps))
 
 
-def _hermitian_form(coeffs: np.ndarray, kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _hermitian_form(coeffs: np.ndarray, kernel: np.ndarray, unit=1.0) -> tuple[np.ndarray, np.ndarray]:
     """conj(c) . K . c for Hermitian K, over any leading axes of c and K.
 
     Returns the complex values and a mask that is False wherever a value
     is not finite or its imaginary residue exceeds IMAG_RESIDUE_LIMIT
-    times the coefficient scale max(1, sum |c_k|^2).
+    times the coefficient scale max(unit, sum |c_k|^2).  unit is the
+    squared norm that reads as 1: passing a state's norm^2 makes the test
+    that of the normalized state.
     """
     value = np.einsum("...k,...kl,...l->...", np.conj(coeffs), kernel, coeffs)
-    scale = np.maximum(1.0, (np.abs(coeffs) ** 2).sum(axis=-1))
+    scale = np.maximum(unit, (np.abs(coeffs) ** 2).sum(axis=-1))
     return value, np.isfinite(value) & (np.abs(value.imag) <= IMAG_RESIDUE_LIMIT * scale)
 
 

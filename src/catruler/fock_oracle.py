@@ -30,7 +30,7 @@ from scipy.special import erfc, jv
 from .coherent_algebra import CoherentSuperposition
 from .coherent_algebra import norm_squared as _gram_norm_squared
 from .errors import TruncationError
-from .physical_realization import RealizationParams, _check_mode
+from .physical_realization import RealizationParams
 
 # Largest tail mass a coherent-state or superposition expansion may leave
 # beyond its truncation.
@@ -338,12 +338,16 @@ def quadrature_cdf_fock(state: FockVector, threshold: float) -> float:
 
 
 class OracleProbabilities(NamedTuple):
+    """Conditional probabilities, leakage and outcome weights (joint = p x weight)."""
+
     p_plus: float
     p_minus: float
     leakage: float
+    plus_weight: float
+    minus_weight: float
 
 
-def end_to_end_oracle(p: RealizationParams, mode: str = "conditional") -> OracleProbabilities:
+def end_to_end_oracle(p: RealizationParams) -> OracleProbabilities:
     """Full pipeline in Fock space: cat x cat, path phase, beamsplitter,
     cat projection of the measured mode, threshold statistics of the
     homodyne mode.
@@ -352,7 +356,6 @@ def end_to_end_oracle(p: RealizationParams, mode: str = "conditional") -> Oracle
     alpha (cos phi + sin phi), so N grows as alpha^2; the beamsplitter on
     the (N+1)^2 grid sets the cost.
     """
-    _check_mode(mode)
     alpha = p.alpha
     truncation = default_truncation(alpha * (math.cos(p.phi) + math.sin(p.phi)))
 
@@ -376,7 +379,4 @@ def end_to_end_oracle(p: RealizationParams, mode: str = "conditional") -> Oracle
     threshold = alpha / 2.0
     p_plus = quadrature_cdf_fock(FockVector(conditional_plus / math.sqrt(w_plus)), threshold)
     p_minus = quadrature_cdf_fock(FockVector(conditional_minus / math.sqrt(w_minus)), threshold)
-    if mode == "joint":
-        p_plus *= w_plus
-        p_minus *= w_minus
-    return OracleProbabilities(p_plus, p_minus, leakage)
+    return OracleProbabilities(p_plus, p_minus, leakage, w_plus, w_minus)

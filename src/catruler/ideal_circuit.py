@@ -47,30 +47,25 @@ class LogicalQubit:
 
 @dataclass(frozen=True)
 class PropagationSetting:
-    """Path phase theta = 2 pi delta / wavelength with its length data."""
+    """Path-length difference delta at a wavelength, and the path phase
+    theta = 2 pi delta / wavelength it imprints."""
 
-    theta: float
     delta: float
     wavelength: float
 
     def __post_init__(self):
         if not (self.wavelength > 0 and math.isfinite(self.wavelength)):
             raise ValueError("wavelength must be positive and finite")
-        if not math.isfinite(self.delta):
-            raise ValueError("delta must be finite")
-        expected = 2.0 * math.pi * self.delta / self.wavelength
-        if not abs(self.theta - expected) <= 1e-12 * max(1.0, abs(expected)):
-            raise ValueError(
-                f"theta = {self.theta!r} inconsistent with 2 pi delta / wavelength = {expected!r}"
-            )
+        if not math.isfinite(self.theta):
+            raise ValueError(f"delta = {self.delta!r} must be finite, with a finite phase")
 
-    @classmethod
-    def from_lengths(cls, delta: float, wavelength: float) -> "PropagationSetting":
-        return cls(2.0 * math.pi * delta / wavelength, delta, wavelength)
+    @property
+    def theta(self) -> float:
+        return 2.0 * math.pi * self.delta / self.wavelength
 
     @classmethod
     def from_phase(cls, theta: float, wavelength: float) -> "PropagationSetting":
-        return cls(theta, theta * wavelength / (2.0 * math.pi), wavelength)
+        return cls(theta * wavelength / (2.0 * math.pi), wavelength)
 
 
 def v_theta_from_length_power(v_delta: float, wavelength: float) -> float:

@@ -14,7 +14,9 @@ conditions the homodyne port on the cat-basis outcome.
 Everything here is computed from the overlap formula with no large-alpha
 approximation.  The two-outcome projection is not complete: the measured
 port has support outside the two-cat span, and that probability mass is
-reported as `leakage` instead of being silently renormalized.
+reported as `leakage` instead of being silently renormalized.  The scan
+kernel carries the joint distribution P(outcome, x <= alpha/2); each
+conditional probability is a joint one divided by its outcome weight.
 
 The bit-flip-corrected fringe (P_- - P_+ + 1)/2, which makes the
 interferometer a ruler, is derived from the two conditional threshold
@@ -62,6 +64,11 @@ def _check_mode(mode: str) -> str:
     return mode
 
 
+def _mixing_angle(alpha: float) -> float:
+    """Beamsplitter mixing angle pi / (2 alpha^2): gate phase phi alpha^2 = pi/2."""
+    return math.pi / (2.0 * alpha**2)
+
+
 @dataclass(frozen=True)
 class RealizationParams:
     """alpha: cat amplitude (> 0); theta: path phase (rad).  The
@@ -89,8 +96,8 @@ class RealizationParams:
 
     @property
     def phi(self) -> float:
-        """Beamsplitter mixing angle pi / (2 alpha^2): gate phase phi alpha^2 = pi/2."""
-        return math.pi / (2.0 * self.alpha**2)
+        """The beamsplitter mixing angle that alpha fixes."""
+        return _mixing_angle(self.alpha)
 
     @property
     def approximation_parameter(self) -> float:
@@ -129,33 +136,25 @@ class ConditionalOutput:
 class FringeCurve:
     """Uniform scan of the conditional probabilities over theta."""
 
-    alpha: float
     theta: np.ndarray
     p_plus: np.ndarray
     p_minus: np.ndarray
     leakage: np.ndarray
-    normalization_mode: str = "conditional"
 
     def __post_init__(self):
-        _check_mode(self.normalization_mode)
-        arrays = {}
-        n = None
         for name in ("theta", "p_plus", "p_minus", "leakage"):
             arr = np.asarray(getattr(self, name), dtype=float).copy()
             arr.setflags(write=False)
-            arrays[name] = arr
-            if n is None:
-                n = arr.size
-            elif arr.size != n:
-                raise ValueError("all fringe-curve columns must have equal length")
             object.__setattr__(self, name, arr)
+            if arr.size != self.theta.size:
+                raise ValueError("all fringe-curve columns must have equal length")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} holds non-finite values")
-        if np.any(np.diff(arrays["theta"]) <= 0):
+        if np.any(np.diff(self.theta) <= 0):
             raise ValueError("theta samples must be strictly increasing")
         # the fringe columns stay in [0, 1] (up to the same slack) because these do
         for name in ("p_plus", "p_minus"):
-            arr = arrays[name]
+            arr = getattr(self, name)
             if not (-1e-9 <= arr.min() and arr.max() <= 1.0 + 1e-9):
                 raise ValueError(f"{name} leaves [0, 1]: range [{arr.min()!r}, {arr.max()!r}]")
 
@@ -193,9 +192,7 @@ def _cat_norms(alpha: float) -> tuple[float, float]:
     return 1.0 / math.sqrt(cat_norm_squared(alpha)), 1.0 / math.sqrt(cat_norm_squared(alpha, -1))
 
 
-def _cat_projections(
-    alpha: float, phi: float, thetas: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _cat_projections(alpha: float, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Beamsplitter expansion of cat(theta) x cat at every theta of a grid.
 
     Returns the measured-port and homodyne-port amplitudes of the four
@@ -203,6 +200,7 @@ def _cat_projections(
     normalized plus / minus cats with the measured-port components,
     shape (n, 2, 4).  All of them are closed-form in e^{i theta}.
     """
+    phi = _mixing_angle(alpha)
     transmitted, reflected = alpha * math.cos(phi), 1j * alpha * math.sin(phi)
     e = np.exp(1j * thetas)
     zero = np.zeros_like(e)
@@ -222,25 +220,30 @@ def _cat_projections(
 def cat_coefficients(p: RealizationParams) -> CatProjections:
     """Overlaps of the normalized plus/minus cats with the four measured-port
     coherent components, derived from the beamsplitter expansion."""
-    measured, output, cats = _cat_projections(p.alpha, p.phi, np.array([p.theta]))
+    measured, output, cats = _cat_projections(p.alpha, np.array([p.theta]))
     rows = (measured[0], output[0], cats[0, 0], cats[0, 1])
     return CatProjections(*(tuple(complex(v) for v in row) for row in rows))
 
 
 class _ConditionalBatch(NamedTuple):
-    """Conditional outputs over a theta grid; axis 1 of the (n, 2, ...)
+    """Outcome distribution over a theta grid; axis 1 of the (n, 2, ...)
     arrays runs over the (plus, minus) cat outcome."""
 
     output_amplitudes: np.ndarray  # (n, 4) homodyne-port amplitudes
-    coefficients: np.ndarray  # (n, 2, 4) normalized conditional states
+    raw: np.ndarray  # (n, 2, 4) unnormalized conditional states, norm^2 = weight
     weights: np.ndarray  # (n, 2) outcome probabilities
     leakage: np.ndarray  # (n,) measured-port mass outside the two-cat span
-    conditional: np.ndarray  # (n, 2) below-threshold probabilities per outcome
     norm: np.ndarray  # (n,) complex two-mode norm, 1 for a unitary beamsplitter
+    joint: np.ndarray  # (n, 2) P(outcome, x <= alpha/2)
+
+    @property
+    def conditional(self) -> np.ndarray:
+        """(n, 2) P(x <= alpha/2 | outcome)."""
+        return self.joint / self.weights
 
     def probabilities(self, mode: str) -> np.ndarray:
         """(n, 2) P_+, P_- in the given normalization mode."""
-        return self.conditional * self.weights if mode == "joint" else self.conditional
+        return self.joint if mode == "joint" else self.conditional
 
 
 def _require(ok: np.ndarray, thetas: np.ndarray, message: str) -> None:
@@ -251,24 +254,27 @@ def _require(ok: np.ndarray, thetas: np.ndarray, message: str) -> None:
         raise IntegrationError(f"conditional output failed at theta = {theta!r}: {message}")
 
 
-def _conditional_batch(alpha: float, phi: float, thetas: np.ndarray) -> _ConditionalBatch:
-    """Conditional homodyne-port states, weights, leakage and threshold
-    probabilities at every theta of a grid, in one batched evaluation.
+def _conditional_batch(alpha: float, thetas: np.ndarray) -> _ConditionalBatch:
+    """Joint distribution of the cat-basis outcome and the homodyne
+    threshold result at every theta of a grid, in one batched evaluation.
 
     Exactly normalized cat x cat input with the path phase on the measured
     beam, beamsplitter relation applied to each of the four product terms,
     projection of the measured port onto the orthonormal plus/minus cats,
     then the closed-form threshold kernel at the midpoint alpha/2 between
-    the |0> and |alpha> quadrature means.  Every check of the per-state
+    the |0> and |alpha> quadrature means.  The projections stay
+    unnormalized: their norms^2 are the outcome weights and their
+    threshold forms the joint probabilities.  Every check of the per-state
     path is made on the whole grid and names the first failing theta.
 
     The weight closure is checked on the two-mode norm of the four product
     terms, n_+^4 sum_kl <m_k|m_l><o_k|o_l> over measured-port amplitudes m
     and homodyne-port amplitudes o, which must be 1 for a unitary
     beamsplitter; leakage is what the two outcomes leave of 1, and must
-    not be negative.
+    not be negative.  Each outcome weight must be positive, and each
+    conditional probability must lie in [0, 1].
     """
-    measured, output, cats = _cat_projections(alpha, phi, thetas)
+    measured, output, cats = _cat_projections(alpha, thetas)
     # both input cats carry the plus-cat normalization
     n_plus_sq = _cat_norms(alpha)[0] ** 2
     raw = n_plus_sq * cats
@@ -281,22 +287,18 @@ def _conditional_batch(alpha: float, phi: float, thetas: np.ndarray) -> _Conditi
     weights, ok = _hermitian_form(raw, gram)
     _require(ok, thetas, "outcome weight is not finite or carries an imaginary residue")
     weights = weights.real
-    _require(weights >= -NORM_CLAMP, thetas, "outcome weight is negative beyond tolerance")
-    weights = np.maximum(weights, 0.0)
+    _require(weights > 0.0, thetas, "outcome weight is not positive")
     leakage = 1.0 - weights[:, 0] - weights[:, 1]
     _require(leakage >= -NORM_CLAMP, thetas, "outcome weights exceed the two-mode norm")
 
-    coefficients = raw * (1.0 / np.sqrt(weights))[..., None]
-    norms, ok = _hermitian_form(coefficients, gram)
-    _require(ok & (norms.real >= -NORM_CLAMP), thetas, "conditional state norm is corrupted")
-    bound = np.maximum(norms.real, 0.0) * (1.0 + 1e-9)
-    value, ok = _hermitian_form(coefficients, kernel)
+    # the residue is judged at the scale of the normalized conditional states
+    joint, ok = _hermitian_form(raw, kernel, unit=weights)
     _require(ok, thetas, "threshold probability is not finite or carries an imaginary residue")
-    value = value.real
-    _require((-NORM_CLAMP <= value) & (value <= bound + NORM_CLAMP), thetas,
-             "threshold probability escaped [0, norm^2]")
-    conditional = np.minimum(np.maximum(value, 0.0), bound)
-    return _ConditionalBatch(output, coefficients, weights, leakage, conditional, norm)
+    joint = joint.real
+    conditional = joint / weights
+    _require((-NORM_CLAMP <= conditional) & (conditional <= 1.0 + 1e-9 + NORM_CLAMP), thetas,
+             "conditional threshold probability escaped [0, 1]")
+    return _ConditionalBatch(output, raw, weights, leakage, norm, np.clip(joint, 0.0, weights))
 
 
 def output_state(p: RealizationParams) -> ConditionalOutput:
@@ -306,11 +308,11 @@ def output_state(p: RealizationParams) -> ConditionalOutput:
     the path phase on the measured beam, beamsplitter relation applied to
     each of the four product terms, then projection of the measured port
     onto the orthonormal plus/minus cats.  This is the one-point case of
-    the batched scan kernel.
+    the batched scan kernel, normalized here.
     """
-    b = _conditional_batch(p.alpha, p.phi, np.array([p.theta]))
-    amps = b.output_amplitudes[0]
-    plus, minus = (CoherentSuperposition(tuple(zip(c, amps))) for c in b.coefficients[0])
+    b = _conditional_batch(p.alpha, np.array([p.theta]))
+    amps, states = b.output_amplitudes[0], b.raw[0] / np.sqrt(b.weights[0])[:, None]
+    plus, minus = (CoherentSuperposition(tuple(zip(c, amps))) for c in states)
     return ConditionalOutput(
         plus_state=plus,
         minus_state=minus,
@@ -339,7 +341,7 @@ def measurement_probabilities(
     """
     _check_mode(mode)
     if method == "erf":
-        b = _conditional_batch(p.alpha, p.phi, np.array([p.theta]))
+        b = _conditional_batch(p.alpha, np.array([p.theta]))
         p_plus, p_minus = b.probabilities(mode)[0]
         return float(p_plus), float(p_minus)
     out = output_state(p)
@@ -371,18 +373,11 @@ def fringe_scan(
     if not theta_min < theta_max:
         raise ValueError("theta_min must be below theta_max")
     _check_mode(mode)
-    params = RealizationParams(alpha=alpha)
+    RealizationParams(alpha=alpha)  # validates alpha and warns outside the weak-mixing regime
     thetas = np.linspace(theta_min, theta_max, n_points)
-    batch = _conditional_batch(params.alpha, params.phi, thetas)
+    batch = _conditional_batch(alpha, thetas)
     p_plus, p_minus = batch.probabilities(mode).T
-    return FringeCurve(
-        alpha=alpha,
-        theta=thetas,
-        p_plus=p_plus,
-        p_minus=p_minus,
-        leakage=batch.leakage,
-        normalization_mode=mode,
-    )
+    return FringeCurve(theta=thetas, p_plus=p_plus, p_minus=p_minus, leakage=batch.leakage)
 
 
 def _local_extrema(theta: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -133,7 +133,15 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"alpha_values": [5.0]}))
         assert main(["--config", str(cfg), "--quiet", "fringe"]) == 2
 
-    @pytest.mark.parametrize("raw", [{"alphas": 5}, {"alphas": [5.0], "n_points": "x"}])
+    @pytest.mark.parametrize("raw", [
+        {"alphas": 5},
+        {"alphas": [5.0], "n_points": "x"},
+        # a string would be read one character at a time, a boolean as 0 or 1
+        {"alphas": "51"},
+        {"alphas": [True, 5.0]},
+        {"alphas": [5.0], "n_points": True},
+        {"alphas": [5.0], "seed": True},
+    ])
     def test_wrong_value_type_is_config_error(self, tmp_path, capsys, raw):
         cfg = tmp_path / "sweep.json"
         cfg.write_text(json.dumps(raw))
@@ -182,6 +190,15 @@ class TestWidthScaling:
                      "--alpha", "1e3,1e4"]) == 0
         report = json.loads((tmp_path / "width_scaling.json").read_text())
         assert report["exponent"] == pytest.approx(-2.0, abs=1e-6)
+
+    @pytest.mark.parametrize("alphas", ["5,5", "5,10,5"])
+    def test_repeated_alpha_is_usage_error(self, tmp_path, capsys, alphas):
+        # the exponent would be fitted through fewer distinct points than given
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "--quiet", "width-scaling", "--alpha", alphas]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "alpha" in err
+        assert not out.exists()
 
     def test_single_alpha_has_no_ratios(self, tmp_path):
         assert main(["--out", str(tmp_path), "--quiet", "width-scaling",

@@ -71,6 +71,13 @@ class TestOverlap:
             if t != g:
                 assert mag < 1.0
 
+    @pytest.mark.parametrize("tau,gamma", [
+        (1e154, -1e154), (1e154j, 1e155), (1.7e308, -1.7e308), (1e200j, 1e200),
+    ])
+    def test_far_apart_large_amplitudes_give_exact_zero(self, tau, gamma):
+        # |tau - gamma|^2 or conj(tau) gamma overflows here; the overlap is 0
+        assert overlap(tau, gamma) == 0j
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             overlap(float("nan"), 1.0)

@@ -300,14 +300,12 @@ class TestEndToEnd:
         # short of 0.99 / 0.01 in acceptance criterion 4
         params = RealizationParams(alpha=5.0)
         oracle = end_to_end_oracle(params)
-        joint = end_to_end_oracle(params, mode="joint")
         p_plus, p_minus = measurement_probabilities(params, method="erf")
         out = output_state(params)
         assert abs(oracle.p_plus - p_plus) < 1e-6
         assert abs(oracle.p_minus - p_minus) < 1e-6
-        # joint mode scales each conditional probability by its outcome weight
-        assert abs(joint.p_plus / oracle.p_plus - out.plus_weight) < 1e-6
-        assert abs(joint.p_minus / oracle.p_minus - out.minus_weight) < 1e-6
+        assert abs(oracle.plus_weight - out.plus_weight) < 1e-6
+        assert abs(oracle.minus_weight - out.minus_weight) < 1e-6
         assert abs(oracle.leakage - out.leakage) < 1e-6
 
     @pytest.mark.parametrize("alpha", [5.0, 10.0, 20.0])
@@ -326,7 +324,7 @@ class TestEndToEnd:
         worst = 0.0
         for alpha in (0.4, 0.507, 0.6, 0.8, 1.0):
             thetas = np.linspace(-math.pi, math.pi, 7)
-            batch = _conditional_batch(alpha, RealizationParams(alpha=alpha).phi, thetas)
+            batch = _conditional_batch(alpha, thetas)
             for i, theta in enumerate(thetas):
                 oracle = end_to_end_oracle(RealizationParams(alpha=alpha, theta=float(theta)))
                 worst = max(
@@ -337,12 +335,28 @@ class TestEndToEnd:
                 )
         assert worst < 2e-14
 
+    def test_kernel_joint_distribution_matches_oracle(self):
+        # the kernel's outcome weights and joint probabilities against the
+        # oracle's weights and p x weight, past a quarter turn and beyond
+        worst = 0.0
+        for alpha in (0.4, 0.8, 1.5, 2.5, 5.0):
+            thetas = np.linspace(-math.pi, math.pi, 7)
+            batch = _conditional_batch(alpha, thetas)
+            for i, theta in enumerate(thetas):
+                oracle = end_to_end_oracle(RealizationParams(alpha=alpha, theta=float(theta)))
+                weights = np.array([oracle.plus_weight, oracle.minus_weight])
+                joint = np.array([oracle.p_plus, oracle.p_minus]) * weights
+                worst = max(worst, np.abs(batch.weights[i] - weights).max(),
+                            np.abs(batch.joint[i] - joint).max())
+        assert worst < 2e-14
+
     def test_joint_mode(self):
         params = RealizationParams(alpha=1.5, theta=0.4)
-        oracle = end_to_end_oracle(params, mode="joint")
+        oracle = end_to_end_oracle(params)
         p_plus, p_minus = measurement_probabilities(params, mode="joint", method="erf")
-        assert abs(oracle.p_plus - p_plus) < 1e-6
-        assert abs(oracle.p_minus - p_minus) < 1e-6
+        # a joint probability is the conditional one times the outcome weight
+        assert abs(oracle.p_plus * oracle.plus_weight - p_plus) < 1e-6
+        assert abs(oracle.p_minus * oracle.minus_weight - p_minus) < 1e-6
 
     def test_leakage_in_unit_interval(self):
         oracle = end_to_end_oracle(RealizationParams(alpha=2.5, theta=1.0))

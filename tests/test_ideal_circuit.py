@@ -218,16 +218,12 @@ class TestDetectionProbabilities:
 
 class TestPropagationSetting:
     def test_from_lengths(self):
-        setting = PropagationSetting.from_lengths(2.5e-7, 1e-6)
+        setting = PropagationSetting(2.5e-7, 1e-6)
         assert setting.theta == pytest.approx(math.pi / 2, abs=1e-12)
 
     def test_from_phase_roundtrip(self):
         setting = PropagationSetting.from_phase(0.1, 1.55e-6)
         assert setting.delta == pytest.approx(0.1 * 1.55e-6 / (2 * math.pi), abs=1e-20)
-
-    def test_inconsistent_rejected(self):
-        with pytest.raises(ValueError):
-            PropagationSetting(theta=1.0, delta=1.0, wavelength=1.0)
 
     def test_length_power_conversion(self):
         wavelength = 1e-6

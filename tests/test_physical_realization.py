@@ -223,7 +223,7 @@ def curve_from(p_plus, p_minus):
     """A FringeCurve with the given probability columns."""
     n = len(p_plus)
     return FringeCurve(
-        alpha=5.0, theta=np.arange(n, dtype=float),
+        theta=np.arange(n, dtype=float),
         p_plus=np.array(p_plus, dtype=float), p_minus=np.array(p_minus, dtype=float),
         leakage=np.zeros(n),
     )
@@ -323,8 +323,8 @@ class TestFringeScan:
 
         projections = pr._cat_projections
 
-        def slipped(alpha, phi, thetas):
-            measured, output, _ = projections(alpha, phi, thetas)
+        def slipped(alpha, thetas):
+            measured, output, _ = projections(alpha, thetas)
             measured = measured.copy()
             measured[:, 3] = output[:, 3]
             on_vacuum = np.exp(-np.abs(measured) ** 2 / 2)
@@ -336,6 +336,25 @@ class TestFringeScan:
         monkeypatch.setattr(pr, "_cat_projections", slipped)
         with pytest.raises(IntegrationError, match=r"theta = .*two-mode norm"):
             pr.fringe_scan(5.0, -0.3, 0.3, 7)
+
+    def test_zero_outcome_weight_names_theta(self):
+        # at alpha = 1/sqrt(8) the mixing angle is 4 pi, so the beamsplitter
+        # does nothing and at theta = -48 pi the measured port is exactly
+        # the plus cat: the minus outcome has weight 0
+        alpha = 1 / math.sqrt(8)
+        period = 2 * math.pi / alpha**2
+        assert -3 * period == pytest.approx(-48 * math.pi, rel=1e-15)
+        with pytest.raises(IntegrationError, match=rf"theta = {-3 * period!r}: outcome weight"):
+            small_scan(alpha)
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0, 5.0, 20.0])
+    def test_joint_is_conditional_times_weight(self, alpha):
+        from catruler.physical_realization import _conditional_batch
+
+        period = 2 * math.pi / alpha**2
+        batch = _conditional_batch(alpha, np.linspace(-3 * period, 3 * period, 241))
+        product = batch.probabilities("conditional") * batch.weights
+        assert product == pytest.approx(batch.probabilities("joint"), rel=4e-16, abs=1e-300)
 
     def test_non_finite_bounds_rejected(self):
         with pytest.raises(ValueError):
@@ -386,14 +405,12 @@ class TestFringeScan:
     def test_curve_type_validation(self):
         with pytest.raises(ValueError):
             FringeCurve(
-                alpha=5.0,
                 theta=np.array([0.0, 0.0, 1.0]),
                 p_plus=np.zeros(3), p_minus=np.zeros(3),
                 leakage=np.zeros(3),
             )
         with pytest.raises(ValueError):
             FringeCurve(
-                alpha=5.0,
                 theta=np.array([0.0, 1.0]),
                 p_plus=np.array([0.0, 1.5]), p_minus=np.zeros(2),
                 leakage=np.zeros(2),
@@ -409,7 +426,7 @@ class TestFringeScan:
         columns[column] = columns[column].copy()
         columns[column][1 if column != "theta" else 2] = math.nan
         with pytest.raises(ValueError, match="non-finite"):
-            FringeCurve(alpha=5.0, **columns)
+            FringeCurve(**columns)
 
 
 class TestWidths:
@@ -426,7 +443,7 @@ class TestWidths:
     def test_flat_curve_has_no_width(self):
         theta = np.linspace(-1, 1, 11)
         flat = FringeCurve(
-            alpha=5.0, theta=theta,
+            theta=theta,
             p_plus=np.full(11, 0.5), p_minus=np.full(11, 0.5),
             leakage=np.zeros(11),
         )

@@ -40,7 +40,9 @@ def nan_vector() -> FockVector:
 CASES = {
     "LogicalQubit": lambda: LogicalQubit(NAN, 0.0, 1.0),
     "ideal_output": lambda: ideal_output(2.0, NAN),
-    "PropagationSetting": lambda: PropagationSetting(NAN, 1.0, 1.0),
+    "PropagationSetting": lambda: PropagationSetting(NAN, 1.0),
+    # delta is finite, but the phase 2 pi delta / wavelength is not
+    "PropagationSetting-overflow": lambda: PropagationSetting(1e300, 1e-10),
     "v_theta_from_length_power": lambda: v_theta_from_length_power(NAN, 1.0),
     "phase_gate_error": lambda: phase_gate_error(NAN, 0.01),
     "FockVector": lambda: FockVector(np.array([NAN, 0.0])),
