@@ -1,10 +1,10 @@
 """Command-line front end: parameter sweeps, scaling fits, SNR tables,
 quantum-ruler numbers and oracle validation, emitted as CSV/JSON.
 
-Exit codes: 0 success, 2 usage or configuration error, 3 numerical
-failure.  Identical configuration and seed produce byte-identical output
-files; numbers are serialized with 12 significant digits and a dot
-decimal separator, and every CSV starts with a `# schema=1` line.
+Exit codes: 0 success, 2 usage error, 3 numerical failure.  Identical
+arguments and seed produce byte-identical output files; numbers are
+serialized with 12 significant digits and a dot decimal separator, and
+every CSV starts with a `# schema=1` line.
 """
 
 from __future__ import annotations
@@ -12,21 +12,18 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import operator
 import sys
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from . import fock_oracle, physical_realization
-from .coherent_algebra import _require_alpha, beamsplitter, cat_norm_squared
+from .coherent_algebra import MAX_AMPLITUDE, _require_alpha, beamsplitter, cat_norm_squared
 from .errors import ApproximationRegimeWarning, CatRulerError
 from .ideal_circuit import phase_gate_error, snr_ideal
 from .physical_realization import (
-    NORMALIZATION_MODES,
     RealizationParams,
     fringe_scan,
     fringe_spacing_physical,
@@ -42,56 +39,6 @@ ORACLE_MIN_ALPHA = 0.4  # floor of the oracle cases' alpha draw
 
 def _fmt(value: float) -> str:
     return f"{value:.12g}"
-
-
-@dataclass
-class SweepConfig:
-    """Sweep defaults; a JSON config file mirrors these field names."""
-
-    alphas: list[float] | None = None
-    theta_span: str = "auto"  # "auto" or "min:max"; a config file may give [min, max]
-    n_points: int | None = None
-    normalization_mode: str | None = None
-    output_path: str | None = None
-    seed: int | None = None
-
-    @classmethod
-    def from_file(cls, path: Path) -> "SweepConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise ValueError("config file must hold a JSON object")
-        unknown = set(raw) - {f for f in cls.__dataclass_fields__}
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        cfg = cls(**raw)
-        try:
-            if cfg.alphas is not None:
-                # float() would read "5" and True as numbers, and iterate a string
-                if not isinstance(cfg.alphas, list) or any(isinstance(a, (bool, str)) for a in cfg.alphas):
-                    raise TypeError(f"alphas must be a list of numbers, got {cfg.alphas!r}")
-                cfg.alphas = [float(a) for a in cfg.alphas]
-            if not isinstance(cfg.theta_span, str):
-                cfg.theta_span = ":".join(str(v) for v in cfg.theta_span)
-            for name in ("n_points", "seed"):
-                value = getattr(cfg, name)
-                if isinstance(value, bool):  # operator.index(True) is 1
-                    raise TypeError(f"{name} must be an integer, got {value!r}")
-                if value is not None:
-                    setattr(cfg, name, operator.index(value))
-        except (TypeError, OverflowError) as exc:
-            raise ValueError(f"config value has the wrong type: {exc}") from exc
-        if cfg.normalization_mode is not None and cfg.normalization_mode not in NORMALIZATION_MODES:
-            raise ValueError(f"normalization_mode must be one of {NORMALIZATION_MODES}")
-        if cfg.output_path is not None and not isinstance(cfg.output_path, str):
-            raise ValueError("output_path must be a string")
-        return cfg
-
-
-def _first(*values):
-    """The first value that is not None: a flag wins over the config file,
-    which wins over the default."""
-    return next(v for v in values if v is not None)
 
 
 def _parse_float_list(text: str, name: str) -> list[float]:
@@ -124,66 +71,52 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-def _output_path(args, config: SweepConfig, name: str) -> Path:
+def _output_path(args, name: str) -> Path:
     """Path of an output file; the directory is created here, so call
     this only once every argument is validated and the results exist."""
-    out_dir = Path(_first(args.out, config.output_path, "."))
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     return out_dir / name
 
 
-def _write_csv(args, config: SweepConfig, name: str, header: list[str], rows, comments=()) -> None:
+def _write_csv(args, name: str, header: list[str], rows, comments=()) -> None:
     lines = [SCHEMA_LINE]
     lines.extend(f"# {c}" for c in comments)
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    path = _output_path(args, config, name)
+    path = _output_path(args, name)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     _say(args, f"wrote {path}")
 
 
-def _write_report(args, config: SweepConfig, name: str, report: dict) -> None:
+def _write_report(args, name: str, report: dict) -> None:
     """Write a JSON report and echo it to stdout."""
     text = json.dumps(report, indent=2, sort_keys=True)
-    path = _output_path(args, config, name)
+    path = _output_path(args, name)
     path.write_text(text + "\n", encoding="utf-8")
     _say(args, text)
     _say(args, f"wrote {path}")
 
 
-def _scan_settings(
-    args, config: SweepConfig, default_points: int = DEFAULT_POINTS
-) -> tuple[list[float], int, str]:
-    """(alphas, points, normalization mode) of fringe, width-scaling or
-    ruler, validated before any scan runs: at least one alpha, each
-    positive and finite, and at least two points."""
-    if args.alpha is None:
-        alphas = config.alphas
-    elif isinstance(args.alpha, str):
-        alphas = _parse_float_list(args.alpha, "alpha")
-    else:  # ruler's --alpha is a single float
-        alphas = [args.alpha]
-    if not alphas:
-        raise ValueError("no alpha values given (use --alpha or a config file)")
+def _check_scan_settings(alphas: list[float], n_points: int) -> None:
+    """Validate the alphas and points of fringe, width-scaling or ruler
+    before any scan runs: each alpha positive and finite, and at least
+    two points."""
     for alpha in alphas:
         _require_alpha(alpha, "alpha values")
-    n_points = _first(args.points, config.n_points, default_points)
     if n_points < 2:
         raise ValueError(f"points must be at least 2, got {n_points!r}")
-    mode = _first(args.normalization, config.normalization_mode, "conditional")
-    return alphas, n_points, mode
 
 
 # ---------------------------------------------------------------- fringe
 
 
-def cmd_fringe(args, config: SweepConfig) -> int:
-    alphas, n_points, mode = _scan_settings(args, config)
-    span_text = _first(args.theta_span, config.theta_span)
-    spans = [_parse_span(span_text, alpha) for alpha in alphas]
-    curves = [fringe_scan(alpha, lo, hi, n_points, mode=mode)
-              for alpha, (lo, hi) in zip(alphas, spans)]
+def cmd_fringe(args) -> int:
+    alphas = _parse_float_list(args.alpha, "alpha")
+    _check_scan_settings(alphas, args.points)
+    spans = [_parse_span(args.theta_span, alpha) for alpha in alphas]
+    curves = [fringe_scan(alpha, lo, hi, args.points) for alpha, (lo, hi) in zip(alphas, spans)]
 
     for alpha, curve in zip(alphas, curves):
         rows = zip(
@@ -191,10 +124,10 @@ def cmd_fringe(args, config: SweepConfig) -> int:
             curve.fringe, curve.fringe_complement, curve.leakage,
         )
         _write_csv(
-            args, config, f"fringe_alpha{_fmt(alpha)}.csv",
+            args, f"fringe_alpha{_fmt(alpha)}.csv",
             ["theta", "p_plus", "p_minus", "fringe", "fringe_complement", "leakage"],
             rows,
-            comments=[f"alpha={_fmt(alpha)}", f"normalization={mode}"],
+            comments=[f"alpha={_fmt(alpha)}"],
         )
     return 0
 
@@ -202,21 +135,21 @@ def cmd_fringe(args, config: SweepConfig) -> int:
 # ---------------------------------------------------------- width-scaling
 
 
-def cmd_width_scaling(args, config: SweepConfig) -> int:
-    alphas, n_points, mode = _scan_settings(args, config)
+def cmd_width_scaling(args) -> int:
+    alphas = _parse_float_list(args.alpha, "alpha")
+    _check_scan_settings(alphas, args.points)
     if len(set(alphas)) < len(alphas):
         raise ValueError(f"width-scaling needs distinct alpha values, got {alphas}")
 
     widths = {}
     for alpha in alphas:
         lo, hi = _auto_span(alpha)
-        curve = fringe_scan(alpha, lo, hi, n_points, mode=mode)
+        curve = fringe_scan(alpha, lo, hi, args.points)
         widths[alpha] = physical_realization.central_fringe_width(curve)
 
     report = {
         "alphas": [float(a) for a in alphas],
-        "n_points": n_points,
-        "normalization": mode,
+        "n_points": args.points,
         "widths": {_fmt(a): w for a, w in widths.items()},
     }
     if len(alphas) >= 2:
@@ -227,7 +160,7 @@ def cmd_width_scaling(args, config: SweepConfig) -> int:
         slope = np.polyfit(np.log(np.array(alphas)), np.log(np.array([widths[a] for a in alphas])), 1)
         report["exponent"] = float(slope[0])
 
-    _write_report(args, config, "width_scaling.json", report)
+    _write_report(args, "width_scaling.json", report)
     return 0
 
 
@@ -244,7 +177,7 @@ class SnrRow(NamedTuple):
     resource_adjusted_ratio: float
 
 
-def cmd_snr(args, config: SweepConfig) -> int:
+def cmd_snr(args) -> int:
     n_bars = _parse_float_list(args.n_bar, "n-bar")
     for n_bar in n_bars:
         if not (n_bar > 0 and math.isfinite(n_bar)):
@@ -265,7 +198,7 @@ def cmd_snr(args, config: SweepConfig) -> int:
         adjusted = ideal / squeezed_doubled if squeezed_doubled > 0 else 0.0
         rows.append(SnrRow(n_bar, ideal, squeezed, ratio, adjusted))
 
-    _write_csv(args, config, "snr.csv", list(SnrRow._fields), rows,
+    _write_csv(args, "snr.csv", list(SnrRow._fields), rows,
                comments=[f"v_theta={_fmt(v_theta)}"])
     return 0
 
@@ -273,13 +206,14 @@ def cmd_snr(args, config: SweepConfig) -> int:
 # ------------------------------------------------------------------- ruler
 
 
-def cmd_ruler(args, config: SweepConfig) -> int:
-    (alpha,), n_points, mode = _scan_settings(args, config, default_points=1201)
+def cmd_ruler(args) -> int:
+    alpha = args.alpha
+    _check_scan_settings([alpha], args.points)
     wavelength = args.wavelength
 
     analytic = fringe_spacing_physical(alpha, wavelength)
     lo, hi = _auto_span(alpha)
-    curve = fringe_scan(alpha, lo, hi, n_points, mode=mode)
+    curve = fringe_scan(alpha, lo, hi, args.points)
     measured = scan_extracted_spacing(curve, wavelength)
     report = {
         "alpha": alpha,
@@ -289,7 +223,7 @@ def cmd_ruler(args, config: SweepConfig) -> int:
         "scan_spacing": measured,
         "relative_deviation": abs(measured - analytic) / analytic,
     }
-    _write_report(args, config, "ruler.json", report)
+    _write_report(args, "ruler.json", report)
     return 0
 
 
@@ -347,7 +281,7 @@ def _oracle_checks(max_alpha: float, cases: int, seed: int, inject_bug: bool) ->
             # the one-point case of the scan kernel, as measurement_probabilities
             # and output_state evaluate it
             batch = physical_realization._conditional_batch(alpha, np.array([theta]))
-            p_plus, p_minus = batch.probabilities("conditional")[0]
+            p_plus, p_minus = batch.conditional[0]
             if inject_bug and index == 0:
                 p_plus += 1e-4
             worst_dp = max(worst_dp, abs(p_plus - oracle.p_plus), abs(p_minus - oracle.p_minus))
@@ -361,7 +295,7 @@ def _oracle_checks(max_alpha: float, cases: int, seed: int, inject_bug: bool) ->
     return checks
 
 
-def cmd_oracle(args, config: SweepConfig) -> int:
+def cmd_oracle(args) -> int:
     if args.cases <= 0:
         raise ValueError("--cases must be positive")
     if not (args.max_alpha > ORACLE_MIN_ALPHA and math.isfinite(args.max_alpha)):
@@ -369,18 +303,20 @@ def cmd_oracle(args, config: SweepConfig) -> int:
             f"--max-alpha must be finite and above {ORACLE_MIN_ALPHA}, "
             f"where the cases' alpha draw starts; got {args.max_alpha!r}"
         )
-    seed = _first(args.seed, config.seed, 0)
+    # numpy would reject a negative seed without naming the flag
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed!r}")
 
-    checks = _oracle_checks(args.max_alpha, args.cases, seed, args.inject_bug)
+    checks = _oracle_checks(args.max_alpha, args.cases, args.seed, args.inject_bug)
     all_pass = all(c["pass"] for c in checks.values())
     report = {
         "cases": args.cases,
         "max_alpha": args.max_alpha,
-        "seed": seed,
+        "seed": args.seed,
         "checks": checks,
         "all_pass": all_pass,
     }
-    _write_report(args, config, "oracle_report.json", report)
+    _write_report(args, "oracle_report.json", report)
     if not all_pass:
         print("oracle validation failed", file=sys.stderr)
         return 3
@@ -390,10 +326,17 @@ def cmd_oracle(args, config: SweepConfig) -> int:
 # ------------------------------------------------------------- phase-error
 
 
-def cmd_phase_error(args, config: SweepConfig) -> int:
+def cmd_phase_error(args) -> int:
     alphas = _parse_float_list(args.alpha, "alpha")
     if not (args.theta_max > 0 and math.isfinite(args.theta_max)):
         raise ValueError("--theta-max must be positive and finite")
+    # the theta_sq_alpha_sq column theta^2 alpha^2 needs both theta and
+    # theta alpha to have finite squares
+    if not max(args.theta_max, args.theta_max * max(alphas)) <= MAX_AMPLITUDE:
+        raise ValueError(
+            f"(--theta-max * alpha)^2 must be finite, got --theta-max {args.theta_max!r} "
+            f"with alpha {max(alphas)!r}"
+        )
     if args.theta_points < 2:
         raise ValueError("--theta-points must be at least 2")
 
@@ -404,7 +347,7 @@ def cmd_phase_error(args, config: SweepConfig) -> int:
             rows.append(
                 (theta, alpha, phase_gate_error(alpha, theta), theta**2 * alpha**2)
             )
-    _write_csv(args, config, "phase_error.csv",
+    _write_csv(args, "phase_error.csv",
                ["theta", "alpha", "error", "theta_sq_alpha_sq"], rows)
     return 0
 
@@ -417,26 +360,21 @@ def build_parser() -> argparse.ArgumentParser:
         prog="catruler",
         description="Cat-state interferometer sweeps, SNR tables and oracle validation.",
     )
-    parser.add_argument("--out", default=None, help="output directory (default: current)")
-    parser.add_argument("--seed", type=int, default=None, help="seed for randomized commands")
-    parser.add_argument(
-        "--normalization", choices=NORMALIZATION_MODES, default=None,
-        help="probability normalization for scans (default: conditional)",
-    )
+    parser.add_argument("--out", default=".", help="output directory (default: current)")
+    parser.add_argument("--seed", type=int, default=0, help="seed for randomized commands (default 0)")
     parser.add_argument("--quiet", action="store_true", help="suppress informational output")
-    parser.add_argument("--config", type=Path, default=None, help="JSON sweep config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fringe", help="fringe scans to CSV, one file per alpha")
-    p.add_argument("--alpha", default=None, help="comma-separated cat amplitudes")
-    p.add_argument("--theta-span", default=None,
-                   help="'auto' (±3 fringe periods) or 'min:max' in radians")
-    p.add_argument("--points", type=int, default=None, help="samples per scan (default 801)")
+    p.add_argument("--alpha", required=True, help="comma-separated cat amplitudes")
+    p.add_argument("--theta-span", default="auto",
+                   help="'auto' (±3 fringe periods, the default) or 'min:max' in radians")
+    p.add_argument("--points", type=int, default=DEFAULT_POINTS, help="samples per scan (default 801)")
     p.set_defaults(func=cmd_fringe)
 
     p = sub.add_parser("width-scaling", help="central fringe width vs alpha, JSON report")
-    p.add_argument("--alpha", default=None, help="comma-separated cat amplitudes")
-    p.add_argument("--points", type=int, default=None)
+    p.add_argument("--alpha", required=True, help="comma-separated cat amplitudes")
+    p.add_argument("--points", type=int, default=DEFAULT_POINTS, help="samples per scan (default 801)")
     p.set_defaults(func=cmd_width_scaling)
 
     p = sub.add_parser("snr", help="ideal vs squeezed-benchmark SNR table")
@@ -447,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ruler", help="quantum-ruler fringe spacing, JSON report")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--wavelength", type=float, required=True, help="wavelength in meters")
-    p.add_argument("--points", type=int, default=None)
+    p.add_argument("--points", type=int, default=1201, help="samples in the scan (default 1201)")
     p.set_defaults(func=cmd_ruler)
 
     p = sub.add_parser("oracle", help="validate the analytic pipeline against the Fock oracle")
@@ -478,13 +416,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 2
 
     try:
-        config = SweepConfig.from_file(args.config) if args.config else SweepConfig()
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        return args.func(args, config)
+        return args.func(args)
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

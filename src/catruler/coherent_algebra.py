@@ -46,6 +46,10 @@ IMAG_RESIDUE_LIMIT = 1e-9
 NORM_CLAMP = 1e-12
 # Largest amplitude whose square is a finite double.
 MAX_AMPLITUDE = math.sqrt(sys.float_info.max)
+# |<tau|gamma>| = exp(-d^2 / 2) is 0 in double precision past
+# d = |tau - gamma| ~ 38.6, and far beyond that the exponent overflows;
+# overlaps of amplitudes farther apart than this are exactly 0.
+OVERLAP_CUTOFF = 40.0
 # Adaptive-quadrature reference path: relative tolerance and subinterval limit.
 QUAD_RTOL = 1e-9
 QUAD_LIMIT = 200
@@ -125,12 +129,18 @@ def overlap(tau: complex, gamma: complex) -> complex:
     """Coherent-state overlap <tau|gamma>; |result| <= 1 always."""
     tau = _require_finite_complex(tau, "tau")
     gamma = _require_finite_complex(gamma, "gamma")
-    # |<tau|gamma>| = exp(-d^2 / 2) is 0 in double precision past
-    # d = |tau - gamma| ~ 38.6, and far beyond that the exponent overflows
-    d = tau - gamma
-    if math.hypot(d.real, d.imag) > 40.0:
-        return 0j
-    return complex(np.exp(_log_overlap(tau, gamma)))
+    return complex(_overlap(tau, gamma))
+
+
+def _overlap(tau, gamma):
+    """<tau|gamma> elementwise over broadcast amplitude arrays, exactly 0
+    for pairs farther apart than OVERLAP_CUTOFF."""
+    far = np.abs(tau - gamma) > OVERLAP_CUTOFF
+    # the exponent of a far pair, or of a pair <g|g> = 1 with |g|^2 past
+    # the double range, can overflow: both are evaluated at tau = gamma = 0
+    skip = far | ((tau == gamma) & (np.abs(tau) > MAX_AMPLITUDE))
+    value = np.exp(_log_overlap(np.where(skip, 0, tau), np.where(skip, 0, gamma)))
+    return np.where(far, 0j, value)
 
 
 def cat_norm_squared(alpha: float, sign: int = 1) -> float:
@@ -146,7 +156,7 @@ def _log_overlap_matrix(amps: np.ndarray) -> np.ndarray:
 
 def _overlap_matrix(amps: np.ndarray) -> np.ndarray:
     """Gram matrix <g_k|g_l>: shape (..., k) -> (..., k, k)."""
-    return np.exp(_log_overlap_matrix(amps))
+    return _overlap(amps[..., :, None], amps[..., None, :])
 
 
 def _hermitian_form(coeffs: np.ndarray, kernel: np.ndarray, unit=1.0) -> tuple[np.ndarray, np.ndarray]:

@@ -29,8 +29,8 @@ from scipy.special import erfc, jv
 
 from .coherent_algebra import CoherentSuperposition
 from .coherent_algebra import norm_squared as _gram_norm_squared
-from .errors import TruncationError
-from .physical_realization import RealizationParams
+from .errors import IntegrationError, TruncationError
+from .physical_realization import CANCELLATION_LIMIT, RealizationParams
 
 # Largest tail mass a coherent-state or superposition expansion may leave
 # beyond its truncation.
@@ -352,6 +352,10 @@ def end_to_end_oracle(p: RealizationParams) -> OracleProbabilities:
     cat projection of the measured mode, threshold statistics of the
     homodyne mode.
 
+    An outcome weight below 1/CANCELLATION_LIMIT of the squared norm of
+    |cat|^T |mixed|, the size of the terms it cancels from, raises
+    IntegrationError, as the scan kernel does.
+
     The truncation is sized here to cover per-mode amplitudes up to
     alpha (cos phi + sin phi), so N grows as alpha^2; the beamsplitter on
     the (N+1)^2 grid sets the cost.
@@ -375,6 +379,13 @@ def end_to_end_oracle(p: RealizationParams) -> OracleProbabilities:
     w_plus = float(np.vdot(conditional_plus, conditional_plus).real)
     w_minus = float(np.vdot(conditional_minus, conditional_minus).real)
     leakage = 1.0 - w_plus - w_minus
+    for cat, weight in ((plus_cat, w_plus), (minus_cat, w_minus)):
+        terms = np.abs(cat.coefficients) @ np.abs(mixed.coefficients)
+        if not CANCELLATION_LIMIT * weight > terms @ terms:
+            raise IntegrationError(
+                f"oracle failed at theta = {p.theta!r}: outcome weight is below "
+                f"1/{CANCELLATION_LIMIT:g} of its cancelling terms"
+            )
 
     threshold = alpha / 2.0
     p_plus = quadrature_cdf_fock(FockVector(conditional_plus / math.sqrt(w_plus)), threshold)

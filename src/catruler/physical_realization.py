@@ -50,18 +50,14 @@ from .errors import (
     WidthUndefinedError,
 )
 
-NORMALIZATION_MODES = ("conditional", "joint")
 WEIGHT_CLOSURE_TOL = 1e-9
+# An outcome weight below 1/CANCELLATION_LIMIT of the sum of its squared
+# projection amplitudes is cancellation noise, not a probability.
+CANCELLATION_LIMIT = 1e8
 # Above this value of phi^2 alpha^2 the weak-mixing picture degrades.
 APPROXIMATION_WARNING_LEVEL = 0.1
 # fringe_phase_offset correlates over lags up to this fraction of the scan
 MAX_LAG_FRACTION = 0.6
-
-
-def _check_mode(mode: str) -> str:
-    if mode not in NORMALIZATION_MODES:
-        raise ValueError(f"normalization mode must be one of {NORMALIZATION_MODES}, got {mode!r}")
-    return mode
 
 
 def _mixing_angle(alpha: float) -> float:
@@ -241,10 +237,6 @@ class _ConditionalBatch(NamedTuple):
         """(n, 2) P(x <= alpha/2 | outcome)."""
         return self.joint / self.weights
 
-    def probabilities(self, mode: str) -> np.ndarray:
-        """(n, 2) P_+, P_- in the given normalization mode."""
-        return self.joint if mode == "joint" else self.conditional
-
 
 def _require(ok: np.ndarray, thetas: np.ndarray, message: str) -> None:
     """Raise IntegrationError naming the first theta at which ok fails."""
@@ -271,7 +263,9 @@ def _conditional_batch(alpha: float, thetas: np.ndarray) -> _ConditionalBatch:
     terms, n_+^4 sum_kl <m_k|m_l><o_k|o_l> over measured-port amplitudes m
     and homodyne-port amplitudes o, which must be 1 for a unitary
     beamsplitter; leakage is what the two outcomes leave of 1, and must
-    not be negative.  Each outcome weight must be positive, and each
+    not be negative.  Each outcome weight must exceed 1/CANCELLATION_LIMIT
+    of sum_k |raw_k|^2, the size of the terms it cancels from (a weight of
+    rounding size would make joint / weight garbage), and each
     conditional probability must lie in [0, 1].
     """
     measured, output, cats = _cat_projections(alpha, thetas)
@@ -287,7 +281,8 @@ def _conditional_batch(alpha: float, thetas: np.ndarray) -> _ConditionalBatch:
     weights, ok = _hermitian_form(raw, gram)
     _require(ok, thetas, "outcome weight is not finite or carries an imaginary residue")
     weights = weights.real
-    _require(weights > 0.0, thetas, "outcome weight is not positive")
+    _require(CANCELLATION_LIMIT * weights > (np.abs(raw) ** 2).sum(axis=-1), thetas,
+             f"outcome weight is below 1/{CANCELLATION_LIMIT:g} of its cancelling terms")
     leakage = 1.0 - weights[:, 0] - weights[:, 1]
     _require(leakage >= -NORM_CLAMP, thetas, "outcome weights exceed the two-mode norm")
 
@@ -322,45 +317,25 @@ def output_state(p: RealizationParams) -> ConditionalOutput:
     )
 
 
-def measurement_probabilities(
-    p: RealizationParams,
-    mode: str = "conditional",
-    method: str = "erf",
-) -> tuple[float, float]:
+def measurement_probabilities(p: RealizationParams, method: str = "erf") -> tuple[float, float]:
     """(P_+, P_-): probability of a quadrature outcome at or below the
     threshold midway between the |0> and |alpha> means, conditioned on
     the plus / minus cat outcome.
-
-    mode "conditional" normalizes each outcome state first (fringes span
-    [0, 1]); mode "joint" scales by the outcome weights instead, giving
-    the unconditioned probabilities of (outcome, below-threshold).
 
     method "erf" is the one-point case of the batched scan kernel, so a
     scan point and this call agree bit for bit; "quad" runs
     threshold_probability's quadrature reference on the output_state states.
     """
-    _check_mode(mode)
     if method == "erf":
-        b = _conditional_batch(p.alpha, np.array([p.theta]))
-        p_plus, p_minus = b.probabilities(mode)[0]
+        p_plus, p_minus = _conditional_batch(p.alpha, np.array([p.theta])).conditional[0]
         return float(p_plus), float(p_minus)
     out = output_state(p)
     threshold = p.alpha / 2.0
-    p_plus = threshold_probability(out.plus_state, threshold, method=method)
-    p_minus = threshold_probability(out.minus_state, threshold, method=method)
-    if mode == "joint":
-        p_plus *= out.plus_weight
-        p_minus *= out.minus_weight
-    return p_plus, p_minus
+    return (threshold_probability(out.plus_state, threshold, method=method),
+            threshold_probability(out.minus_state, threshold, method=method))
 
 
-def fringe_scan(
-    alpha: float,
-    theta_min: float,
-    theta_max: float,
-    n_points: int,
-    mode: str = "conditional",
-) -> FringeCurve:
+def fringe_scan(alpha: float, theta_min: float, theta_max: float, n_points: int) -> FringeCurve:
     """Uniformly sampled fringe curve over [theta_min, theta_max].
 
     The whole grid is one batched closed-form evaluation; a failed check
@@ -372,11 +347,10 @@ def fringe_scan(
         raise ValueError("theta_min and theta_max must be finite")
     if not theta_min < theta_max:
         raise ValueError("theta_min must be below theta_max")
-    _check_mode(mode)
     RealizationParams(alpha=alpha)  # validates alpha and warns outside the weak-mixing regime
     thetas = np.linspace(theta_min, theta_max, n_points)
     batch = _conditional_batch(alpha, thetas)
-    p_plus, p_minus = batch.probabilities(mode).T
+    p_plus, p_minus = batch.conditional.T
     return FringeCurve(theta=thetas, p_plus=p_plus, p_minus=p_minus, leakage=batch.leakage)
 
 

@@ -1,4 +1,4 @@
-"""CLI contract tests: schemas, determinism, exit codes, config files."""
+"""CLI contract tests: schemas, determinism, exit codes."""
 
 import json
 import math
@@ -87,70 +87,21 @@ class TestFringeCommand:
         assert not out.exists()
 
     def test_zero_points_is_usage_error(self, tmp_path):
-        # 0 is an explicit value, not a missing one: it must not fall back to the default
         out = tmp_path / "out"
         assert main(["--out", str(out), "--quiet", "fringe", "--alpha", "5", "--points", "0"]) == 2
-        cfg = tmp_path / "sweep.json"
-        cfg.write_text(json.dumps({"alphas": [5.0], "n_points": 0}))
-        assert main(["--config", str(cfg), "--out", str(out), "--quiet", "fringe"]) == 2
         assert not out.exists()
 
     def test_missing_alpha_is_usage_error(self, tmp_path):
         assert main(["--out", str(tmp_path), "--quiet", "fringe"]) == 2
 
-    def test_joint_normalization_flag(self, tmp_path):
-        assert main(["--out", str(tmp_path), "--quiet", "--normalization", "joint",
-                     "fringe", "--alpha", "5", "--points", "3"]) == 0
-        comments, _, rows = read_csv(tmp_path / "fringe_alpha5.csv")
-        assert "# normalization=joint" in comments
-        joint = measurement_probabilities(RealizationParams(alpha=5.0), mode="joint")
-        assert rows[1][1] == float(f"{joint[0]:.12g}")
-
-
-class TestConfigFile:
-    def test_config_supplies_sweep_defaults(self, tmp_path):
-        cfg = tmp_path / "sweep.json"
-        cfg.write_text(json.dumps({
-            "alphas": [5.0],
-            "theta_span": "auto",
-            "n_points": 5,
-            "normalization_mode": "conditional",
-            "output_path": str(tmp_path / "from_config"),
-        }))
-        assert main(["--config", str(cfg), "--quiet", "fringe"]) == 0
-        assert (tmp_path / "from_config" / "fringe_alpha5.csv").exists()
-
-    def test_cli_flags_override_config(self, tmp_path):
-        cfg = tmp_path / "sweep.json"
-        cfg.write_text(json.dumps({"alphas": [5.0], "n_points": 5}))
-        assert main(["--config", str(cfg), "--out", str(tmp_path), "--quiet",
-                     "fringe", "--points", "3"]) == 0
-        _, _, rows = read_csv(tmp_path / "fringe_alpha5.csv")
-        assert len(rows) == 3
-
-    def test_unknown_config_key_rejected(self, tmp_path):
-        cfg = tmp_path / "sweep.json"
-        cfg.write_text(json.dumps({"alpha_values": [5.0]}))
-        assert main(["--config", str(cfg), "--quiet", "fringe"]) == 2
-
-    @pytest.mark.parametrize("raw", [
-        {"alphas": 5},
-        {"alphas": [5.0], "n_points": "x"},
-        # a string would be read one character at a time, a boolean as 0 or 1
-        {"alphas": "51"},
-        {"alphas": [True, 5.0]},
-        {"alphas": [5.0], "n_points": True},
-        {"alphas": [5.0], "seed": True},
-    ])
-    def test_wrong_value_type_is_config_error(self, tmp_path, capsys, raw):
-        cfg = tmp_path / "sweep.json"
-        cfg.write_text(json.dumps(raw))
-        assert main(["--config", str(cfg), "--out", str(tmp_path), "--quiet", "fringe"]) == 2
-        assert "config error" in capsys.readouterr().err
-
-    def test_missing_config_file_rejected(self, tmp_path):
-        assert main(["--config", str(tmp_path / "nope.json"), "--quiet",
-                     "fringe", "--alpha", "5"]) == 2
+    def test_cancelled_outcome_weight_is_numerical_failure(self, tmp_path, capsys):
+        # at alpha = 0.5 the mixing angle is 2 pi: the minus weight is exactly
+        # 0 at theta = 2 pi k, and the kernel computes it as rounding noise
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "--quiet", "fringe", "--alpha", "0.5"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and "theta = " in err
+        assert not out.exists()
 
 
 class TestWidthScaling:
@@ -281,6 +232,12 @@ class TestOracleCommand:
         assert "--max-alpha" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "--seed", "-1", "--quiet", "oracle", "--cases", "2"]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_weight_closure_reports_the_two_mode_norm(self, tmp_path, monkeypatch):
         kernel = physical_realization._conditional_batch
 
@@ -316,6 +273,8 @@ class TestPhaseErrorCommand:
         ["--alpha", "inf"],
         ["--alpha", "1e200"],  # finite, but its square overflows
         ["--alpha", "1", "--theta-max", "inf"],
+        # finite, but (theta_max * alpha)^2 overflows
+        ["--alpha", "1", "--theta-max", "1e308", "--theta-points", "3"],
     ])
     def test_non_finite_input_is_usage_error(self, tmp_path, capsys, flags):
         out = tmp_path / "out"
@@ -335,12 +294,13 @@ class TestTopLevel:
     def test_parser_keeps_no_state_between_calls(self, tmp_path):
         fringe = ["fringe", "--alpha", "5", "--points", "3"]
         assert main(["--out", str(tmp_path / "a"), "--quiet", *fringe]) == 0
-        assert main(["--out", str(tmp_path / "j"), "--quiet", "--normalization", "joint", *fringe]) == 0
+        assert main(["--out", str(tmp_path / "s"), "--quiet", *fringe, "--theta-span=-0.1:0.1"]) == 0
         assert main(["--quiet", "fringe", "--bogus"]) == 2
         assert main(["--out", str(tmp_path / "b"), "--quiet", *fringe]) == 0
         first, after = (tmp_path / d / "fringe_alpha5.csv" for d in ("a", "b"))
-        assert "# normalization=conditional" in after.read_text().splitlines()
         assert after.read_bytes() == first.read_bytes()
+        # the explicit span of the middle call did not become the default
+        assert read_csv(after)[2][0][0] == pytest.approx(-3 * 2 * math.pi / 25, rel=1e-9)
 
     def test_quiet_suppresses_stdout(self, tmp_path, capsys):
         main(["--out", str(tmp_path), "--quiet", "fringe", "--alpha", "5", "--points", "2"])

@@ -90,6 +90,12 @@ class TestNormSquared:
         for gamma in (0.0, 2.0, 1 - 2j):
             assert norm_squared(CoherentSuperposition.single(gamma)) == pytest.approx(1.0, abs=TIGHT)
 
+    def test_far_apart_large_amplitudes(self):
+        # the Gram matrix takes overlap's distance cut-off: the cross terms
+        # are 0 and each diagonal term is 1, though |g|^2 overflows
+        s = CoherentSuperposition(((1, 1e200j), (1, 1e200)))
+        assert norm_squared(s) == 2.0
+
     def test_unnormalized_cat_matches_fock_series(self):
         s = CoherentSuperposition(((1.0, 0.0), (1.0, 2.0)))
         vec = fock_series(0.0) + fock_series(2.0)

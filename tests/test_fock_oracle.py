@@ -9,7 +9,7 @@ from scipy.linalg import expm
 
 from catruler import fock_oracle
 from catruler.coherent_algebra import CoherentSuperposition, threshold_probability
-from catruler.errors import TruncationError
+from catruler.errors import IntegrationError, TruncationError
 from catruler.fock_oracle import (
     FockVector,
     TwoModeFockTensor,
@@ -350,17 +350,15 @@ class TestEndToEnd:
                             np.abs(batch.joint[i] - joint).max())
         assert worst < 2e-14
 
-    def test_joint_mode(self):
-        params = RealizationParams(alpha=1.5, theta=0.4)
-        oracle = end_to_end_oracle(params)
-        p_plus, p_minus = measurement_probabilities(params, mode="joint", method="erf")
-        # a joint probability is the conditional one times the outcome weight
-        assert abs(oracle.p_plus * oracle.plus_weight - p_plus) < 1e-6
-        assert abs(oracle.p_minus * oracle.minus_weight - p_minus) < 1e-6
-
     def test_leakage_in_unit_interval(self):
         oracle = end_to_end_oracle(RealizationParams(alpha=2.5, theta=1.0))
         assert 0.0 <= oracle.leakage <= 1.0
+
+    def test_cancelled_outcome_weight_raises(self):
+        # the minus weight 3.3e-14 is cancelled from terms about 3.5e12 times
+        # larger; the scan kernel refuses the same point
+        with pytest.raises(IntegrationError, match=r"theta = 1e-06: outcome weight"):
+            end_to_end_oracle(RealizationParams(alpha=1 / math.sqrt(8), theta=1e-6))
 
     def test_insufficient_cap_raises(self, monkeypatch):
         monkeypatch.setattr(fock_oracle, "default_truncation", lambda reach: 12)
