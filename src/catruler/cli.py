@@ -1,10 +1,10 @@
 """Command-line front end: parameter sweeps, scaling fits, SNR tables,
 quantum-ruler numbers and oracle validation, emitted as CSV/JSON.
 
-Exit codes: 0 success, 2 usage error, 3 numerical failure.  Identical
-arguments and seed produce byte-identical output files; numbers are
-serialized with 12 significant digits and a dot decimal separator, and
-every CSV starts with a `# schema=1` line.
+Exit codes: 0 success, 2 usage error (an unwritable --out included), 3
+numerical failure.  Identical arguments and seed produce byte-identical
+output files; numbers are serialized with 12 significant digits and a
+dot decimal separator, and every CSV starts with a `# schema=1` line.
 """
 
 from __future__ import annotations
@@ -417,7 +417,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # an OSError names the --out path it failed on
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except CatRulerError as exc:

@@ -120,9 +120,11 @@ def _log_overlap(tau, gamma):
     Written as -|tau - gamma|^2 / 2 + i Im(conj(tau) gamma), which equals
     -(|tau|^2 + |gamma|^2)/2 + conj(tau) gamma without subtracting terms
     of size |tau|^2 whose rounding would swamp the result at large
-    amplitudes.
+    amplitudes.  The imaginary part is formed on its own, so the real
+    part of conj(tau) gamma, which it discards, cannot overflow.
     """
-    return -0.5 * np.abs(tau - gamma) ** 2 + 1j * (np.conj(tau) * gamma).imag
+    phase = tau.real * gamma.imag - tau.imag * gamma.real
+    return -0.5 * np.abs(tau - gamma) ** 2 + 1j * phase
 
 
 def overlap(tau: complex, gamma: complex) -> complex:
@@ -135,7 +137,8 @@ def overlap(tau: complex, gamma: complex) -> complex:
 def _overlap(tau, gamma):
     """<tau|gamma> elementwise over broadcast amplitude arrays, exactly 0
     for pairs farther apart than OVERLAP_CUTOFF."""
-    far = np.abs(tau - gamma) > OVERLAP_CUTOFF
+    # halved (exactly) so that the difference of two huge amplitudes stays finite
+    far = np.abs(tau / 2 - gamma / 2) > OVERLAP_CUTOFF / 2
     # the exponent of a far pair, or of a pair <g|g> = 1 with |g|^2 past
     # the double range, can overflow: both are evaluated at tau = gamma = 0
     skip = far | ((tau == gamma) & (np.abs(tau) > MAX_AMPLITUDE))
@@ -300,6 +303,10 @@ def threshold_probability(
     """
     if not math.isfinite(threshold):
         raise ValueError("threshold must be finite")
+    # below this bound the kernel's z^2 and |g_k - g_l|^2 are finite
+    # (hypot, unlike abs of a complex, returns inf rather than raising)
+    if abs(threshold) + max(math.hypot(g.real, g.imag) for _, g in s.terms) > MAX_AMPLITUDE / 2:
+        raise ValueError("threshold and amplitudes must stay within MAX_AMPLITUDE / 2")
     if method not in ("erf", "quad"):
         raise ValueError(f"unknown method {method!r}; use 'erf' or 'quad'")
     coeffs = s.coefficients

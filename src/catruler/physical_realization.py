@@ -42,7 +42,6 @@ from .coherent_algebra import (
     _require_alpha,
     _threshold_kernel_erf,
     cat_norm_squared,
-    threshold_probability,
 )
 from .errors import (
     ApproximationRegimeWarning,
@@ -87,7 +86,7 @@ class RealizationParams:
                 f"phi^2 alpha^2 = {self.approximation_parameter:.3g} exceeds "
                 f"{APPROXIMATION_WARNING_LEVEL}; the weak-mixing regime is violated",
                 category=ApproximationRegimeWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @property
@@ -101,15 +100,14 @@ class RealizationParams:
         return self.phi**2 * self.alpha**2
 
 
-@dataclass(frozen=True)
-class ConditionalOutput:
+class ConditionalOutput(NamedTuple):
     """Conditional homodyne-port states and cat-outcome statistics.
 
     plus_state / minus_state are normalized; plus_weight / minus_weight
     are the outcome probabilities and leakage the mass of the measured
     port outside the two-cat span.  The three sum to 1 by construction
-    (leakage is what the weights leave of 1); the closure that can fail,
-    the two-mode norm, is checked where the weights are computed.
+    (leakage is what the weights leave of 1); every value is checked
+    where the scan kernel computes it.
     """
 
     plus_state: CoherentSuperposition
@@ -117,15 +115,6 @@ class ConditionalOutput:
     plus_weight: float
     minus_weight: float
     leakage: float
-
-    def __post_init__(self):
-        for name in ("plus_weight", "minus_weight"):
-            w = getattr(self, name)
-            if not w >= -NORM_CLAMP:
-                raise ValueError(f"{name} = {w!r} is negative or not finite")
-            object.__setattr__(self, name, max(w, 0.0))
-        if not (math.isfinite(self.leakage) and self.leakage >= -NORM_CLAMP):
-            raise ValueError(f"leakage = {self.leakage!r} is negative or not finite")
 
 
 @dataclass(frozen=True)
@@ -317,22 +306,16 @@ def output_state(p: RealizationParams) -> ConditionalOutput:
     )
 
 
-def measurement_probabilities(p: RealizationParams, method: str = "erf") -> tuple[float, float]:
+def measurement_probabilities(p: RealizationParams) -> tuple[float, float]:
     """(P_+, P_-): probability of a quadrature outcome at or below the
     threshold midway between the |0> and |alpha> means, conditioned on
     the plus / minus cat outcome.
 
-    method "erf" is the one-point case of the batched scan kernel, so a
-    scan point and this call agree bit for bit; "quad" runs
-    threshold_probability's quadrature reference on the output_state states.
+    This is the one-point case of the batched scan kernel, so a scan
+    point and this call agree bit for bit.
     """
-    if method == "erf":
-        p_plus, p_minus = _conditional_batch(p.alpha, np.array([p.theta])).conditional[0]
-        return float(p_plus), float(p_minus)
-    out = output_state(p)
-    threshold = p.alpha / 2.0
-    return (threshold_probability(out.plus_state, threshold, method=method),
-            threshold_probability(out.minus_state, threshold, method=method))
+    p_plus, p_minus = _conditional_batch(p.alpha, np.array([p.theta])).conditional[0]
+    return float(p_plus), float(p_minus)
 
 
 def fringe_scan(alpha: float, theta_min: float, theta_max: float, n_points: int) -> FringeCurve:

@@ -141,7 +141,7 @@ def test_criterion_5_oracle_equivalence():
         theta = float(rng.uniform(0.0, 2.0 * math.pi))
         params = RealizationParams(alpha=alpha, theta=theta)
         oracle = end_to_end_oracle(params)
-        p_plus, p_minus = measurement_probabilities(params, method="erf")
+        p_plus, p_minus = measurement_probabilities(params)
         out = output_state(params)
         worst_dp = max(worst_dp, abs(p_plus - oracle.p_plus), abs(p_minus - oracle.p_minus))
         # the analytic leakage is 1 - w+ - w-, so only the oracle's can test it

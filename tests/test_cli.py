@@ -302,6 +302,14 @@ class TestTopLevel:
         # the explicit span of the middle call did not become the default
         assert read_csv(after)[2][0][0] == pytest.approx(-3 * 2 * math.pi / 25, rel=1e-9)
 
+    def test_unwritable_out_is_usage_error_naming_the_path(self, tmp_path, capsys):
+        (tmp_path / "f").touch()
+        out = str(tmp_path / "f" / "sub")
+        assert main(["--out", out, "snr", "--n-bar", "2", "--v-theta", "1e-4"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:")
+        assert out in err
+
     def test_quiet_suppresses_stdout(self, tmp_path, capsys):
         main(["--out", str(tmp_path), "--quiet", "fringe", "--alpha", "5", "--points", "2"])
         assert capsys.readouterr().out == ""

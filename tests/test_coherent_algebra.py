@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from catruler.coherent_algebra import (
+    MAX_AMPLITUDE,
     CoherentSuperposition,
     _hermitian_value,
     beamsplitter,
@@ -92,9 +93,17 @@ class TestNormSquared:
 
     def test_far_apart_large_amplitudes(self):
         # the Gram matrix takes overlap's distance cut-off: the cross terms
-        # are 0 and each diagonal term is 1, though |g|^2 overflows
-        s = CoherentSuperposition(((1, 1e200j), (1, 1e200)))
-        assert norm_squared(s) == 2.0
+        # are 0 and each diagonal term is 1, though |g|^2 (and for the
+        # second pair tau - gamma) overflows
+        for terms in (((1, 1e200j), (1, 1e200)), ((1, 1.7e308), (1, -1.7e308))):
+            assert norm_squared(CoherentSuperposition(terms)) == 2.0
+
+    def test_near_huge_amplitudes_keep_the_overlap_phase(self):
+        # the real part of conj(tau) gamma, which the overlap discards, exceeds
+        # the double range
+        near = CoherentSuperposition(((1, 1e200), (1, 1e200 + 5j)))
+        cross = 2.0 * math.exp(-12.5) * math.cos(1e200 * 5)  # 2 Re <tau|gamma>
+        assert norm_squared(near) == pytest.approx(2.0 + cross, rel=1e-12)
 
     def test_unnormalized_cat_matches_fock_series(self):
         s = CoherentSuperposition(((1.0, 0.0), (1.0, 2.0)))
@@ -311,6 +320,21 @@ class TestThresholdProbability:
         monkeypatch.setattr(ca, "_threshold_kernel_erf", nan_kernel)
         with pytest.raises(CatRulerError):
             threshold_probability(CoherentSuperposition.single(1.0), 1.0, method="erf")
+
+    @pytest.mark.parametrize("terms,threshold", [
+        (((1, 1e200j), (1, 1e200)), 0.0), (((1, 1e154),), 0.0), (((1, 0.5),), 1e300),
+        (((1, 1.7e308 + 1.7e308j),), 0.0),
+    ])
+    def test_rejects_amplitudes_past_half_the_square_root_range(self, terms, threshold):
+        with pytest.raises(ValueError, match="MAX_AMPLITUDE"):
+            threshold_probability(CoherentSuperposition(terms), threshold)
+
+    def test_amplitudes_at_half_the_square_root_range(self):
+        half = MAX_AMPLITUDE / 2
+        assert threshold_probability(CoherentSuperposition.single(half), 0.0) == 0.0
+        assert threshold_probability(CoherentSuperposition.single(-half), 0.0) == 1.0
+        s = CoherentSuperposition(((1, half), (1, -1j * half)))
+        assert threshold_probability(s, 0.0) == 0.5
 
     def test_result_bounded_by_norm(self):
         s = CoherentSuperposition(((1.0, 0.0), (1.0, 2.0)))  # norm^2 = 2 + 2e^-2

@@ -1,7 +1,8 @@
-"""Start-up cost: importing the CLI must not load the scipy subpackages
-that only the adaptive-quadrature reference path needs.
+"""Start-up: importing the CLI must not load the scipy subpackages that
+only the adaptive-quadrature reference path needs, and every module of
+the package must import on its own.
 
-The check runs in a fresh interpreter, because the test modules of this
+The checks run in a fresh interpreter, because the test modules of this
 suite import scipy.integrate themselves.
 """
 
@@ -11,18 +12,31 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 # loaded by scipy.integrate and by nothing on the production path
 QUADRATURE_ONLY = ("scipy.integrate", "scipy.optimize", "scipy.sparse")
 
 PROBE = f"""
-import json, sys
+import importlib, json, pkgutil, sys
+import catruler
+bound = sorted(name for name in vars(catruler) if not name.startswith("__"))
+modules = sorted(m.name for m in pkgutil.iter_modules(catruler.__path__))
+# each module into a fresh package, so that an import cycle or a missing
+# import shows in the module that has it rather than in the next one
+for name in modules:
+    for key in [k for k in sys.modules if k == "catruler" or k.startswith("catruler.")]:
+        del sys.modules[key]
+    importlib.import_module("catruler." + name)
 import catruler.cli
 loaded = sorted(m for m in sys.modules
                 if any(m == p or m.startswith(p + ".") for p in {QUADRATURE_ONLY!r}))
 from catruler.coherent_algebra import CoherentSuperposition, threshold_probability
 state = CoherentSuperposition(((1.0, 0.0), (1.0, 1.5))).normalized()
 print(json.dumps({{
+    "bound": bound,
+    "modules": modules,
     "loaded": loaded,
     "quad": threshold_probability(state, 0.7, method="quad"),
     "erf": threshold_probability(state, 0.7, method="erf"),
@@ -30,11 +44,21 @@ print(json.dumps({{
 """
 
 
-def test_cli_import_defers_the_quadrature_stack():
+@pytest.fixture(scope="module")
+def probe():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     run = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True,
                          text=True, check=True)
-    result = json.loads(run.stdout)
-    assert result["loaded"] == []
+    return json.loads(run.stdout)
+
+
+def test_cli_import_defers_the_quadrature_stack(probe):
+    assert probe["loaded"] == []
     # the deferred import still serves the reference path when it is asked for
-    assert abs(result["quad"] - result["erf"]) <= 1e-8
+    assert abs(probe["quad"] - probe["erf"]) <= 1e-8
+
+
+def test_each_module_imports_alone_and_the_package_binds_no_name(probe):
+    assert "cli" in probe["modules"] and "physical_realization" in probe["modules"]
+    # names are imported from their modules, not re-exported by the package
+    assert probe["bound"] == []

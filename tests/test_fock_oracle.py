@@ -289,7 +289,7 @@ class TestEndToEnd:
     def test_matches_analytic_pipeline_alpha_two(self, theta):
         params = RealizationParams(alpha=2.0, theta=theta)
         oracle = end_to_end_oracle(params)
-        p_plus, p_minus = measurement_probabilities(params, method="erf")
+        p_plus, p_minus = measurement_probabilities(params)
         out = output_state(params)
         assert abs(oracle.p_plus - p_plus) < 1e-6
         assert abs(oracle.p_minus - p_minus) < 1e-6
@@ -300,7 +300,7 @@ class TestEndToEnd:
         # short of 0.99 / 0.01 in acceptance criterion 4
         params = RealizationParams(alpha=5.0)
         oracle = end_to_end_oracle(params)
-        p_plus, p_minus = measurement_probabilities(params, method="erf")
+        p_plus, p_minus = measurement_probabilities(params)
         out = output_state(params)
         assert abs(oracle.p_plus - p_plus) < 1e-6
         assert abs(oracle.p_minus - p_minus) < 1e-6

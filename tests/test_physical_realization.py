@@ -11,10 +11,9 @@ import math
 import numpy as np
 import pytest
 
-from catruler.coherent_algebra import norm_squared, overlap
+from catruler.coherent_algebra import norm_squared, overlap, threshold_probability
 from catruler.errors import ApproximationRegimeWarning, IntegrationError, WidthUndefinedError
 from catruler.physical_realization import (
-    ConditionalOutput,
     FringeCurve,
     RealizationParams,
     cat_coefficients,
@@ -64,8 +63,10 @@ class TestRealizationParams:
             RealizationParams(alpha=1.2e154)
 
     def test_warns_when_weak_mixing_violated(self):
-        with pytest.warns(ApproximationRegimeWarning):
+        with pytest.warns(ApproximationRegimeWarning) as caught:
             RealizationParams(alpha=4.0)
+        # reported at the caller's line, not in the generated __init__
+        assert caught[0].filename == __file__
 
     def test_no_warning_at_alpha_five(self):
         import warnings as _warnings
@@ -136,19 +137,6 @@ class TestOutputState:
                 assert ca == pytest.approx(cb, abs=1e-12)
                 assert ga == pytest.approx(gb, abs=1e-12)
 
-    def test_closure_validation_in_type(self):
-        # weights beyond the two-mode norm leave a negative leakage
-        out = output_state(RealizationParams(alpha=5.0))
-        with pytest.raises(ValueError, match="leakage"):
-            ConditionalOutput(out.plus_state, out.minus_state, 0.6, 0.6, -0.2)
-
-    def test_type_rejects_non_finite_weights(self):
-        out = output_state(RealizationParams(alpha=5.0))
-        with pytest.raises(ValueError):
-            ConditionalOutput(out.plus_state, out.minus_state, math.nan, 0.5, 0.5)
-        with pytest.raises(ValueError):
-            ConditionalOutput(out.plus_state, out.minus_state, 0.5, 0.5, math.nan)
-
 
 class TestCatCoefficients:
     def test_vacuum_projection_closed_form(self):
@@ -192,17 +180,25 @@ class TestCatCoefficients:
         assert abs(gc) ** 2 + abs(gd) ** 2 == pytest.approx(2 * a**2, rel=1e-12)
 
 
+def quad_probabilities(p):
+    """(P_+, P_-) from threshold_probability's quadrature reference on the
+    output_state states."""
+    out = output_state(p)
+    return tuple(threshold_probability(state, p.alpha / 2, method="quad")
+                 for state in (out.plus_state, out.minus_state))
+
+
 class TestMeasurementProbabilities:
     @pytest.mark.parametrize("alpha,pp,pm,wp,wm,leak", NULL_PHASE_TABLE)
     def test_null_phase_frozen_values(self, alpha, pp, pm, wp, wm, leak):
-        got_pp, got_pm = measurement_probabilities(RealizationParams(alpha=alpha), method="erf")
+        got_pp, got_pm = measurement_probabilities(RealizationParams(alpha=alpha))
         assert got_pp == pytest.approx(pp, abs=1e-10)
         assert got_pm == pytest.approx(pm, abs=1e-10)
 
     def test_quad_and_erf_paths_agree(self):
         p = RealizationParams(alpha=5.0, theta=0.02)
-        a = measurement_probabilities(p, method="quad")
-        b = measurement_probabilities(p, method="erf")
+        a = quad_probabilities(p)
+        b = measurement_probabilities(p)
         assert a[0] == pytest.approx(b[0], abs=1e-8)
         assert a[1] == pytest.approx(b[1], abs=1e-8)
 
@@ -384,7 +380,7 @@ class TestFringeScan:
         curve = fringe_scan(alpha, -3 * period, 3 * period, 61)
         for i in (0, 17, 30, 44):
             p = RealizationParams(alpha=alpha, theta=float(curve.theta[i]))
-            p_plus, p_minus = measurement_probabilities(p, method="quad")
+            p_plus, p_minus = quad_probabilities(p)
             assert abs(curve.p_plus[i] - p_plus) <= 1e-8
             assert abs(curve.p_minus[i] - p_minus) <= 1e-8
 
