@@ -8,8 +8,8 @@ outcomes are projections, and quadrature CDFs are exact sums over
 Hermite-function Wronskians at the threshold, in the fixed quadrature
 units of coherent_algebra (<x> = Re g, vacuum variance 1/4).  Agreement
 between the two routes is what licenses trusting the closed forms, so
-nothing in this module reuses the analytic formulas beyond the bare
-overlap definition in the tests; in particular the cat normalization is
+nothing in this module reuses the analytic formulas: it imports nothing
+from coherent_algebra, and in particular the cat normalization is
 written out here rather than taken from coherent_algebra.cat_norm_squared.
 
 Truncations follow N = max(30, ceil(|g|^2 + 8 |g| + 20)) per mode
@@ -27,8 +27,6 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import erfc, jv
 
-from .coherent_algebra import CoherentSuperposition
-from .coherent_algebra import norm_squared as _gram_norm_squared
 from .errors import IntegrationError, TruncationError
 from .physical_realization import CANCELLATION_LIMIT, RealizationParams
 
@@ -135,30 +133,6 @@ def coherent_to_fock(gamma: complex, truncation: int | None = None) -> FockVecto
             f"coherent state |{gamma}| leaves tail mass {tail:.3e} beyond N = {truncation}"
         )
     return FockVector(coeffs)
-
-
-def superposition_to_fock(s: CoherentSuperposition) -> FockVector:
-    """Represent sum_k c_k |g_k> in the number basis, scaled to unit norm,
-    truncated to cover the largest amplitude.
-
-    The scale divides out the exact Gram-matrix norm of s, so passing an
-    already normalized superposition reproduces it coefficient for
-    coefficient.
-    """
-    truncation = default_truncation(float(np.max(np.abs(s.amplitudes))))
-    total = np.zeros(truncation + 1, dtype=complex)
-    for c, g in s.terms:
-        total += c * coherent_to_fock(g, truncation).coefficients
-    exact = _gram_norm_squared(s)
-    if exact <= 0.0:
-        raise ValueError("cannot represent a zero-norm superposition")
-    realized = float(np.sum(np.abs(total) ** 2))
-    tail = max(0.0, (exact - realized) / exact)
-    if tail > TAIL_TOL:
-        raise TruncationError(
-            f"superposition leaves tail fraction {tail:.3e} beyond N = {truncation}"
-        )
-    return FockVector(total / math.sqrt(exact))
 
 
 def two_mode_product(mode_a: FockVector, mode_b: FockVector) -> TwoModeFockTensor:

@@ -1,10 +1,12 @@
 """Idealized Hadamard - phase - Hadamard circuit in the coherent-state encoding.
 
 Logical qubits use |0>_L = vacuum and |1>_L = |alpha> with real alpha.
-The logical layer treats the two basis states as orthogonal (exact only
-as alpha -> infinity, since <0|alpha> = e^{-alpha^2/2}); finite-alpha
-corrections are available through detection_probabilities(exact=True)
-and live fully in the physical-realization pipeline.
+The circuit acting on |0>_L comes down to one closed form over theta,
+((1 + e^{i theta alpha^2}) |0>_L + (1 - e^{i theta alpha^2}) |1>_L) / 2,
+in the orthogonal-basis convention (exact only as alpha -> infinity,
+since <0|alpha> = e^{-alpha^2/2}); detection_probabilities keeps that
+overlap, and the full finite-alpha physics lives in the
+physical-realization pipeline.
 
 Free propagation over a distance D imprints U(theta) = exp(i theta n)
 with theta = 2 pi D / wavelength; on |alpha> this acts as a phase gate
@@ -15,57 +17,10 @@ theta^2 alpha^2 << 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent_algebra import MAX_AMPLITUDE, CoherentSuperposition, _require_alpha, cat_norm_squared
-
-QUBIT_NORM_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class LogicalQubit:
-    """State c0 |0>_L + c1 |1>_L under the orthogonal-basis convention."""
-
-    c0: complex
-    c1: complex
-    alpha: float
-
-    def __post_init__(self):
-        _require_alpha(self.alpha)
-        object.__setattr__(self, "c0", complex(self.c0))
-        object.__setattr__(self, "c1", complex(self.c1))
-        n2 = abs(self.c0) ** 2 + abs(self.c1) ** 2
-        if not abs(n2 - 1.0) <= QUBIT_NORM_TOL:
-            raise ValueError(f"|c0|^2 + |c1|^2 = {n2!r} is not 1 within {QUBIT_NORM_TOL}")
-
-    def as_superposition(self) -> CoherentSuperposition:
-        """The underlying optical state c0 |0> + c1 |alpha>."""
-        return CoherentSuperposition(((self.c0, 0.0), (self.c1, complex(self.alpha))))
-
-
-@dataclass(frozen=True)
-class PropagationSetting:
-    """Path-length difference delta at a wavelength, and the path phase
-    theta = 2 pi delta / wavelength it imprints."""
-
-    delta: float
-    wavelength: float
-
-    def __post_init__(self):
-        if not (self.wavelength > 0 and math.isfinite(self.wavelength)):
-            raise ValueError("wavelength must be positive and finite")
-        if not math.isfinite(self.theta):
-            raise ValueError(f"delta = {self.delta!r} must be finite, with a finite phase")
-
-    @property
-    def theta(self) -> float:
-        return 2.0 * math.pi * self.delta / self.wavelength
-
-    @classmethod
-    def from_phase(cls, theta: float, wavelength: float) -> "PropagationSetting":
-        return cls(theta * wavelength / (2.0 * math.pi), wavelength)
+from .coherent_algebra import MAX_AMPLITUDE, _require_alpha, cat_norm_squared
 
 
 def v_theta_from_length_power(v_delta: float, wavelength: float) -> float:
@@ -75,35 +30,6 @@ def v_theta_from_length_power(v_delta: float, wavelength: float) -> float:
     if not (wavelength > 0 and math.isfinite(wavelength)):
         raise ValueError("wavelength must be positive and finite")
     return (2.0 * math.pi / wavelength) ** 2 * v_delta
-
-
-def hadamard(q: LogicalQubit) -> LogicalQubit:
-    """Logical Hadamard: |0> -> (|0>+|1>)/sqrt2, |1> -> (|0>-|1>)/sqrt2."""
-    r = math.sqrt(0.5)
-    return LogicalQubit((q.c0 + q.c1) * r, (q.c0 - q.c1) * r, q.alpha)
-
-
-def prepare_plus_cat(alpha: float, exact_norm: bool = False) -> CoherentSuperposition:
-    """The state after the first Hadamard on |0>_L: (|0> + |alpha>) / w.
-
-    With exact_norm=False both coefficients are 1/sqrt(2) (unit norm only
-    in the orthogonal large-alpha limit); with exact_norm=True they are
-    1/sqrt(2 + 2 e^{-alpha^2/2}) and the norm is exactly 1.
-    """
-    _require_alpha(alpha)
-    if exact_norm:
-        w = 1.0 / math.sqrt(cat_norm_squared(alpha))
-    else:
-        w = math.sqrt(0.5)
-    return CoherentSuperposition(((w, 0.0), (w, complex(alpha))))
-
-
-def propagate_exact(s: CoherentSuperposition, theta: float) -> CoherentSuperposition:
-    """Free propagation exp(i theta n): each amplitude g -> g e^{i theta}."""
-    if not math.isfinite(theta):
-        raise ValueError("theta must be finite")
-    rot = complex(np.exp(1j * theta))
-    return CoherentSuperposition(tuple((c, g * rot) for c, g in s.terms))
 
 
 def phase_gate_error(beta: float, theta: float) -> float:
@@ -124,35 +50,32 @@ def phase_gate_error(beta: float, theta: float) -> float:
     return float(abs(exact - approx))
 
 
-def ideal_output(alpha: float, theta: float) -> LogicalQubit:
-    """Output of Hadamard, phase gate, Hadamard applied to |0>_L.
+def ideal_output(alpha: float, theta: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Logical amplitudes (c0, c1) after Hadamard, phase gate, Hadamard
+    on |0>_L, broadcast over theta.
 
-    Equals ((1 + e^{i theta alpha^2})|0>_L + (1 - e^{i theta alpha^2})|1>_L)/2,
-    which is 2 pi / alpha^2 periodic in theta: raising the photon number
+    c0 = (1 + e^{i theta alpha^2}) / 2 and c1 = (1 - e^{i theta alpha^2}) / 2,
+    which are 2 pi / alpha^2 periodic in theta: raising the photon number
     compresses the fringes exactly like raising the optical frequency.
     """
-    if not math.isfinite(theta):
-        raise ValueError("theta must be finite")
-    gate = theta * _require_alpha(alpha) ** 2
-    if not math.isfinite(gate):
-        raise ValueError(f"theta alpha^2 overflows at theta = {theta!r}, alpha = {alpha!r}")
-    phase = complex(np.exp(1j * gate))
-    return LogicalQubit((1.0 + phase) / 2.0, (1.0 - phase) / 2.0, alpha)
+    with np.errstate(over="ignore"):  # an overflowing product is refused below
+        gate = np.asarray(theta, dtype=float) * _require_alpha(alpha) ** 2
+    if not np.all(np.isfinite(gate)):
+        raise ValueError(f"theta alpha^2 is not finite for some theta at alpha = {alpha!r}")
+    phase = np.exp(1j * gate)
+    return (1.0 + phase) / 2.0, (1.0 - phase) / 2.0
 
 
-def detection_probabilities(q: LogicalQubit, exact_overlaps: bool = False) -> tuple[float, float]:
-    """(P(detect |1>_L), P(detect |0>_L)) for a logical state.
+def detection_probabilities(alpha: float, theta: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P(detect |1>_L), P(detect |0>_L)) of the circuit output, over theta.
 
-    The orthogonal-limit values are |c1|^2 and |c0|^2.  With
-    exact_overlaps=True the finite <0|alpha> = e^{-alpha^2/2} is kept:
-    P1 = |c0 e^{-a^2/2} + c1|^2 and P0 = |c0 + c1 e^{-a^2/2}|^2.
+    Keeps the finite overlap <0|alpha> = e^{-alpha^2/2}:
+    P1 = |c0 e^{-a^2/2} + c1|^2 and P0 = |c0 + c1 e^{-a^2/2}|^2.  The
+    orthogonal limit |c1|^2, |c0|^2 is reached as alpha grows.
     """
-    if not exact_overlaps:
-        return abs(q.c1) ** 2, abs(q.c0) ** 2
-    eps = math.exp(-(q.alpha**2) / 2.0)
-    p_one = abs(q.c0 * eps + q.c1) ** 2
-    p_zero = abs(q.c0 + q.c1 * eps) ** 2
-    return p_one, p_zero
+    c0, c1 = ideal_output(alpha, theta)
+    eps = math.exp(-(alpha**2) / 2.0)
+    return np.abs(c0 * eps + c1) ** 2, np.abs(c0 + c1 * eps) ** 2
 
 
 def cat_mean_photon_number(alpha: float, exact: bool = False) -> float:
@@ -195,10 +118,6 @@ def snr_monte_carlo(
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    rng = np.random.default_rng(rng_seed)
-    thetas = rng.normal(0.0, math.sqrt(v_theta), n_samples)
-    ratios = np.empty(n_samples)
-    for i, theta in enumerate(thetas):
-        p_one, p_zero = detection_probabilities(ideal_output(alpha, theta), exact_overlaps=True)
-        ratios[i] = p_one / p_zero
-    return float(ratios.mean())
+    thetas = np.random.default_rng(rng_seed).normal(0.0, math.sqrt(v_theta), n_samples)
+    p_one, p_zero = detection_probabilities(alpha, thetas)
+    return float(np.mean(p_one / p_zero))

@@ -422,7 +422,7 @@ def fringe_spacing_physical(alpha: float, wavelength: float) -> float:
     _require_alpha(alpha)
     if not (wavelength > 0 and math.isfinite(wavelength)):
         raise ValueError("wavelength must be positive and finite")
-    return wavelength / (2.0 * alpha**2)
+    return _normal_spacing(wavelength / (2.0 * alpha**2), wavelength)
 
 
 def scan_extracted_spacing(curve: FringeCurve, wavelength: float) -> float:
@@ -430,7 +430,17 @@ def scan_extracted_spacing(curve: FringeCurve, wavelength: float) -> float:
     spacing in theta converted through delta = theta * wavelength / (2 pi)."""
     if not (wavelength > 0 and math.isfinite(wavelength)):
         raise ValueError("wavelength must be positive and finite")
-    return extremum_spacing(curve) * wavelength / (2.0 * math.pi)
+    return _normal_spacing(extremum_spacing(curve) * wavelength / (2.0 * math.pi), wavelength)
+
+
+def _normal_spacing(spacing: float, wavelength: float) -> float:
+    """A tick spacing, refused unless it is a normal double: past the float
+    range it is inf, and below it it has lost its precision or is 0."""
+    if not sys.float_info.min <= spacing <= sys.float_info.max:
+        raise ValueError(
+            f"the tick spacing {spacing!r} at wavelength = {wavelength!r} is not a normal double"
+        )
+    return spacing
 
 
 def fringe_phase_offset(curve: FringeCurve) -> float:

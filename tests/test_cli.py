@@ -202,6 +202,19 @@ class TestRulerCommand:
         report = json.loads((tmp_path / "ruler.json").read_text())
         assert report["analytic_spacing"] == pytest.approx(5e-7, rel=1e-12)
 
+    @pytest.mark.parametrize("alpha, wavelength", [
+        ("0.52", "1e308"), ("0.6", "1.7e308"),  # the spacing overflows
+        ("20", "1e-320"), ("20", "1e-322"),  # subnormal, or underflowed to 0
+    ])
+    def test_spacing_outside_the_normal_range_is_usage_error(self, tmp_path, capsys, alpha, wavelength):
+        # finite inputs whose tick spacing wavelength / (2 alpha^2) is not a normal double
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "--quiet", "ruler",
+                     "--alpha", alpha, "--wavelength", wavelength]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "spacing" in err
+        assert not out.exists()
+
 
 class TestOracleCommand:
     def test_default_checks_pass(self, tmp_path):

@@ -230,16 +230,6 @@ class TestThresholdProbability:
         expected = 0.5 * (1 + math.erf(2.5 / (0.5 * math.sqrt(2))))
         assert p == pytest.approx(expected, abs=1e-9)
 
-    def test_plus_cat_against_fock_oracle(self):
-        from catruler import fock_oracle
-
-        alpha = 2.0
-        w = 1 / math.sqrt(2 + 2 * math.exp(-(alpha**2) / 2))
-        s = CoherentSuperposition(((w, 0.0), (w, alpha)))
-        analytic = threshold_probability(s, alpha / 2)
-        by_fock = fock_oracle.quadrature_cdf_fock(fock_oracle.superposition_to_fock(s), alpha / 2)
-        assert abs(analytic - by_fock) < 1e-6
-
     def test_quad_and_erf_agree(self):
         rng = np.random.default_rng(17)
         for _ in range(15):

@@ -20,7 +20,6 @@ from catruler.fock_oracle import (
     parity_distribution,
     phase_rotate,
     quadrature_cdf_fock,
-    superposition_to_fock,
     two_mode_product,
 )
 from catruler.physical_realization import (
@@ -96,6 +95,12 @@ class TestCoherentToFock:
             FockVector(np.zeros((2, 2)))
         with pytest.raises(ValueError):
             TwoModeFockTensor(np.zeros((2, 3)))
+
+
+class TestTwoModeProduct:
+    def test_mismatched_modes_rejected(self):
+        with pytest.raises(ValueError):
+            two_mode_product(coherent_to_fock(1.0, 30), coherent_to_fock(1.0, 40))
 
 
 class TestBeamsplitterFock:
@@ -231,7 +236,7 @@ class TestQuadratureCdf:
         w = 1 / math.sqrt(2 + 2 * math.exp(-(alpha**2) / 2))
         s = CoherentSuperposition(((w, 0.0), (w, alpha)))
         analytic = threshold_probability(s, alpha / 2, method="erf")
-        fock = quadrature_cdf_fock(superposition_to_fock(s), alpha / 2)
+        fock = quadrature_cdf_fock(exact_cat(alpha, +1, default_truncation(alpha)), alpha / 2)
         assert abs(analytic - fock) < 1e-6
 
     def test_far_left_threshold_is_zero(self):
@@ -364,19 +369,3 @@ class TestEndToEnd:
         monkeypatch.setattr(fock_oracle, "default_truncation", lambda reach: 12)
         with pytest.raises(TruncationError):
             end_to_end_oracle(RealizationParams(alpha=3.0))
-
-
-class TestSuperpositionToFock:
-    def test_round_trip_of_normalized_cat(self):
-        s = CoherentSuperposition(((0.6, 1.0), (0.8j, -1.0))).normalized()
-        v = superposition_to_fock(s)
-        assert v.norm_squared == pytest.approx(1.0, abs=1e-10)
-
-    def test_zero_norm_rejected(self):
-        s = CoherentSuperposition(((1.0, 0.5), (-1.0, 0.5)))
-        with pytest.raises(ValueError):
-            superposition_to_fock(s)
-
-    def test_mismatched_modes_rejected(self):
-        with pytest.raises(ValueError):
-            two_mode_product(coherent_to_fock(1.0, 30), coherent_to_fock(1.0, 40))

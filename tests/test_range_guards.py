@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from catruler.errors import ApproximationRegimeWarning
 from catruler.fock_oracle import (
     FockVector,
     coherent_to_fock,
@@ -16,15 +17,18 @@ from catruler.fock_oracle import (
     quadrature_cdf_fock,
 )
 from catruler.ideal_circuit import (
-    LogicalQubit,
-    PropagationSetting,
     cat_mean_photon_number,
     ideal_output,
     phase_gate_error,
     snr_ideal,
     v_theta_from_length_power,
 )
-from catruler.physical_realization import RealizationParams, fringe_spacing_physical
+from catruler.physical_realization import (
+    RealizationParams,
+    fringe_scan,
+    fringe_spacing_physical,
+    scan_extracted_spacing,
+)
 
 NAN = math.nan
 
@@ -37,12 +41,16 @@ def nan_vector() -> FockVector:
     return vec
 
 
+def alpha_06_scan():
+    """A finite scan over three fringe periods at alpha = 0.6."""
+    period = 2 * math.pi / 0.6**2
+    with pytest.warns(ApproximationRegimeWarning):
+        return fringe_scan(0.6, -1.5 * period, 1.5 * period, 301)
+
+
 CASES = {
-    "LogicalQubit": lambda: LogicalQubit(NAN, 0.0, 1.0),
     "ideal_output": lambda: ideal_output(2.0, NAN),
-    "PropagationSetting": lambda: PropagationSetting(NAN, 1.0),
-    # delta is finite, but the phase 2 pi delta / wavelength is not
-    "PropagationSetting-overflow": lambda: PropagationSetting(1e300, 1e-10),
+    "ideal_output-nan-in-array": lambda: ideal_output(2.0, np.array([0.0, NAN, 0.1])),
     "v_theta_from_length_power": lambda: v_theta_from_length_power(NAN, 1.0),
     "phase_gate_error": lambda: phase_gate_error(NAN, 0.01),
     "FockVector": lambda: FockVector(np.array([NAN, 0.0])),
@@ -55,7 +63,10 @@ CASES = {
     # alpha = 1e200 is finite, but alpha^2 is not
     "RealizationParams-overflow": lambda: RealizationParams(1e200),
     "fringe_spacing_physical-overflow": lambda: fringe_spacing_physical(1e200, 1e-6),
-    "LogicalQubit-overflow": lambda: LogicalQubit(1.0, 0.0, 1e200),
+    # alpha and wavelength are finite, but wavelength / (2 alpha^2) is not a normal double
+    "fringe_spacing_physical-spacing-overflow": lambda: fringe_spacing_physical(0.52, 1e308),
+    "fringe_spacing_physical-spacing-underflow": lambda: fringe_spacing_physical(20.0, 1e-322),
+    "scan_extracted_spacing-overflow": lambda: scan_extracted_spacing(alpha_06_scan(), 1.7e308),
     "ideal_output-overflow": lambda: ideal_output(1e200, 0.1),
     "ideal_output-phase-overflow": lambda: ideal_output(1e100, 1e300),
     "cat_mean_photon_number-overflow": lambda: cat_mean_photon_number(1e200),
