@@ -35,6 +35,7 @@ SCHEMA_LINE = "# schema=1"
 DEFAULT_POINTS = 801
 AUTO_SPAN_PERIODS = 3.0
 ORACLE_MIN_ALPHA = 0.4  # floor of the oracle cases' alpha draw
+ORACLE_MAX_ALPHA = 20.0  # ceiling: the oracle's (N+1)^2 grid, N ~ alpha^2, is 5 MiB at 20
 
 
 def _fmt(value: float) -> str:
@@ -243,14 +244,10 @@ def _oracle_checks(max_alpha: float, cases: int, seed: int, inject_bug: bool) ->
 
     # beamsplitter against the coherent-amplitude prediction
     g, b, angle, n = 1.5, 1.0, 0.3, 50
-    state = fock_oracle.two_mode_product(
-        fock_oracle.coherent_to_fock(g, n), fock_oracle.coherent_to_fock(b, n)
-    )
+    state = np.outer(fock_oracle.coherent_to_fock(g, n), fock_oracle.coherent_to_fock(b, n))
     mixed = fock_oracle.beamsplitter_fock(state, angle)
-    predicted = fock_oracle.two_mode_product(
-        *(fock_oracle.coherent_to_fock(amp, n) for amp in beamsplitter(g, b, angle))
-    )
-    fidelity = abs(np.vdot(predicted.coefficients, mixed.coefficients)) ** 2
+    predicted = np.outer(*(fock_oracle.coherent_to_fock(a, n) for a in beamsplitter(g, b, angle)))
+    fidelity = abs(np.vdot(predicted, mixed)) ** 2
     checks["beamsplitter_fidelity"] = _check(fidelity, 1e-8, at_least=True)
 
     # parity of displaced cats
@@ -260,8 +257,7 @@ def _oracle_checks(max_alpha: float, cases: int, seed: int, inject_bug: bool) ->
             norm = 1.0 / math.sqrt(cat_norm_squared(alpha, sign))
             lo_amp = fock_oracle.coherent_to_fock(-alpha / 2.0, 60)
             hi_amp = fock_oracle.coherent_to_fock(alpha / 2.0, 60)
-            vec = fock_oracle.FockVector((lo_amp.coefficients + sign * hi_amp.coefficients) * norm)
-            p_even, p_odd = fock_oracle.parity_distribution(vec)
+            p_even, p_odd = fock_oracle.parity_distribution((lo_amp + sign * hi_amp) * norm)
             worst_parity = max(worst_parity, p_odd if sign > 0 else p_even)
     checks["parity_theorem"] = _check(worst_parity, 1e-10)
 
@@ -298,10 +294,11 @@ def _oracle_checks(max_alpha: float, cases: int, seed: int, inject_bug: bool) ->
 def cmd_oracle(args) -> int:
     if args.cases <= 0:
         raise ValueError("--cases must be positive")
-    if not (args.max_alpha > ORACLE_MIN_ALPHA and math.isfinite(args.max_alpha)):
+    if not ORACLE_MIN_ALPHA < args.max_alpha <= ORACLE_MAX_ALPHA:
         raise ValueError(
-            f"--max-alpha must be finite and above {ORACLE_MIN_ALPHA}, "
-            f"where the cases' alpha draw starts; got {args.max_alpha!r}"
+            f"--max-alpha must lie in ({ORACLE_MIN_ALPHA}, {ORACLE_MAX_ALPHA:g}]: the cases' "
+            f"alpha draw starts at {ORACLE_MIN_ALPHA}, and the number-basis grid grows as "
+            f"alpha^4; got {args.max_alpha!r}"
         )
     # numpy would reject a negative seed without naming the flag
     if args.seed < 0:

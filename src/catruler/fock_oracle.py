@@ -13,15 +13,16 @@ from coherent_algebra, and in particular the cat normalization is
 written out here rather than taken from coherent_algebra.cat_norm_squared.
 
 Truncations follow N = max(30, ceil(|g|^2 + 8 |g| + 20)) per mode
-(a Poisson-tail bound), and every constructor or unitary verifies the
-realized tail mass / norm loss rather than assuming the bound.
+(a Poisson-tail bound), and coherent_to_fock and beamsplitter_fock verify
+the realized tail mass / norm loss rather than assuming the bound.  States
+are plain complex arrays: a single mode is its coefficient vector
+c_0 .. c_N, two modes the (N+1) x (N+1) grid (mode a, mode b).
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -30,8 +31,7 @@ from scipy.special import erfc, jv
 from .errors import IntegrationError, TruncationError
 from .physical_realization import CANCELLATION_LIMIT, RealizationParams
 
-# Largest tail mass a coherent-state or superposition expansion may leave
-# beyond its truncation.
+# Largest tail mass a coherent-state expansion may leave beyond its truncation.
 TAIL_TOL = 1e-8
 # Largest norm drift, or mass at the occupation cutoff, of the beamsplitter.
 UNITARY_NORM_TOL = 1e-8
@@ -39,63 +39,23 @@ UNITARY_NORM_TOL = 1e-8
 STATE_NORM_TOL = 1e-6
 
 
+def _mean_photon_number(gamma: complex) -> float:
+    """|gamma|^2; ValueError where it overflows."""
+    try:
+        return abs(gamma) ** 2
+    except OverflowError:
+        raise ValueError(f"|gamma|^2 overflows for gamma = {gamma!r}") from None
+
+
 def default_truncation(max_abs_amplitude: float) -> int:
     """Per-mode truncation for amplitudes up to |g|: max(30, |g|^2 + 8|g| + 20)."""
     g = abs(max_abs_amplitude)
-    return max(30, math.ceil(g**2 + 8.0 * g + 20.0))
+    return max(30, math.ceil(_mean_photon_number(g) + 8.0 * g + 20.0))
 
 
-@dataclass(frozen=True)
-class FockVector:
-    """Single-mode state as number-basis coefficients c_0 .. c_N."""
-
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coefficients, dtype=complex).copy()
-        if coeffs.ndim != 1:
-            raise ValueError("coefficients must be one-dimensional")
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coefficients", coeffs)
-        if not self.norm_squared <= 1.0 + 1e-9:
-            raise ValueError(f"norm^2 = {self.norm_squared!r} exceeds 1 or is not finite")
-
-    @property
-    def truncation(self) -> int:
-        """Highest photon number N held."""
-        return self.coefficients.size - 1
-
-    @property
-    def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.coefficients) ** 2))
-
-
-@dataclass(frozen=True)
-class TwoModeFockTensor:
-    """Two-mode state as an (N+1) x (N+1) coefficient grid (mode a, mode b)."""
-
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coefficients, dtype=complex).copy()
-        if coeffs.ndim != 2 or coeffs.shape[0] != coeffs.shape[1]:
-            raise ValueError(f"coefficients must be a square grid, got shape {coeffs.shape}")
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coefficients", coeffs)
-
-    @property
-    def truncation(self) -> int:
-        """Highest photon number N held per mode."""
-        return self.coefficients.shape[0] - 1
-
-    @property
-    def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.coefficients) ** 2))
-
-
-def coherent_to_fock(gamma: complex, truncation: int | None = None) -> FockVector:
-    """|gamma> in the number basis, built by the stable ratio recurrence
-    c_n = c_{n-1} gamma / sqrt(n) from c_0 = e^{-|gamma|^2/2}.
+def coherent_to_fock(gamma: complex, truncation: int | None = None) -> np.ndarray:
+    """|gamma> in the number basis, c_0 .. c_N, built by the stable ratio
+    recurrence c_n = c_{n-1} gamma / sqrt(n) from c_0 = e^{-|gamma|^2/2}.
 
     c_0 leaves the normal floating-point range past |gamma| ~ 37.6, while
     the coefficients near n = |gamma|^2 stay of order |gamma|^(-1/2).  As
@@ -108,16 +68,20 @@ def coherent_to_fock(gamma: complex, truncation: int | None = None) -> FockVecto
     gamma = complex(gamma)
     if not (math.isfinite(gamma.real) and math.isfinite(gamma.imag)):
         raise ValueError(f"gamma must be finite, got {gamma!r}")
+    mean = _mean_photon_number(gamma)
     if truncation is None:
         truncation = default_truncation(abs(gamma))
     if truncation < 1:
         raise ValueError("truncation must be at least 1")
+    # more than half the mass lies beyond N < |gamma|^2
+    if truncation < mean:
+        raise TruncationError(f"N = {truncation} is below |gamma|^2 = {mean:.3e}")
     coeffs = np.empty(truncation + 1, dtype=complex)
-    coeffs[0] = math.exp(-abs(gamma) ** 2 / 2.0)
+    coeffs[0] = math.exp(-mean / 2.0)
     shifts = 0
     if coeffs[0].real < sys.float_info.min:
-        shifts = math.ceil((abs(gamma) ** 2 / 2.0 - 640.0) / (900.0 * math.log(2.0)))
-        coeffs[0] = math.exp(900.0 * shifts * math.log(2.0) - abs(gamma) ** 2 / 2.0)
+        shifts = math.ceil((mean / 2.0 - 640.0) / (900.0 * math.log(2.0)))
+        coeffs[0] = math.exp(900.0 * shifts * math.log(2.0) - mean / 2.0)
     drops = []  # orders at which a factor 2^900 comes off
     for n in range(1, truncation + 1):
         coeffs[n] = coeffs[n - 1] * gamma / math.sqrt(n)
@@ -127,29 +91,23 @@ def coherent_to_fock(gamma: complex, truncation: int | None = None) -> FockVecto
     if shifts:
         scales = 900 * (np.searchsorted(drops, np.arange(truncation + 1), side="right") - shifts)
         coeffs.real, coeffs.imag = np.ldexp(coeffs.real, scales), np.ldexp(coeffs.imag, scales)
-    tail = max(0.0, 1.0 - float(np.sum(np.abs(coeffs) ** 2)))
-    if tail > TAIL_TOL:
+    tail = 1.0 - float(np.sum(np.abs(coeffs) ** 2))
+    # fails on a non-finite sum as well
+    if not abs(tail) <= TAIL_TOL:
         raise TruncationError(
             f"coherent state |{gamma}| leaves tail mass {tail:.3e} beyond N = {truncation}"
         )
-    return FockVector(coeffs)
+    return coeffs
 
 
-def two_mode_product(mode_a: FockVector, mode_b: FockVector) -> TwoModeFockTensor:
-    if mode_a.truncation != mode_b.truncation:
-        raise ValueError("both modes must share one truncation")
-    return TwoModeFockTensor(np.outer(mode_a.coefficients, mode_b.coefficients))
-
-
-def phase_rotate(state: FockVector, theta: float) -> FockVector:
+def phase_rotate(state: np.ndarray, theta: float) -> np.ndarray:
     """Apply exp(i theta n): coefficient c_n picks up e^{i n theta}."""
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
-    phases = np.exp(1j * theta * np.arange(state.truncation + 1))
-    return FockVector(state.coefficients * phases)
+    return state * np.exp(1j * theta * np.arange(state.size))
 
 
-def beamsplitter_fock(state: TwoModeFockTensor, mix_angle: float) -> TwoModeFockTensor:
+def beamsplitter_fock(grid: np.ndarray, mix_angle: float) -> np.ndarray:
     """exp[i t (a^dag b + a b^dag)], the unitary whose coherent-amplitude
     action is |g>|b> -> |cos t g + i sin t b>|cos t b + i sin t g>.
 
@@ -173,9 +131,11 @@ def beamsplitter_fock(state: TwoModeFockTensor, mix_angle: float) -> TwoModeFock
     """
     if not math.isfinite(mix_angle):
         raise ValueError("mix_angle must be finite")
-    n_cut = state.truncation
-    d = n_cut + 1
-    grid = state.coefficients
+    grid = np.asarray(grid, dtype=complex)
+    if grid.ndim != 2 or grid.shape[0] != grid.shape[1]:
+        raise ValueError(f"a two-mode state is a square grid, got shape {grid.shape}")
+    d = grid.shape[0]
+    n_cut = d - 1
     quarter = round(mix_angle / (math.pi / 2.0))
     turn = mix_angle - quarter * (math.pi / 2.0)
     if quarter % 4:
@@ -214,7 +174,8 @@ def beamsplitter_fock(state: TwoModeFockTensor, mix_angle: float) -> TwoModeFock
         previous, current = current, recur(current, previous)
 
     after = float(np.vdot(out, out).real)
-    if abs(after - before) > UNITARY_NORM_TOL * max(1.0, before):
+    # written so that NaN fails both checks
+    if not abs(after - before) <= UNITARY_NORM_TOL * max(1.0, before):
         raise TruncationError(
             f"beamsplitter norm drift {after - before:.3e} exceeds {UNITARY_NORM_TOL:.1e}"
         )
@@ -224,20 +185,26 @@ def beamsplitter_fock(state: TwoModeFockTensor, mix_angle: float) -> TwoModeFock
         + float(np.sum(np.abs(grid[:, -1]) ** 2))
         - float(np.abs(grid[-1, -1]) ** 2)
     )
-    if boundary > UNITARY_NORM_TOL * max(1.0, before):
+    if not boundary <= UNITARY_NORM_TOL * max(1.0, before):
         raise TruncationError(
-            f"occupation mass {boundary:.3e} reached the cutoff N = {state.truncation}; "
+            f"occupation mass {boundary:.3e} reached the cutoff N = {n_cut}; "
             "increase the truncation"
         )
-    return TwoModeFockTensor(grid)
+    return grid
 
 
-def parity_distribution(state: FockVector) -> tuple[float, float]:
+def _normalized_norm_squared(state: np.ndarray) -> float:
+    """norm^2 of a single-mode state, a vector with |norm^2 - 1| <= STATE_NORM_TOL."""
+    n2 = float(np.sum(np.abs(state) ** 2))
+    if state.ndim != 1 or not abs(n2 - 1.0) <= STATE_NORM_TOL:
+        raise ValueError(f"state of shape {state.shape}, norm^2 = {n2!r}, is not a normalized vector")
+    return n2
+
+
+def parity_distribution(state: np.ndarray) -> tuple[float, float]:
     """(p_even, p_odd) photon-number parity masses of a normalized state."""
-    n2 = state.norm_squared
-    if not abs(n2 - 1.0) <= STATE_NORM_TOL:
-        raise ValueError(f"state norm^2 = {n2!r}; parity needs a normalized state")
-    probs = np.abs(state.coefficients) ** 2 / n2
+    n2 = _normalized_norm_squared(state)
+    probs = np.abs(state) ** 2 / n2
     p_even = float(np.sum(probs[0::2]))
     return p_even, 1.0 - p_even
 
@@ -265,7 +232,7 @@ def _hermite_functions(count: int, xi: float) -> np.ndarray:
     return values
 
 
-def quadrature_cdf_fock(state: FockVector, threshold: float) -> float:
+def quadrature_cdf_fock(state: np.ndarray, threshold: float) -> float:
     """Probability of a quadrature outcome at or below threshold.
 
     In the oscillator eigenbasis psi_n (<x>_g = Re(g), vacuum variance
@@ -281,20 +248,18 @@ def quadrature_cdf_fock(state: FockVector, threshold: float) -> float:
     """
     if not math.isfinite(threshold):
         raise ValueError("threshold must be finite")
-    n2 = state.norm_squared
-    if not abs(n2 - 1.0) <= STATE_NORM_TOL:
-        raise ValueError("quadrature CDF expects a normalized state")
+    n2 = _normalized_norm_squared(state)
     # support of every basis state up to N ends near the classical
-    # turning point; far below it nothing is left to integrate, far
-    # above it everything is
-    edge = math.sqrt((2.0 * state.truncation + 1.0) / 2.0) + 8.0
+    # turning point sqrt(N + 1/2); far below it nothing is left to
+    # integrate, far above it everything is
+    edge = math.sqrt(state.size - 0.5) + 8.0
     if threshold <= -edge:
         return 0.0
     if threshold >= edge:
         return min(n2, 1.0 + 1e-9)
     xi = math.sqrt(2.0) * threshold
-    n = np.arange(state.truncation + 1)
-    phi = _hermite_functions(state.truncation + 2, xi)  # phi_0 .. phi_{N+1}
+    n = np.arange(state.size)
+    phi = _hermite_functions(state.size + 1, xi)  # phi_0 .. phi_{N+1}
     below = np.concatenate(([0.0], phi[:-2]))  # phi_{n-1}, zero at n = 0
     phi, above = phi[:-1], phi[1:]
     slope = np.sqrt(n / 2.0) * below - np.sqrt((n + 1.0) / 2.0) * above
@@ -304,7 +269,7 @@ def quadrature_cdf_fock(state: FockVector, threshold: float) -> float:
     steps = phi[:-1] * phi[1:] / np.sqrt(2.0 * n[1:])
     np.fill_diagonal(integrals, 0.5 * erfc(-xi) - np.concatenate(([0.0], np.cumsum(steps))))
     # I is real symmetric, so c^dag I c = a^T I a + b^T I b for c = a + i b
-    parts = np.stack([state.coefficients.real, state.coefficients.imag])
+    parts = np.stack([state.real, state.imag])
     probability = float(np.sum(parts * (parts @ integrals)))
     if not math.isfinite(probability):
         raise ValueError(f"quadrature CDF {probability!r} is not finite")
@@ -340,21 +305,19 @@ def end_to_end_oracle(p: RealizationParams) -> OracleProbabilities:
     norm = 1.0 / math.sqrt(2.0 + 2.0 * math.exp(-(alpha**2) / 2.0))
     vac = coherent_to_fock(0.0, truncation)
     amp = coherent_to_fock(alpha, truncation)
-    plus_cat = FockVector((vac.coefficients + amp.coefficients) * norm)
+    plus_cat = (vac + amp) * norm
     minus_norm = 1.0 / math.sqrt(2.0 - 2.0 * math.exp(-(alpha**2) / 2.0))
-    minus_cat = FockVector((vac.coefficients - amp.coefficients) * minus_norm)
+    minus_cat = (vac - amp) * minus_norm
 
-    signal = phase_rotate(plus_cat, p.theta)
-    joint = two_mode_product(signal, plus_cat)
-    mixed = beamsplitter_fock(joint, p.phi)
+    mixed = beamsplitter_fock(np.outer(phase_rotate(plus_cat, p.theta), plus_cat), p.phi)
 
-    conditional_plus = np.conj(plus_cat.coefficients) @ mixed.coefficients
-    conditional_minus = np.conj(minus_cat.coefficients) @ mixed.coefficients
+    conditional_plus = np.conj(plus_cat) @ mixed
+    conditional_minus = np.conj(minus_cat) @ mixed
     w_plus = float(np.vdot(conditional_plus, conditional_plus).real)
     w_minus = float(np.vdot(conditional_minus, conditional_minus).real)
     leakage = 1.0 - w_plus - w_minus
     for cat, weight in ((plus_cat, w_plus), (minus_cat, w_minus)):
-        terms = np.abs(cat.coefficients) @ np.abs(mixed.coefficients)
+        terms = np.abs(cat) @ np.abs(mixed)
         if not CANCELLATION_LIMIT * weight > terms @ terms:
             raise IntegrationError(
                 f"oracle failed at theta = {p.theta!r}: outcome weight is below "
@@ -362,6 +325,6 @@ def end_to_end_oracle(p: RealizationParams) -> OracleProbabilities:
             )
 
     threshold = alpha / 2.0
-    p_plus = quadrature_cdf_fock(FockVector(conditional_plus / math.sqrt(w_plus)), threshold)
-    p_minus = quadrature_cdf_fock(FockVector(conditional_minus / math.sqrt(w_minus)), threshold)
+    p_plus = quadrature_cdf_fock(conditional_plus / math.sqrt(w_plus), threshold)
+    p_minus = quadrature_cdf_fock(conditional_minus / math.sqrt(w_minus), threshold)
     return OracleProbabilities(p_plus, p_minus, leakage, w_plus, w_minus)

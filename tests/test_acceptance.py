@@ -25,7 +25,6 @@ import pytest
 
 from catruler.cli import main
 from catruler.fock_oracle import (
-    FockVector,
     coherent_to_fock,
     end_to_end_oracle,
     parity_distribution,
@@ -157,12 +156,11 @@ def test_criterion_5_oracle_equivalence():
 def test_criterion_6_parity_theorem():
     worst = 0.0
     for alpha in (1.0, 2.0, 3.0):
-        lo = coherent_to_fock(-alpha / 2, 60).coefficients
-        hi = coherent_to_fock(alpha / 2, 60).coefficients
+        lo = coherent_to_fock(-alpha / 2, 60)
+        hi = coherent_to_fock(alpha / 2, 60)
         for sign in (+1, -1):
             norm = 1.0 / math.sqrt(2 + sign * 2 * math.exp(-(alpha**2) / 2))
-            vec = FockVector((lo + sign * hi) * norm)
-            p_even, p_odd = parity_distribution(vec)
+            p_even, p_odd = parity_distribution((lo + sign * hi) * norm)
             worst = max(worst, p_odd if sign > 0 else p_even)
     passed = worst < 1e-10
     line = report(6, "displaced cats are parity eigenstates", passed,

@@ -237,9 +237,10 @@ class TestOracleCommand:
     def test_empty_case_list_is_usage_error(self, tmp_path):
         assert main(["--out", str(tmp_path), "--quiet", "oracle", "--cases", "0"]) == 2
 
-    @pytest.mark.parametrize("value", ["0.1", "0.4", "-inf", "inf", "nan"])
+    @pytest.mark.parametrize("value", ["0.1", "0.4", "-inf", "inf", "nan", "20.5", "100"])
     def test_bad_max_alpha_is_usage_error(self, tmp_path, capsys, value):
-        # cases draw alpha from [0.4, max-alpha), which needs a finite bound above 0.4
+        # cases draw alpha from [0.4, max-alpha), which needs a bound above 0.4; the
+        # oracle's grid grows as alpha^4 (1.75 GiB at alpha = 100), so 20 caps the bound
         out = tmp_path / "out"
         assert main(["--out", str(out), "--quiet", "oracle", "--max-alpha", value]) == 2
         assert "--max-alpha" in capsys.readouterr().err

@@ -11,8 +11,6 @@ from catruler import fock_oracle
 from catruler.coherent_algebra import CoherentSuperposition, threshold_probability
 from catruler.errors import IntegrationError, TruncationError
 from catruler.fock_oracle import (
-    FockVector,
-    TwoModeFockTensor,
     beamsplitter_fock,
     coherent_to_fock,
     default_truncation,
@@ -20,7 +18,6 @@ from catruler.fock_oracle import (
     parity_distribution,
     phase_rotate,
     quadrature_cdf_fock,
-    two_mode_product,
 )
 from catruler.physical_realization import (
     RealizationParams,
@@ -35,9 +32,9 @@ pytestmark = pytest.mark.filterwarnings("ignore::catruler.errors.ApproximationRe
 
 def exact_cat(alpha, sign, truncation):
     norm = 1.0 / math.sqrt(2 + sign * 2 * math.exp(-(alpha**2) / 2))
-    vac = coherent_to_fock(0.0, truncation).coefficients
-    amp = coherent_to_fock(alpha, truncation).coefficients
-    return FockVector((vac + sign * amp) * norm)
+    vac = coherent_to_fock(0.0, truncation)
+    amp = coherent_to_fock(alpha, truncation)
+    return (vac + sign * amp) * norm
 
 
 def total_quanta(truncation):
@@ -48,19 +45,19 @@ def total_quanta(truncation):
 class TestCoherentToFock:
     def test_vacuum(self):
         v = coherent_to_fock(0.0, 10)
-        assert v.coefficients[0] == 1.0
-        assert np.all(v.coefficients[1:] == 0.0)
+        assert v[0] == 1.0
+        assert np.all(v[1:] == 0.0)
 
     def test_photon_number_moment(self):
         v = coherent_to_fock(2.0, 60)
         n = np.arange(61)
-        mean = float(np.sum(n * np.abs(v.coefficients) ** 2))
+        mean = float(np.sum(n * np.abs(v) ** 2))
         assert mean == pytest.approx(4.0, abs=1e-8)
 
     def test_inner_product_matches_overlap_formula(self):
         a = coherent_to_fock(0.0, 60)
         b = coherent_to_fock(2.0, 60)
-        assert np.vdot(a.coefficients, b.coefficients) == pytest.approx(math.exp(-2.0), abs=1e-10)
+        assert np.vdot(a, b) == pytest.approx(math.exp(-2.0), abs=1e-10)
 
     def test_truncation_too_small_raises(self):
         with pytest.raises(TruncationError):
@@ -70,64 +67,64 @@ class TestCoherentToFock:
     def test_amplitude_past_the_vacuum_term_underflow(self, gamma):
         # c_0 = e^{-|gamma|^2/2} underflows, the coefficients near n = |gamma|^2 do not
         v = coherent_to_fock(gamma)
-        n = np.arange(v.truncation + 1)
-        assert abs(v.norm_squared - 1.0) <= 1e-8
-        mean = float(np.sum(n * np.abs(v.coefficients) ** 2))
+        n = np.arange(v.size)
+        assert abs(float(np.sum(np.abs(v) ** 2)) - 1.0) <= 1e-8
+        mean = float(np.sum(n * np.abs(v) ** 2))
         assert mean == pytest.approx(abs(gamma) ** 2, rel=1e-9)
 
     def test_no_rescaling_while_the_vacuum_term_is_normal(self):
         gamma = 37.0
         v = coherent_to_fock(gamma)
-        plain = np.empty(v.truncation + 1, dtype=complex)
+        plain = np.empty(v.size, dtype=complex)
         plain[0] = math.exp(-(gamma**2) / 2.0)
-        for k in range(1, v.truncation + 1):
+        for k in range(1, v.size):
             plain[k] = plain[k - 1] * gamma / math.sqrt(k)
-        assert np.array_equal(v.coefficients, plain)
+        assert np.array_equal(v, plain)
 
     def test_default_truncation_heuristic(self):
         assert default_truncation(0.0) == 30
         assert default_truncation(3.0) == math.ceil(9 + 24 + 20)
 
     def test_vector_validation(self):
-        with pytest.raises(ValueError):
-            FockVector(np.ones(6, dtype=complex) * 2.0)
-        with pytest.raises(ValueError):
-            FockVector(np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            TwoModeFockTensor(np.zeros((2, 3)))
-
-
-class TestTwoModeProduct:
-    def test_mismatched_modes_rejected(self):
-        with pytest.raises(ValueError):
-            two_mode_product(coherent_to_fock(1.0, 30), coherent_to_fock(1.0, 40))
+        # a two-mode state is a square grid, a single-mode state a vector
+        with pytest.raises(ValueError, match="square grid"):
+            beamsplitter_fock(np.zeros((2, 3), dtype=complex), 0.3)
+        grid = np.eye(2, dtype=complex) / math.sqrt(2.0)  # norm^2 = 1
+        with pytest.raises(ValueError, match="vector"):
+            parity_distribution(grid)
+        with pytest.raises(ValueError, match="vector"):
+            quadrature_cdf_fock(grid, 0.0)
 
 
 class TestBeamsplitterFock:
+    def test_mismatched_modes_rejected(self):
+        with pytest.raises(ValueError, match="square grid"):
+            beamsplitter_fock(np.outer(coherent_to_fock(1.0, 30), coherent_to_fock(1.0, 40)), 0.3)
+
     def test_zero_angle_identity(self):
-        state = two_mode_product(coherent_to_fock(1.0, 30), coherent_to_fock(0.5j, 30))
+        state = np.outer(coherent_to_fock(1.0, 30), coherent_to_fock(0.5j, 30))
         out = beamsplitter_fock(state, 0.0)
-        assert np.max(np.abs(out.coefficients - state.coefficients)) < 1e-12
+        assert np.max(np.abs(out - state)) < 1e-12
 
     def test_coherent_amplitude_relation(self):
         g, b, angle, n = 1.5, 1.0, 0.3, 50
-        state = two_mode_product(coherent_to_fock(g, n), coherent_to_fock(b, n))
+        state = np.outer(coherent_to_fock(g, n), coherent_to_fock(b, n))
         out = beamsplitter_fock(state, angle)
         c, s = math.cos(angle), math.sin(angle)
-        predicted = two_mode_product(
+        predicted = np.outer(
             coherent_to_fock(c * g + 1j * s * b, n), coherent_to_fock(c * b + 1j * s * g, n)
         )
-        fidelity = abs(np.vdot(predicted.coefficients, out.coefficients)) ** 2
+        fidelity = abs(np.vdot(predicted, out)) ** 2
         assert fidelity >= 1 - 1e-8
 
     def test_total_photon_number_conserved(self):
         n = 40
-        state = two_mode_product(coherent_to_fock(1.2, n), coherent_to_fock(0.8j, n))
+        state = np.outer(coherent_to_fock(1.2, n), coherent_to_fock(0.8j, n))
         out = beamsplitter_fock(state, 0.9)
         idx = np.arange(n + 1)
         total = idx[:, None] + idx[None, :]
-        before = float(np.sum(total * np.abs(state.coefficients) ** 2))
-        after = float(np.sum(total * np.abs(out.coefficients) ** 2))
+        before = float(np.sum(total * np.abs(state) ** 2))
+        after = float(np.sum(total * np.abs(out) ** 2))
         assert after == pytest.approx(before, abs=1e-8)
 
     def test_norm_preserved_on_random_state(self):
@@ -138,9 +135,8 @@ class TestBeamsplitterFock:
         grid[12:, :] = 0.0
         grid[:, 12:] = 0.0
         grid /= np.linalg.norm(grid)
-        state = TwoModeFockTensor(grid)
-        out = beamsplitter_fock(state, 1.1)
-        assert out.norm_squared == pytest.approx(1.0, abs=1e-8)
+        out = beamsplitter_fock(grid, 1.1)
+        assert float(np.sum(np.abs(out) ** 2)) == pytest.approx(1.0, abs=1e-8)
 
     @pytest.mark.parametrize(
         "angle", [0.0, 0.17, -0.17, math.pi / 4, 9.8, -9.8, math.pi / 2, -math.pi / 2, math.pi, 30.0]
@@ -161,9 +157,9 @@ class TestBeamsplitterFock:
         # mass reaches the cutoff: compare the truncated dynamics with the
         # checks off
         monkeypatch.setattr(fock_oracle, "UNITARY_NORM_TOL", math.inf)
-        out = beamsplitter_fock(TwoModeFockTensor(grid), angle)
+        out = beamsplitter_fock(grid, angle)
         expected = expm(1j * angle * generator) @ grid.reshape(-1)
-        assert np.max(np.abs(out.coefficients.reshape(-1) - expected)) < 1e-12
+        assert np.max(np.abs(out.reshape(-1) - expected)) < 1e-12
 
     @pytest.mark.parametrize("angle", [0.0, 0.3, -0.6, 2.0, 9.8])
     def test_quarter_turn_is_phased_mode_swap(self, angle):
@@ -173,9 +169,8 @@ class TestBeamsplitterFock:
         grid = rng.normal(size=(n + 1, n + 1)) + 1j * rng.normal(size=(n + 1, n + 1))
         grid[total_quanta(n) >= n] = 0.0  # no mass can reach the cutoff
         grid /= np.linalg.norm(grid)
-        state = TwoModeFockTensor(grid)
-        turned = beamsplitter_fock(state, angle + math.pi / 2).coefficients
-        swapped = 1j ** total_quanta(n) * beamsplitter_fock(state, angle).coefficients.T
+        turned = beamsplitter_fock(grid, angle + math.pi / 2)
+        swapped = 1j ** total_quanta(n) * beamsplitter_fock(grid, angle).T
         assert np.max(np.abs(turned - swapped)) < 1e-12
 
     def test_cutoff_overflow_detected(self):
@@ -183,7 +178,7 @@ class TestBeamsplitterFock:
         grid = np.zeros((n + 1, n + 1), dtype=complex)
         grid[4, 4] = 1.0  # total 8 quanta cannot fit one mode of size 6
         with pytest.raises(TruncationError):
-            beamsplitter_fock(TwoModeFockTensor(grid), math.pi / 4)
+            beamsplitter_fock(grid, math.pi / 4)
 
 
 class TestParity:
@@ -194,17 +189,17 @@ class TestParity:
     @pytest.mark.parametrize("alpha", [1.0, 2.0, 3.0])
     def test_displaced_plus_cat_is_even(self, alpha):
         norm = 1.0 / math.sqrt(2 + 2 * math.exp(-(alpha**2) / 2))
-        lo = coherent_to_fock(-alpha / 2, 60).coefficients
-        hi = coherent_to_fock(alpha / 2, 60).coefficients
-        _, p_odd = parity_distribution(FockVector((lo + hi) * norm))
+        lo = coherent_to_fock(-alpha / 2, 60)
+        hi = coherent_to_fock(alpha / 2, 60)
+        _, p_odd = parity_distribution((lo + hi) * norm)
         assert p_odd < 1e-10
 
     @pytest.mark.parametrize("alpha", [1.0, 2.0, 3.0])
     def test_displaced_minus_cat_is_odd(self, alpha):
         norm = 1.0 / math.sqrt(2 - 2 * math.exp(-(alpha**2) / 2))
-        lo = coherent_to_fock(-alpha / 2, 60).coefficients
-        hi = coherent_to_fock(alpha / 2, 60).coefficients
-        p_even, _ = parity_distribution(FockVector((lo - hi) * norm))
+        lo = coherent_to_fock(-alpha / 2, 60)
+        hi = coherent_to_fock(alpha / 2, 60)
+        p_even, _ = parity_distribution((lo - hi) * norm)
         assert p_even < 1e-10
 
     def test_general_even_superposition(self):
@@ -213,15 +208,13 @@ class TestParity:
             g = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
             if abs(g) < 0.3:
                 continue
-            plus = coherent_to_fock(g, 80).coefficients + coherent_to_fock(-g, 80).coefficients
-            vec = FockVector(plus / np.linalg.norm(plus))
-            _, p_odd = parity_distribution(vec)
+            plus = coherent_to_fock(g, 80) + coherent_to_fock(-g, 80)
+            _, p_odd = parity_distribution(plus / np.linalg.norm(plus))
             assert p_odd < 1e-10
 
     def test_requires_normalized_state(self):
-        v = FockVector(np.array([0.5] + [0.0] * 30, dtype=complex))
         with pytest.raises(ValueError):
-            parity_distribution(v)
+            parity_distribution(np.array([0.5] + [0.0] * 30, dtype=complex))
 
 
 class TestQuadratureCdf:
@@ -260,11 +253,10 @@ class TestQuadratureCdf:
         rng = np.random.default_rng(truncation)
         coefficients = rng.normal(size=truncation + 1) + 1j * rng.normal(size=truncation + 1)
         coefficients /= np.linalg.norm(coefficients)
-        state = FockVector(coefficients)
         lower = -(math.sqrt(truncation + 0.5) + 8.0)
         for threshold in (-4.0, -1.3, 0.0, 0.7, 4.0):
             expected, _ = quad(density, lower, threshold, limit=400, epsabs=1e-13, epsrel=1e-12)
-            assert quadrature_cdf_fock(state, threshold) == pytest.approx(expected, abs=1e-10)
+            assert quadrature_cdf_fock(coefficients, threshold) == pytest.approx(expected, abs=1e-10)
 
     @pytest.mark.parametrize("amplitude, threshold, z", [(25.0, 27.5, 5.0), (-25.0, -27.5, -5.0)])
     def test_deep_tail_of_a_large_coherent_state(self, amplitude, threshold, z):
@@ -285,7 +277,7 @@ class TestPhaseRotate:
         theta = 0.7
         rotated = phase_rotate(coherent_to_fock(1.5, 40), theta)
         target = coherent_to_fock(1.5 * np.exp(1j * theta), 40)
-        fidelity = abs(np.vdot(target.coefficients, rotated.coefficients)) ** 2
+        fidelity = abs(np.vdot(target, rotated)) ** 2
         assert fidelity == pytest.approx(1.0, abs=1e-12)
 
 

@@ -1,17 +1,19 @@
 """Range guards fail on NaN and on overflow: every public entry point
 below rejects a NaN amplitude, angle, length or coefficient, or an input
 whose formula overflows, with ValueError instead of returning NaN or inf
-or raising OverflowError."""
+or raising OverflowError.  The oracle's truncation and norm checks refuse
+the cases in TRUNCATION_CASES instead, with TruncationError."""
 
 import math
 
 import numpy as np
 import pytest
 
-from catruler.errors import ApproximationRegimeWarning
+from catruler.errors import ApproximationRegimeWarning, TruncationError
 from catruler.fock_oracle import (
-    FockVector,
+    beamsplitter_fock,
     coherent_to_fock,
+    default_truncation,
     parity_distribution,
     phase_rotate,
     quadrature_cdf_fock,
@@ -33,12 +35,15 @@ from catruler.physical_realization import (
 NAN = math.nan
 
 
-def nan_vector() -> FockVector:
-    """A FockVector holding NaN, past the constructor's own check, so that
-    the guards of the functions that take one are reached."""
-    vec = FockVector(np.array([1.0, 0.0]))
-    object.__setattr__(vec, "coefficients", np.array([NAN, 0.0], dtype=complex))
-    return vec
+def nan_vector() -> np.ndarray:
+    return np.array([NAN, 0.0], dtype=complex)
+
+
+def nan_grid() -> np.ndarray:
+    """A two-mode vacuum with one NaN amplitude, which passes the square-grid check."""
+    grid = np.zeros((3, 3), dtype=complex)
+    grid[0, 0] = NAN
+    return grid
 
 
 def alpha_06_scan():
@@ -53,11 +58,19 @@ CASES = {
     "ideal_output-nan-in-array": lambda: ideal_output(2.0, np.array([0.0, NAN, 0.1])),
     "v_theta_from_length_power": lambda: v_theta_from_length_power(NAN, 1.0),
     "phase_gate_error": lambda: phase_gate_error(NAN, 0.01),
-    "FockVector": lambda: FockVector(np.array([NAN, 0.0])),
     "parity_distribution": lambda: parity_distribution(nan_vector()),
     "quadrature_cdf_fock": lambda: quadrature_cdf_fock(nan_vector(), 0.0),
     "coherent_to_fock": lambda: coherent_to_fock(NAN, 10),
     "phase_rotate": lambda: phase_rotate(coherent_to_fock(1.0), NAN),
+    "beamsplitter_fock-nan": lambda: beamsplitter_fock(nan_grid(), 0.3),
+    # |gamma| = 1e160 is finite, but |gamma|^2 is not
+    "coherent_to_fock-overflow": lambda: coherent_to_fock(1e160, 10),
+    "default_truncation-overflow": lambda: default_truncation(1e160),
+    # finite |gamma|^2 far above the truncation
+    "coherent_to_fock-1e10": lambda: coherent_to_fock(1e10, 10),
+    "coherent_to_fock-1e20": lambda: coherent_to_fock(1e20, 10),
+    "coherent_to_fock-1e100": lambda: coherent_to_fock(1e100, 10),
+    "coherent_to_fock-1.3e154": lambda: coherent_to_fock(1.3e154, 10),
     "snr_ideal-nan": lambda: snr_ideal(NAN, 2.0),
     "snr_ideal-inf": lambda: snr_ideal(math.inf, 2.0),
     # alpha = 1e200 is finite, but alpha^2 is not
@@ -75,7 +88,16 @@ CASES = {
 }
 
 
+TRUNCATION_CASES = {
+    "beamsplitter_fock-nan",
+    "coherent_to_fock-1e10",
+    "coherent_to_fock-1e20",
+    "coherent_to_fock-1e100",
+    "coherent_to_fock-1.3e154",
+}
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_nan_input_is_rejected(name):
-    with pytest.raises(ValueError):
+    with pytest.raises(TruncationError if name in TRUNCATION_CASES else ValueError):
         CASES[name]()
