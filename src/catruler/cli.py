@@ -15,13 +15,13 @@ import math
 import sys
 import warnings
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 from . import fock_oracle, physical_realization
 from .coherent_algebra import MAX_AMPLITUDE, _require_alpha, beamsplitter, cat_norm_squared
 from .errors import ApproximationRegimeWarning, CatRulerError
+from .fock_oracle import ORACLE_MAX_ALPHA
 from .ideal_circuit import phase_gate_error, snr_ideal
 from .physical_realization import (
     RealizationParams,
@@ -35,7 +35,6 @@ SCHEMA_LINE = "# schema=1"
 DEFAULT_POINTS = 801
 AUTO_SPAN_PERIODS = 3.0
 ORACLE_MIN_ALPHA = 0.4  # floor of the oracle cases' alpha draw
-ORACLE_MAX_ALPHA = 20.0  # ceiling: the oracle's (N+1)^2 grid, N ~ alpha^2, is 5 MiB at 20
 
 
 def _fmt(value: float) -> str:
@@ -53,6 +52,7 @@ def _parse_float_list(text: str, name: str) -> list[float]:
 
 
 def _auto_span(alpha: float) -> tuple[float, float]:
+    _require_alpha(alpha, "alpha values")
     period = 2.0 * math.pi / alpha**2
     return (-AUTO_SPAN_PERIODS * period, AUTO_SPAN_PERIODS * period)
 
@@ -100,22 +100,11 @@ def _write_report(args, name: str, report: dict) -> None:
     _say(args, f"wrote {path}")
 
 
-def _check_scan_settings(alphas: list[float], n_points: int) -> None:
-    """Validate the alphas and points of fringe, width-scaling or ruler
-    before any scan runs: each alpha positive and finite, and at least
-    two points."""
-    for alpha in alphas:
-        _require_alpha(alpha, "alpha values")
-    if n_points < 2:
-        raise ValueError(f"points must be at least 2, got {n_points!r}")
-
-
 # ---------------------------------------------------------------- fringe
 
 
 def cmd_fringe(args) -> int:
     alphas = _parse_float_list(args.alpha, "alpha")
-    _check_scan_settings(alphas, args.points)
     spans = [_parse_span(args.theta_span, alpha) for alpha in alphas]
     curves = [fringe_scan(alpha, lo, hi, args.points) for alpha, (lo, hi) in zip(alphas, spans)]
 
@@ -138,7 +127,6 @@ def cmd_fringe(args) -> int:
 
 def cmd_width_scaling(args) -> int:
     alphas = _parse_float_list(args.alpha, "alpha")
-    _check_scan_settings(alphas, args.points)
     if len(set(alphas)) < len(alphas):
         raise ValueError(f"width-scaling needs distinct alpha values, got {alphas}")
 
@@ -168,25 +156,12 @@ def cmd_width_scaling(args) -> int:
 # --------------------------------------------------------------------- snr
 
 
-class SnrRow(NamedTuple):
-    """Paired ideal-circuit and squeezed-benchmark figures at one photon budget."""
-
-    n_bar: float
-    snr_ideal: float
-    snr_squeezed: float
-    ratio: float
-    resource_adjusted_ratio: float
-
-
 def cmd_snr(args) -> int:
     n_bars = _parse_float_list(args.n_bar, "n-bar")
     for n_bar in n_bars:
         if not (n_bar > 0 and math.isfinite(n_bar)):
             raise ValueError(f"--n-bar values must be positive and finite, got {n_bar!r}")
-    v_theta = args.v_theta
-    if v_theta < 0:
-        raise ValueError("v-theta must be nonnegative")
-
+    v_theta = args.v_theta  # snr_ideal checks it
     rows = []
     for n_bar in n_bars:
         alpha = math.sqrt(2.0 * n_bar)
@@ -197,9 +172,10 @@ def cmd_snr(args) -> int:
         squeezed_doubled = snr_squeezed(equal_power_params(2.0 * n_bar, v_theta))
         ratio = ideal / squeezed if squeezed > 0 else 0.0
         adjusted = ideal / squeezed_doubled if squeezed_doubled > 0 else 0.0
-        rows.append(SnrRow(n_bar, ideal, squeezed, ratio, adjusted))
+        rows.append((n_bar, ideal, squeezed, ratio, adjusted))
 
-    _write_csv(args, "snr.csv", list(SnrRow._fields), rows,
+    _write_csv(args, "snr.csv",
+               ["n_bar", "snr_ideal", "snr_squeezed", "ratio", "resource_adjusted_ratio"], rows,
                comments=[f"v_theta={_fmt(v_theta)}"])
     return 0
 
@@ -209,7 +185,6 @@ def cmd_snr(args) -> int:
 
 def cmd_ruler(args) -> int:
     alpha = args.alpha
-    _check_scan_settings([alpha], args.points)
     wavelength = args.wavelength
 
     analytic = fringe_spacing_physical(alpha, wavelength)

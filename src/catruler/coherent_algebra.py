@@ -104,14 +104,11 @@ class CoherentSuperposition:
     def amplitudes(self) -> np.ndarray:
         return np.array([g for _, g in self.terms], dtype=complex)
 
-    def scaled(self, factor: complex) -> "CoherentSuperposition":
-        return CoherentSuperposition(tuple((c * factor, g) for c, g in self.terms))
-
     def normalized(self) -> "CoherentSuperposition":
         n2 = norm_squared(self)
         if n2 <= 0.0:
             raise NormalizationError("cannot normalize a zero-norm superposition")
-        return self.scaled(1.0 / math.sqrt(n2))
+        return CoherentSuperposition(tuple((c * (1.0 / math.sqrt(n2)), g) for c, g in self.terms))
 
 
 def _log_overlap(tau, gamma):
@@ -152,11 +149,6 @@ def cat_norm_squared(alpha: float, sign: int = 1) -> float:
     return 2.0 + sign * 2.0 * math.exp(-(alpha**2) / 2.0)
 
 
-def _log_overlap_matrix(amps: np.ndarray) -> np.ndarray:
-    """log <g_k|g_l> over the last axis of amps, broadcast over leading axes."""
-    return _log_overlap(amps[..., :, None], amps[..., None, :])
-
-
 def _overlap_matrix(amps: np.ndarray) -> np.ndarray:
     """Gram matrix <g_k|g_l>: shape (..., k) -> (..., k, k)."""
     return _overlap(amps[..., :, None], amps[..., None, :])
@@ -176,20 +168,16 @@ def _hermitian_form(coeffs: np.ndarray, kernel: np.ndarray, unit=1.0) -> tuple[n
     return value, np.isfinite(value) & (np.abs(value.imag) <= IMAG_RESIDUE_LIMIT * scale)
 
 
-def _hermitian_value(coeffs: np.ndarray, kernel: np.ndarray, what: str) -> float:
-    """conj(c) . K . c of one state, rejecting non-finite or complex values."""
-    value, ok = _hermitian_form(coeffs, kernel)
+def _clamped_norm(coeffs: np.ndarray, gram: np.ndarray) -> float:
+    """Squared norm from a Gram matrix, rejecting a non-finite or complex
+    value; tiny negatives clamp to zero."""
+    value, ok = _hermitian_form(coeffs, gram)
     if not ok:
         raise NormalizationError(
-            f"{what} = {complex(value)!r} is not finite or carries an imaginary "
+            f"norm^2 = {complex(value)!r} is not finite or carries an imaginary "
             "residue; coefficients look corrupted"
         )
-    return float(value.real)
-
-
-def _clamped_norm(coeffs: np.ndarray, gram: np.ndarray) -> float:
-    """Squared norm from a Gram matrix; tiny negatives clamp to zero."""
-    value = _hermitian_value(coeffs, gram, "norm^2")
+    value = float(value.real)
     scale = max(1.0, float((np.abs(coeffs) ** 2).sum()))
     if value < -NORM_CLAMP * scale:
         raise NormalizationError(f"norm^2 = {value!r} is negative beyond tolerance")
@@ -248,7 +236,7 @@ def _threshold_kernel_erf(amps: np.ndarray, threshold: float) -> tuple[np.ndarra
         1 + erf(z) = exp(-z^2) w(-iz)       for Re z < 0,
         1 + erf(z) = 2 - exp(-z^2) w(iz)    for Re z >= 0.
     """
-    log_gram = _log_overlap_matrix(amps)
+    log_gram = _log_overlap(amps[..., :, None], amps[..., None, :])
     gram = np.exp(log_gram)
     z = math.sqrt(2.0) * (threshold - (np.conj(amps)[..., :, None] + amps[..., None, :]) / 2.0)
     lower = z.real < 0.0
@@ -312,12 +300,17 @@ def threshold_probability(
     coeffs = s.coefficients
     # both paths take their [0, norm^2] bound from the kernel's Gram matrix
     gram, kernel = _threshold_kernel_erf(s.amplitudes, threshold)
+    n2 = _clamped_norm(coeffs, gram)
     if method == "erf":
-        value = _hermitian_value(coeffs, kernel, "threshold probability")
+        # the residue is judged at the scale of the normalized state
+        value, ok = _hermitian_form(coeffs, kernel, unit=n2)
+        if not ok:
+            raise IntegrationError("threshold probability is not finite or carries an imaginary residue")
+        value = float(value.real)
     else:
         value = _threshold_quad(s, threshold)
 
-    bound = _clamped_norm(coeffs, gram) * (1.0 + 1e-9)
+    bound = n2 * (1.0 + 1e-9)
     if not -NORM_CLAMP <= value <= bound + NORM_CLAMP:
         raise IntegrationError(
             f"threshold probability {value!r} escaped [0, {bound!r}]"

@@ -37,6 +37,8 @@ TAIL_TOL = 1e-8
 UNITARY_NORM_TOL = 1e-8
 # Largest |norm^2 - 1| of a state that parity and the quadrature CDF accept.
 STATE_NORM_TOL = 1e-6
+# Largest alpha of end_to_end_oracle: a (N+1)^2 grid, N ~ alpha^2, is 5 MiB at 20.
+ORACLE_MAX_ALPHA = 20.0
 
 
 def _mean_photon_number(gamma: complex) -> float:
@@ -297,9 +299,12 @@ def end_to_end_oracle(p: RealizationParams) -> OracleProbabilities:
 
     The truncation is sized here to cover per-mode amplitudes up to
     alpha (cos phi + sin phi), so N grows as alpha^2; the beamsplitter on
-    the (N+1)^2 grid sets the cost.
+    the (N+1)^2 grid sets the cost, and an alpha above ORACLE_MAX_ALPHA
+    raises ValueError before any grid is built.
     """
     alpha = p.alpha
+    if alpha > ORACLE_MAX_ALPHA:
+        raise ValueError(f"the oracle accepts alpha up to {ORACLE_MAX_ALPHA:g}, got {alpha!r}")
     truncation = default_truncation(alpha * (math.cos(p.phi) + math.sin(p.phi)))
 
     norm = 1.0 / math.sqrt(2.0 + 2.0 * math.exp(-(alpha**2) / 2.0))

@@ -157,22 +157,6 @@ class FringeCurve:
         return 1.0 - self.fringe
 
 
-class CatProjections(NamedTuple):
-    """Projection data of the measured port onto the plus/minus cats.
-
-    measured_amplitudes / output_amplitudes list the four coherent
-    components per beamsplitter product term, ordered as
-    (vacuum term, reference-transmission term, signal-transmission term,
-    composite term); plus / minus hold <cat_+-|component> for the four
-    measured-port components in the same order.
-    """
-
-    measured_amplitudes: tuple[complex, complex, complex, complex]
-    output_amplitudes: tuple[complex, complex, complex, complex]
-    plus: tuple[complex, complex, complex, complex]
-    minus: tuple[complex, complex, complex, complex]
-
-
 def _cat_norms(alpha: float) -> tuple[float, float]:
     return 1.0 / math.sqrt(cat_norm_squared(alpha)), 1.0 / math.sqrt(cat_norm_squared(alpha, -1))
 
@@ -181,8 +165,9 @@ def _cat_projections(alpha: float, thetas: np.ndarray) -> tuple[np.ndarray, np.n
     """Beamsplitter expansion of cat(theta) x cat at every theta of a grid.
 
     Returns the measured-port and homodyne-port amplitudes of the four
-    product terms, each of shape (n, 4), and the overlaps of the
-    normalized plus / minus cats with the measured-port components,
+    product terms (vacuum, reference-transmission, signal-transmission,
+    composite), each of shape (n, 4), and the overlaps <cat_+-|component>
+    of the normalized plus / minus cats with the measured-port components,
     shape (n, 2, 4).  All of them are closed-form in e^{i theta}.
     """
     phi = _mixing_angle(alpha)
@@ -202,12 +187,10 @@ def _cat_projections(alpha: float, thetas: np.ndarray) -> tuple[np.ndarray, np.n
     return measured, output, cats
 
 
-def cat_coefficients(p: RealizationParams) -> CatProjections:
-    """Overlaps of the normalized plus/minus cats with the four measured-port
-    coherent components, derived from the beamsplitter expansion."""
+def cat_coefficients(p: RealizationParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_cat_projections at one theta: arrays of shape (4,), (4,) and (2, 4)."""
     measured, output, cats = _cat_projections(p.alpha, np.array([p.theta]))
-    rows = (measured[0], output[0], cats[0, 0], cats[0, 1])
-    return CatProjections(*(tuple(complex(v) for v in row) for row in rows))
+    return measured[0], output[0], cats[0]
 
 
 class _ConditionalBatch(NamedTuple):
@@ -325,9 +308,10 @@ def fringe_scan(alpha: float, theta_min: float, theta_max: float, n_points: int)
     raises IntegrationError naming the first offending theta.
     """
     if n_points < 2:
-        raise ValueError("n_points must be at least 2")
-    if not (math.isfinite(theta_min) and math.isfinite(theta_max)):
-        raise ValueError("theta_min and theta_max must be finite")
+        raise ValueError(f"n_points must be at least 2, got {n_points!r}")
+    # a non-finite bound makes the width non-finite too
+    if not math.isfinite(theta_max - theta_min):
+        raise ValueError(f"theta span {theta_min!r}:{theta_max!r} must have a finite width")
     if not theta_min < theta_max:
         raise ValueError("theta_min must be below theta_max")
     RealizationParams(alpha=alpha)  # validates alpha and warns outside the weak-mixing regime
@@ -392,8 +376,6 @@ def central_fringe_width(curve: FringeCurve) -> float:
 def fringe_period(curve: FringeCurve) -> float:
     """Mean spacing between consecutive fringe maxima (about 2 pi / alpha^2)."""
     positions, values = _local_extrema(curve.theta, curve.fringe)
-    if positions.size < 2:
-        raise WidthUndefinedError("need at least two extrema to measure a period")
     mid = 0.5 * (curve.fringe.max() + curve.fringe.min())
     maxima = positions[values > mid]
     if maxima.size < 2:

@@ -86,6 +86,15 @@ class TestFringeCommand:
                      "--theta-span", "oops"]) == 2
         assert not out.exists()
 
+    def test_span_wider_than_the_float_range_is_usage_error(self, tmp_path, capsys):
+        # both bounds are finite, but theta_max - theta_min overflows
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "--quiet", "fringe", "--alpha", "5", "--points", "3",
+                     "--theta-span=-1e308:1e308"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "-1e+308:1e+308" in err
+        assert not out.exists()
+
     def test_zero_points_is_usage_error(self, tmp_path):
         out = tmp_path / "out"
         assert main(["--out", str(out), "--quiet", "fringe", "--alpha", "5", "--points", "0"]) == 2
@@ -124,9 +133,14 @@ class TestWidthScaling:
         ["snr", "--n-bar", "1e200", "--v-theta", "1e-4"],
         # finite square, but the mixing angle pi / (2 alpha^2) is subnormal
         ["fringe", "--alpha", "1.2e154", "--points", "5"],
+        # an explicit span takes no alpha, so fringe_scan is the one check
+        ["fringe", "--alpha", "nan", "--points", "5", "--theta-span=-0.1:0.1"],
+        ["fringe", "--alpha", "1e200", "--points", "5", "--theta-span=-0.1:0.1"],
+        ["fringe", "--alpha", "1.2e154", "--points", "5", "--theta-span=-0.1:0.1"],
     ])
     def test_bad_alpha_is_usage_error(self, tmp_path, command):
         assert main(["--out", str(tmp_path), "--quiet"] + command) == 2
+        assert not any(tmp_path.iterdir())
 
     def test_subnormal_mixing_angle_names_alpha_and_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "out"

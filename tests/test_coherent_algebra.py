@@ -16,7 +16,7 @@ from scipy.integrate import quad
 from catruler.coherent_algebra import (
     MAX_AMPLITUDE,
     CoherentSuperposition,
-    _hermitian_value,
+    _clamped_norm,
     beamsplitter,
     norm_squared,
     overlap,
@@ -124,12 +124,12 @@ class TestNormSquared:
         # non-Hermitian kernel stands in for corrupted coefficients
         kernel = np.array([[1.0, 1j], [0.0, 1.0]])
         with pytest.raises(NormalizationError):
-            _hermitian_value(np.array([1.0, 1.0], dtype=complex), kernel, "test form")
+            _clamped_norm(np.array([1.0, 1.0], dtype=complex), kernel)
 
     def test_non_finite_quadratic_form_raises(self):
         kernel = np.array([[1.0, complex("nan")], [complex("nan"), 1.0]])
         with pytest.raises(NormalizationError):
-            _hermitian_value(np.array([1.0, 1.0], dtype=complex), kernel, "test form")
+            _clamped_norm(np.array([1.0, 1.0], dtype=complex), kernel)
 
     def test_cat_orthogonality(self):
         # normalized plus and minus cats are exactly orthogonal

@@ -1,9 +1,12 @@
 """Tests for the exact two-cat realization.
 
 The frozen conditional probabilities below were verified against the
-independent truncated-Fock pipeline (agreement at 1e-15 for alpha <= 3,
-1e-6-level for alpha = 5 and 10 where the brute-force grid is the
-limit); they double as regression anchors for the analytic path.
+independent number-basis pipeline of fock_oracle, which agrees with the
+closed form to about 1e-14 at alpha = 5, 10 and 20; they double as
+regression anchors for the analytic path.  The tests here check the scan
+kernel against closed forms, against adaptive quadrature of the same
+states and against the oracle at 1e-6, and check that each failed
+kernel check names the theta at which it failed.
 """
 
 import math
@@ -141,42 +144,43 @@ class TestOutputState:
 class TestCatCoefficients:
     def test_vacuum_projection_closed_form(self):
         # <cat+|0> = (1 + e^{-a^2/2}) / sqrt(2 + 2 e^{-a^2/2}) = sqrt((1+e^{-a^2/2})/2)
-        proj = cat_coefficients(RealizationParams(alpha=2.0))
-        assert proj.plus[0] == pytest.approx(math.sqrt((1 + math.exp(-2.0)) / 2), abs=1e-12)
-        assert proj.minus[0] == pytest.approx(math.sqrt((1 - math.exp(-2.0)) / 2), abs=1e-12)
+        _, _, cats = cat_coefficients(RealizationParams(alpha=2.0))
+        assert cats[0, 0] == pytest.approx(math.sqrt((1 + math.exp(-2.0)) / 2), abs=1e-12)
+        assert cats[1, 0] == pytest.approx(math.sqrt((1 - math.exp(-2.0)) / 2), abs=1e-12)
 
     def test_limits_to_inverse_sqrt_two(self):
-        proj = cat_coefficients(RealizationParams(alpha=12.0))
-        assert proj.plus[0] == pytest.approx(math.sqrt(0.5), abs=1e-12)
-        assert proj.minus[0] == pytest.approx(math.sqrt(0.5), abs=1e-12)
+        _, _, cats = cat_coefficients(RealizationParams(alpha=12.0))
+        assert cats[0, 0] == pytest.approx(math.sqrt(0.5), abs=1e-12)
+        assert cats[1, 0] == pytest.approx(math.sqrt(0.5), abs=1e-12)
 
     def test_all_coefficients_bounded(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
             p = RealizationParams(alpha=float(rng.uniform(0.5, 10)), theta=float(rng.uniform(0, 2 * np.pi)))
-            proj = cat_coefficients(p)
-            for value in proj.plus + proj.minus:
+            _, _, cats = cat_coefficients(p)
+            assert cats.shape == (2, 4)
+            for value in cats.ravel():
                 assert abs(value) <= 1.0 + 1e-12
 
     def test_full_period_returns_coefficients(self):
-        a = cat_coefficients(RealizationParams(alpha=3.0, theta=0.0))
-        b = cat_coefficients(RealizationParams(alpha=3.0, theta=2 * math.pi))
-        for x, y in zip(a.plus + a.minus, b.plus + b.minus):
+        _, _, a = cat_coefficients(RealizationParams(alpha=3.0, theta=0.0))
+        _, _, b = cat_coefficients(RealizationParams(alpha=3.0, theta=2 * math.pi))
+        for x, y in zip(a.ravel(), b.ravel()):
             assert x == pytest.approx(y, abs=1e-12)
 
     def test_beamsplitter_pairing_structure(self):
         # signal transmits to the measured port with cos(phi) and the
         # path phase; its homodyne-port partner carries i sin(phi) e^{i t}
         p = RealizationParams(alpha=4.0, theta=0.6)
-        proj = cat_coefficients(p)
+        measured, output, _ = cat_coefficients(p)
         a, phi, theta = p.alpha, p.phi, p.theta
         e = np.exp(1j * theta)
-        assert proj.measured_amplitudes[2] == pytest.approx(a * math.cos(phi) * e, abs=1e-12)
-        assert proj.output_amplitudes[2] == pytest.approx(1j * a * math.sin(phi) * e, abs=1e-12)
-        assert proj.measured_amplitudes[1] == pytest.approx(1j * a * math.sin(phi), abs=1e-12)
-        assert proj.output_amplitudes[1] == pytest.approx(a * math.cos(phi), abs=1e-12)
+        assert measured[2] == pytest.approx(a * math.cos(phi) * e, abs=1e-12)
+        assert output[2] == pytest.approx(1j * a * math.sin(phi) * e, abs=1e-12)
+        assert measured[1] == pytest.approx(1j * a * math.sin(phi), abs=1e-12)
+        assert output[1] == pytest.approx(a * math.cos(phi), abs=1e-12)
         # the composite term conserves the energy of both inputs
-        gc, gd = proj.measured_amplitudes[3], proj.output_amplitudes[3]
+        gc, gd = measured[3], output[3]
         assert abs(gc) ** 2 + abs(gd) ** 2 == pytest.approx(2 * a**2, rel=1e-12)
 
 

@@ -14,6 +14,7 @@ from catruler.fock_oracle import (
     beamsplitter_fock,
     coherent_to_fock,
     default_truncation,
+    end_to_end_oracle,
     parity_distribution,
     phase_rotate,
     quadrature_cdf_fock,
@@ -71,11 +72,15 @@ CASES = {
     "coherent_to_fock-1e20": lambda: coherent_to_fock(1e20, 10),
     "coherent_to_fock-1e100": lambda: coherent_to_fock(1e100, 10),
     "coherent_to_fock-1.3e154": lambda: coherent_to_fock(1.3e154, 10),
+    # above the oracle's alpha ceiling, refused before any grid is sized
+    "end_to_end_oracle-alpha-ceiling": lambda: end_to_end_oracle(RealizationParams(alpha=21.0)),
     "snr_ideal-nan": lambda: snr_ideal(NAN, 2.0),
     "snr_ideal-inf": lambda: snr_ideal(math.inf, 2.0),
     # alpha = 1e200 is finite, but alpha^2 is not
     "RealizationParams-overflow": lambda: RealizationParams(1e200),
     "fringe_spacing_physical-overflow": lambda: fringe_spacing_physical(1e200, 1e-6),
+    # finite bounds whose difference overflows
+    "fringe_scan-span-overflow": lambda: fringe_scan(5.0, -1e308, 1e308, 3),
     # alpha and wavelength are finite, but wavelength / (2 alpha^2) is not a normal double
     "fringe_spacing_physical-spacing-overflow": lambda: fringe_spacing_physical(0.52, 1e308),
     "fringe_spacing_physical-spacing-underflow": lambda: fringe_spacing_physical(20.0, 1e-322),
