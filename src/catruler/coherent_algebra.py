@@ -33,7 +33,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import wofz
 
 from .errors import IntegrationError, NormalizationError
 
@@ -168,20 +167,28 @@ def _hermitian_form(coeffs: np.ndarray, kernel: np.ndarray, unit=1.0) -> tuple[n
     return value, np.isfinite(value) & (np.abs(value.imag) <= IMAG_RESIDUE_LIMIT * scale)
 
 
+def _state_form(coeffs: np.ndarray, kernel: np.ndarray, scale: float) -> tuple[complex, bool]:
+    """_hermitian_form for one state, on Python scalars: conj(c) . K . c
+    as a complex, and whether it is finite with an imaginary residue of
+    at most IMAG_RESIDUE_LIMIT * scale, where scale = max(unit, sum |c_k|^2)."""
+    value = complex(np.vdot(coeffs, kernel @ coeffs))
+    finite = math.isfinite(value.real) and math.isfinite(value.imag)
+    return value, finite and abs(value.imag) <= IMAG_RESIDUE_LIMIT * scale
+
+
 def _clamped_norm(coeffs: np.ndarray, gram: np.ndarray) -> float:
     """Squared norm from a Gram matrix, rejecting a non-finite or complex
     value; tiny negatives clamp to zero."""
-    value, ok = _hermitian_form(coeffs, gram)
+    scale = max(1.0, float(np.vdot(coeffs, coeffs).real))
+    value, ok = _state_form(coeffs, gram, scale)
     if not ok:
         raise NormalizationError(
-            f"norm^2 = {complex(value)!r} is not finite or carries an imaginary "
+            f"norm^2 = {value!r} is not finite or carries an imaginary "
             "residue; coefficients look corrupted"
         )
-    value = float(value.real)
-    scale = max(1.0, float((np.abs(coeffs) ** 2).sum()))
-    if value < -NORM_CLAMP * scale:
-        raise NormalizationError(f"norm^2 = {value!r} is negative beyond tolerance")
-    return max(value, 0.0)
+    if value.real < -NORM_CLAMP * scale:
+        raise NormalizationError(f"norm^2 = {value.real!r} is negative beyond tolerance")
+    return max(value.real, 0.0)
 
 
 def norm_squared(s: CoherentSuperposition) -> float:
@@ -224,6 +231,82 @@ def quadrature_wavefunction(gamma, x):
     return psi
 
 
+# Weideman's rational series for the Faddeeva function w (J. A. C. Weideman,
+# SIAM J. Numer. Anal. 31, 1497 (1994)) with N = 40 terms.  L = 4 is near
+# Weideman's sqrt(N / sqrt(2)) = 5.3 and as accurate, and a power of two,
+# so that 1 / L is exact.
+_FADDEEVA_TERMS = 40
+_FADDEEVA_L = 4.0
+
+
+def _faddeeva_coefficients() -> np.ndarray:
+    """Coefficients v_0 .. v_{N-1} of _half_faddeeva, v_{10j+i} at row j,
+    column i.
+
+    Weideman's a_n come from one FFT of exp(-t^2) (L^2 + t^2) sampled at
+    t = L tan(k pi / 2N), and give, with r = 1 / (L - s) and
+    zeta = (L + s) r,
+        w(-i s) / 2 = r (r sum_{n<N} a_n zeta^n + 1 / (2 sqrt(pi))) = r q(zeta),
+    where q(zeta) = 1 / (2 sqrt(pi)) + (1 + zeta) sum_n a_n zeta^n / (2L),
+    since r = (1 + zeta) / (2L).  Dividing out zeta - 1 = 2 s r gives
+    q(zeta) = q(1) + s r v(zeta), whose v_n are twice the tail sums of
+    q's coefficients; q(1) is taken as exactly L / 2, its value for
+    w(0) = 1, which the sum of q's coefficients meets to rounding.
+    """
+    m = 2 * _FADDEEVA_TERMS
+    t = _FADDEEVA_L * np.tan(np.arange(1 - m, m) * (np.pi / (2 * m)))
+    f = np.concatenate(([0.0], np.exp(-t * t) * (_FADDEEVA_L**2 + t * t)))
+    a = np.fft.fft(np.fft.fftshift(f)).real[1 : _FADDEEVA_TERMS + 1] / (2 * m)
+    q = (np.append(a, 0.0) + np.insert(a, 0, 0.0)) / (2.0 * _FADDEEVA_L)
+    q[0] += 0.5 / math.sqrt(math.pi)
+    return 2.0 * np.cumsum(q[::-1])[::-1][1:].reshape(4, 10)
+
+
+_FADDEEVA_COEFFS = _faddeeva_coefficients()
+# L and L / 2 as complex 0-d arrays: added to a complex array they need
+# no float-to-complex cast, which on a threshold-sized grid costs as much
+# as the addition itself
+_L = np.array(complex(_FADDEEVA_L))
+_HALF_L = np.array(complex(_FADDEEVA_L / 2.0))
+
+
+def _half_faddeeva(s: np.ndarray) -> np.ndarray:
+    """w(-i s) / 2 elementwise over an array with Re s <= 0, i.e. w in the
+    closed upper half plane, within about 2e-14 relative of w.
+
+    Evaluated as r (L / 2 + s r v(zeta)) (see _faddeeva_coefficients):
+    zeta lies in the closed unit disc and |s r| <= 1, and at s = 0 the
+    value is 1/2 exactly.  No square of s or of L - s is formed, so an
+    |s| up to 1e300 gives the asymptote -1 / (2 sqrt(pi) s) without
+    overflow.
+    """
+    r = np.reciprocal(_L - s)
+    # zeta^0 .. zeta^9 as products of lower powers, the power axis first
+    # so that each product runs over the whole grid
+    low = np.empty((10,) + s.shape, dtype=complex)
+    low[0] = 1.0
+    zeta = np.multiply(_L + s, r, out=low[1])
+    np.multiply(zeta, zeta, out=low[2])
+    np.multiply(low[1:3], low[2], out=low[3:5])
+    np.multiply(low[1:5], low[4], out=low[5:9])
+    np.multiply(low[8], zeta, out=low[9])
+    # real coefficients act on real and imaginary parts alike, so the
+    # ten-term sums are one real matrix product on the float view
+    rows = _FADDEEVA_COEFFS.dot(low.reshape(10, -1).view(float)).view(complex)
+    rows.shape = (4,) + s.shape
+    # Horner's rule in zeta^10 over the four sums, in place
+    step = low[5] * low[5]
+    series = rows[3] * step
+    for row in rows[2:0:-1]:
+        series += row
+        series *= step
+    series += rows[0]
+    series *= s * r
+    series += _HALF_L
+    series *= r
+    return series
+
+
 def _threshold_kernel_erf(amps: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
     """Gram matrix and pairwise integrals int_{-inf}^{T} conj(psi_k) psi_l dx,
     closed form, over the last axis of amps and broadcast over leading axes.
@@ -231,8 +314,8 @@ def _threshold_kernel_erf(amps: np.ndarray, threshold: float) -> tuple[np.ndarra
     Each pair evaluates to <g_k|g_l> (1 + erf(z_kl))/2 with
     z_kl = sqrt(2) (T - (conj(g_k) + g_l)/2).  For complex z, erf(z)
     overflows where the overlap underflows, so the overlap exponent is
-    folded into the Faddeeva function w (scipy.special.wofz), which stays
-    bounded in the upper half plane:
+    folded into the Faddeeva function w (_half_faddeeva, Weideman's
+    series), which stays bounded in the upper half plane:
         1 + erf(z) = exp(-z^2) w(-iz)       for Re z < 0,
         1 + erf(z) = 2 - exp(-z^2) w(iz)    for Re z >= 0.
     """
@@ -240,8 +323,12 @@ def _threshold_kernel_erf(amps: np.ndarray, threshold: float) -> tuple[np.ndarra
     gram = np.exp(log_gram)
     z = math.sqrt(2.0) * (threshold - (np.conj(amps)[..., :, None] + amps[..., None, :]) / 2.0)
     lower = z.real < 0.0
-    tail = 0.5 * np.exp(log_gram - z**2) * wofz(np.where(lower, -1j * z, 1j * z))
-    return gram, np.where(lower, tail, gram - tail)
+    s = -z
+    np.copyto(s, z, where=lower)
+    tail = np.exp(log_gram - z**2) * _half_faddeeva(s)
+    kernel = gram - tail
+    np.copyto(kernel, tail, where=lower)
+    return gram, kernel
 
 
 def _threshold_quad(s_state: CoherentSuperposition, threshold: float) -> float:
@@ -303,10 +390,11 @@ def threshold_probability(
     n2 = _clamped_norm(coeffs, gram)
     if method == "erf":
         # the residue is judged at the scale of the normalized state
-        value, ok = _hermitian_form(coeffs, kernel, unit=n2)
+        scale = max(n2, float(np.vdot(coeffs, coeffs).real))
+        value, ok = _state_form(coeffs, kernel, scale)
         if not ok:
             raise IntegrationError("threshold probability is not finite or carries an imaginary residue")
-        value = float(value.real)
+        value = value.real
     else:
         value = _threshold_quad(s, threshold)
 

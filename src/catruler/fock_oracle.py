@@ -11,6 +11,9 @@ between the two routes is what licenses trusting the closed forms, so
 nothing in this module reuses the analytic formulas: it imports nothing
 from coherent_algebra, and in particular the cat normalization is
 written out here rather than taken from coherent_algebra.cat_norm_squared.
+Its special functions are its own as well: the Bessel coefficients come
+from Miller's backward recurrence and the vacuum CDF from math.erfc, so
+the module needs numpy alone.
 
 Truncations follow N = max(30, ceil(|g|^2 + 8 |g| + 20)) per mode
 (a Poisson-tail bound), and coherent_to_fock and beamsplitter_fock verify
@@ -26,7 +29,6 @@ import sys
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import erfc, jv
 
 from .errors import IntegrationError, TruncationError
 from .physical_realization import CANCELLATION_LIMIT, RealizationParams
@@ -109,6 +111,37 @@ def phase_rotate(state: np.ndarray, theta: float) -> np.ndarray:
     return state * np.exp(1j * theta * np.arange(state.size))
 
 
+def _bessel_series(x: float) -> np.ndarray:
+    """J_0(x) .. J_K(x) for x >= 0, where K is the last order with
+    |J_K(x)| > 1e-17, by Miller's backward recurrence.
+
+    J_{k-1} = (2k / x) J_k - J_{k+1} runs down from J_count = tiny and
+    J_{count+1} = 0, with count past the last order above 1e-17.  Downward
+    the recurrence is stable: the false start decays relative to the
+    orders that matter.  The running values are rescaled by 1e-150
+    whenever one passes 1e150, which the steep growth of J_k as k falls
+    towards x calls for at small x, and the result is normalized by
+    J_0 + 2 sum_k J_2k = 1.  Below x = 1e-17 every order but J_0 = 1 is
+    below the cut-off (J_1 = x / 2), and 2k / x could overflow.
+    """
+    if x < 1e-17:
+        return np.ones(1)
+    # |J_k(x)| stays below 1e-17 beyond about k = x + 12 x^(1/3) + 12
+    count = math.ceil(x + 15.0 * x ** (1.0 / 3.0) + 30.0)
+    two_over_x = 2.0 / x
+    upper, current = 0.0, 1e-300
+    down = []  # J_{count-1} .. J_0, up to a common factor
+    for k in range(count, 0, -1):
+        upper, current = current, k * two_over_x * current - upper
+        if abs(current) > 1e150:
+            down = [v * 1e-150 for v in down]
+            upper, current = upper * 1e-150, current * 1e-150
+        down.append(current)
+    values = np.array(down[::-1])
+    values /= values[0] + 2.0 * values[2::2].sum()
+    return values[: np.flatnonzero(np.abs(values) > 1e-17)[-1] + 1]
+
+
 def beamsplitter_fock(grid: np.ndarray, mix_angle: float) -> np.ndarray:
     """exp[i t (a^dag b + a b^dag)], the unitary whose coherent-amplitude
     action is |g>|b> -> |cos t g + i sin t b>|cos t b + i sin t g>.
@@ -125,7 +158,8 @@ def beamsplitter_fock(grid: np.ndarray, mix_angle: float) -> np.ndarray:
     exp(i x y) = J_0(x) + 2 sum_k i^k J_k(x) T_k(y) with y = H / s, where
     s = 2N + 1 bounds the spectrum of the truncated generator H
     (Gershgorin) and x = |t'| s; a negative t' turns i^k into (-i)^k.  The
-    series stops after the last order with |J_k(x)| > 1e-17.  The
+    series stops after the last order with |J_k(x)| > 1e-17; the J_k
+    come from Miller's backward recurrence (_bessel_series).  The
     truncated generator is Hermitian, so the evolution is exactly unitary
     and norm loss cannot witness an undersized truncation; instead,
     probability reaching the occupation cutoff (where the truncated
@@ -148,10 +182,8 @@ def beamsplitter_fock(grid: np.ndarray, mix_angle: float) -> np.ndarray:
     before = float(np.vdot(flat, flat).real)
 
     s = 2.0 * n_cut + 1.0
-    x = abs(turn) * s
-    # |J_k(x)| stays below 1e-17 beyond about k = x + 12 x^(1/3) + 12
-    bessel = jv(np.arange(math.ceil(x + 15.0 * x ** (1.0 / 3.0) + 30.0)), x)
-    order = int(np.flatnonzero(np.abs(bessel) > 1e-17)[-1])
+    bessel = _bessel_series(abs(turn) * s)
+    order = bessel.size - 1
     # H couples flat index j = m (N+1) + n, i.e. |m, n>, to j + N, i.e.
     # |m+1, n-1>, with weight sqrt(m+1) sqrt(n); the weight is zero at
     # n = 0, where the flat step would wrap into the next row
@@ -269,7 +301,7 @@ def quadrature_cdf_fock(state: np.ndarray, threshold: float) -> float:
     np.fill_diagonal(gap, 1.0)
     integrals = (np.outer(slope, phi) - np.outer(phi, slope)) / gap
     steps = phi[:-1] * phi[1:] / np.sqrt(2.0 * n[1:])
-    np.fill_diagonal(integrals, 0.5 * erfc(-xi) - np.concatenate(([0.0], np.cumsum(steps))))
+    np.fill_diagonal(integrals, 0.5 * math.erfc(-xi) - np.concatenate(([0.0], np.cumsum(steps))))
     # I is real symmetric, so c^dag I c = a^T I a + b^T I b for c = a + i b
     parts = np.stack([state.real, state.imag])
     probability = float(np.sum(parts * (parts @ integrals)))

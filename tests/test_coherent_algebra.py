@@ -1,22 +1,28 @@
 """Tests for the closed-form coherent-state algebra.
 
 Derived expectations are computed here by independent routes: truncated
-number-basis series built inline with numpy, and direct adaptive
-quadrature of the wave functions.
+number-basis series built inline with numpy, direct adaptive quadrature
+of the wave functions, and scipy's and mpmath's Faddeeva function.
 """
 
+import importlib.util
 import math
+import warnings
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import wofz
 
 from catruler.coherent_algebra import (
     MAX_AMPLITUDE,
     CoherentSuperposition,
     _clamped_norm,
+    _half_faddeeva,
     beamsplitter,
     norm_squared,
     overlap,
@@ -330,6 +336,66 @@ class TestThresholdProbability:
         s = CoherentSuperposition(((1.0, 0.0), (1.0, 2.0)))  # norm^2 = 2 + 2e^-2
         p = threshold_probability(s, 50.0)
         assert p == pytest.approx(norm_squared(s), rel=1e-9)
+
+
+def _threshold_workload_wide_members():
+    """WIDE_MEMBERS of the benchmark's threshold workload; bench/workloads.py
+    is loaded by path and only read."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WIDE_MEMBERS
+
+
+def faddeeva(z):
+    """w(z) for Im z >= 0 from the kernel's w(-i s) / 2 at s = i z."""
+    return 2.0 * _half_faddeeva(1j * np.asarray(z, dtype=complex))
+
+
+def mpmath_faddeeva(z: complex) -> complex:
+    with mpmath.workdps(30):
+        z = mpmath.mpc(z.real, z.imag)
+        return complex(mpmath.exp(-(z**2)) * mpmath.erfc(-1j * z))
+
+
+def faddeeva_points() -> np.ndarray:
+    """Seeded |Re z|, Im z <= 300, the near-real band Im z <= 1e-3, z = 0,
+    and the arguments -i s of the threshold kernel on the workload's wide
+    members."""
+    rng = np.random.default_rng(1994)
+    grid = rng.uniform(-300.0, 300.0, 4000) + 1j * rng.uniform(0.0, 300.0, 4000)
+    band = rng.uniform(-300.0, 300.0, 2000) + 1j * rng.uniform(0.0, 1e-3, 2000)
+    wide = []
+    for _, amps, threshold in _threshold_workload_wide_members():
+        g = np.array(amps, dtype=complex)
+        z = math.sqrt(2.0) * (threshold - (np.conj(g)[:, None] + g[None, :]) / 2.0)
+        wide.append(-1j * np.where(z.real < 0.0, z, -z).ravel())
+    return np.concatenate([grid, band, [0j], *wide])
+
+
+FADDEEVA_RTOL = 5e-14
+
+
+class TestFaddeeva:
+    def test_matches_scipy(self):
+        z = faddeeva_points()
+        ref = wofz(z)
+        assert np.max(np.abs(faddeeva(z) - ref) / np.abs(ref)) <= FADDEEVA_RTOL
+
+    def test_matches_mpmath(self):
+        z = faddeeva_points()[::25]
+        ref = np.array([mpmath_faddeeva(v) for v in z])
+        assert np.max(np.abs(faddeeva(z) - ref) / np.abs(ref)) <= FADDEEVA_RTOL
+
+    @pytest.mark.parametrize("size", [1e160, 1e300])
+    def test_huge_arguments_reach_the_asymptote(self, size):
+        s = size * np.array([-1.0, -1.0 + 1.0j, -1.0 - 1.0j, 1.0j, -1.0j, -1e-3 + 1.0j])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            half = _half_faddeeva(s)
+        asymptote = -1.0 / (2.0 * math.sqrt(math.pi) * s)
+        assert np.max(np.abs(half - asymptote) / np.abs(asymptote)) <= 1e-14
 
 
 class TestSuperpositionType:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
+from scipy.special import jv
 
 from catruler import fock_oracle
 from catruler.coherent_algebra import CoherentSuperposition, threshold_probability
@@ -179,6 +180,19 @@ class TestBeamsplitterFock:
         grid[4, 4] = 1.0  # total 8 quanta cannot fit one mode of size 6
         with pytest.raises(TruncationError):
             beamsplitter_fock(grid, math.pi / 4)
+
+    @pytest.mark.parametrize("x", [0.0, 1e-3, 0.5, 3.0, 17.3, 80.0, 140.0, 500.0, 950.0, 1300.0])
+    def test_bessel_series_matches_jv(self, x):
+        # the orders beamsplitter_fock asks of the recurrence
+        ref = jv(np.arange(math.ceil(x + 15.0 * x ** (1.0 / 3.0) + 30.0)), x)
+        series = fock_oracle._bessel_series(x)
+        # the series ends where jv ends above the cut-off, and beyond it every
+        # order of jv is below 1e-17
+        assert series.size - 1 == np.flatnonzero(np.abs(ref) > 1e-17)[-1]
+        assert np.max(np.abs(series - ref[: series.size])) <= 1e-13
+
+    def test_bessel_series_at_zero_is_exact(self):
+        assert fock_oracle._bessel_series(0.0).tolist() == [1.0]
 
 
 class TestParity:
