@@ -315,10 +315,8 @@ def cmd_phase_error(args) -> int:
     thetas = np.linspace(0.0, args.theta_max, args.theta_points)
     rows = []
     for alpha in alphas:
-        for theta in thetas:
-            rows.append(
-                (theta, alpha, phase_gate_error(alpha, theta), theta**2 * alpha**2)
-            )
+        errors = phase_gate_error(alpha, thetas)  # checks alpha before alpha**2 below
+        rows.extend(zip(thetas, [alpha] * thetas.size, errors, thetas**2 * alpha**2))
     _write_csv(args, "phase_error.csv",
                ["theta", "alpha", "error", "theta_sq_alpha_sq"], rows)
     return 0

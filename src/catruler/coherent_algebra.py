@@ -145,6 +145,9 @@ def _overlap(tau, gamma):
 def cat_norm_squared(alpha: float, sign: int = 1) -> float:
     """Squared norm 2 + 2 sign e^{-alpha^2/2} of the unnormalized cat
     |0> + sign |alpha>; sign = 1 gives the plus cat, sign = -1 the minus cat."""
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be 1 or -1, got {sign!r}")
+    _require_alpha(alpha)
     return 2.0 + sign * 2.0 * math.exp(-(alpha**2) / 2.0)
 
 
@@ -373,8 +376,8 @@ def threshold_probability(
 
     method selects the evaluation path: "erf" (exact closed form via the
     Faddeeva function, the production path) or "quad" (adaptive
-    quadrature over [mu_min - 12 sigma, T], an independent reference that
-    the tests compare the closed form with).
+    quadrature over [mu_min - 12 sigma, T], the tests' independent
+    reference, bounded by norm_squared: it never calls the kernel).
     """
     if not math.isfinite(threshold):
         raise ValueError("threshold must be finite")
@@ -385,18 +388,18 @@ def threshold_probability(
     if method not in ("erf", "quad"):
         raise ValueError(f"unknown method {method!r}; use 'erf' or 'quad'")
     coeffs = s.coefficients
-    # both paths take their [0, norm^2] bound from the kernel's Gram matrix
-    gram, kernel = _threshold_kernel_erf(s.amplitudes, threshold)
-    n2 = _clamped_norm(coeffs, gram)
-    if method == "erf":
+    if method == "quad":
+        n2, value = norm_squared(s), _threshold_quad(s, threshold)
+    else:
+        # the [0, norm^2] bound comes from the kernel's own Gram matrix
+        gram, kernel = _threshold_kernel_erf(s.amplitudes, threshold)
+        n2 = _clamped_norm(coeffs, gram)
         # the residue is judged at the scale of the normalized state
         scale = max(n2, float(np.vdot(coeffs, coeffs).real))
         value, ok = _state_form(coeffs, kernel, scale)
         if not ok:
             raise IntegrationError("threshold probability is not finite or carries an imaginary residue")
         value = value.real
-    else:
-        value = _threshold_quad(s, threshold)
 
     bound = n2 * (1.0 + 1e-9)
     if not -NORM_CLAMP <= value <= bound + NORM_CLAMP:

@@ -32,22 +32,32 @@ def v_theta_from_length_power(v_delta: float, wavelength: float) -> float:
     return (2.0 * math.pi / wavelength) ** 2 * v_delta
 
 
-def phase_gate_error(beta: float, theta: float) -> float:
-    """Distance between exact propagation and the phase-gate approximation.
+def _gate_phase(amplitude: float, theta, name: str) -> np.ndarray:
+    """theta amplitude^2 over a theta array, refused unless finite everywhere."""
+    with np.errstate(over="ignore"):  # an overflowing product is refused below
+        gate = np.asarray(theta, dtype=float) * amplitude**2
+    if not np.all(np.isfinite(gate)):
+        raise ValueError(f"theta {name}^2 is not finite for some theta at {name} = {amplitude!r}")
+    return gate
 
-    |<b| U(theta) |b>| differs from the pure phase e^{i theta b^2}; the
-    returned value is |exp[-b^2 (1 - cos t - i sin t)] - exp[i t b^2]|.
-    It vanishes at theta = 0 and stays below theta^2 beta^2 throughout
-    the weak-phase regime theta^2 beta^2 <= 0.01.
+
+def phase_gate_error(beta: float, theta: float | np.ndarray) -> float | np.ndarray:
+    """Distance between exact propagation and the phase-gate approximation,
+    |exp[-b^2 (1 - cos t - i sin t)] - exp[i t b^2]| = |e^{x + iy} - 1| with
+    x = -2 b^2 sin^2(t/2) and y = b^2 (sin t - t), broadcast over theta (a
+    float for a scalar theta).  Evaluated as hypot(expm1(x), 2 e^{x/2} sin(y/2)),
+    which cancels nothing, it is accurate to about 1e-15 relative.  It
+    vanishes at theta = 0 and stays below theta^2 beta^2 wherever
+    theta^2 beta^2 <= 0.01.
     """
-    # beta^2 must be finite too, or the exponents below overflow
     if not 0 <= beta <= MAX_AMPLITUDE:
         raise ValueError(f"beta must be nonnegative with a finite square, got {beta!r}")
-    if not math.isfinite(theta):
-        raise ValueError("theta must be finite")
-    exact = np.exp(-(beta**2) * (1.0 - math.cos(theta) - 1j * math.sin(theta)))
-    approx = np.exp(1j * theta * beta**2)
-    return float(abs(exact - approx))
+    theta = np.asarray(theta, dtype=float)
+    _gate_phase(beta, theta, "beta")  # refuses a non-finite theta at beta = 0 too
+    # x/2 and y/2 stay below |theta| beta^2 in size, so neither overflows
+    half_x = -((beta * np.sin(theta / 2.0)) ** 2)
+    half_y = beta**2 * ((np.sin(theta) - theta) / 2.0)
+    return np.hypot(np.expm1(2.0 * half_x), 2.0 * np.exp(half_x) * np.sin(half_y))[()]
 
 
 def ideal_output(alpha: float, theta: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -58,11 +68,7 @@ def ideal_output(alpha: float, theta: float | np.ndarray) -> tuple[np.ndarray, n
     which are 2 pi / alpha^2 periodic in theta: raising the photon number
     compresses the fringes exactly like raising the optical frequency.
     """
-    with np.errstate(over="ignore"):  # an overflowing product is refused below
-        gate = np.asarray(theta, dtype=float) * _require_alpha(alpha) ** 2
-    if not np.all(np.isfinite(gate)):
-        raise ValueError(f"theta alpha^2 is not finite for some theta at alpha = {alpha!r}")
-    phase = np.exp(1j * gate)
+    phase = np.exp(1j * _gate_phase(_require_alpha(alpha), theta, "alpha"))
     return (1.0 + phase) / 2.0, (1.0 - phase) / 2.0
 
 

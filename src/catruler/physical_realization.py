@@ -350,27 +350,21 @@ def central_fringe_width(curve: FringeCurve) -> float:
         raise WidthUndefinedError("scan window must bracket theta = 0")
     half = 0.5 * (f.max() + f.min())
     positions, _ = _local_extrema(theta, f)
-    if positions.size:
-        center = positions[np.argmin(np.abs(positions))]
-    else:
-        center = 0.0
+    center = positions[np.argmin(np.abs(positions))] if positions.size else 0.0
     i0 = int(np.argmin(np.abs(theta - center)))
-
-    def crossing(direction: int) -> float:
-        i = i0
-        while 0 <= i + direction < len(theta):
-            j = i + direction
-            if (f[i] - half) * (f[j] - half) <= 0.0 and f[i] != f[j]:
-                frac = (half - f[i]) / (f[j] - f[i])
-                return float(theta[i] + frac * (theta[j] - theta[i]))
-            i = j
-        raise WidthUndefinedError(
-            "no half-amplitude crossing on "
-            + ("the right" if direction > 0 else "the left")
-            + " of the central extremum"
-        )
-
-    return crossing(+1) - crossing(-1)
+    # sample pairs (k, k + 1) that straddle the half level: the crossings
+    # lie in the first pair at or right of i0 and the last pair left of it
+    pairs = np.flatnonzero(((f[:-1] - half) * (f[1:] - half) <= 0.0) & (f[:-1] != f[1:]))
+    split = int(np.searchsorted(pairs, i0))
+    if split == pairs.size:
+        raise WidthUndefinedError("no half-amplitude crossing on the right of the central extremum")
+    if split == 0:
+        raise WidthUndefinedError("no half-amplitude crossing on the left of the central extremum")
+    k, m = pairs[split], pairs[split - 1] + 1
+    # each crossing interpolated from its central-side sample i towards j
+    right, left = (theta[i] + (half - f[i]) / (f[j] - f[i]) * (theta[j] - theta[i])
+                   for i, j in ((k, k + 1), (m, m - 1)))
+    return float(right) - float(left)
 
 
 def fringe_period(curve: FringeCurve) -> float:

@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coherent_algebra import MAX_AMPLITUDE
+
 
 @dataclass(frozen=True)
 class SqueezedBaselineParams:
@@ -41,8 +43,8 @@ class SqueezedBaselineParams:
     v_theta: float = 0.0
 
     def __post_init__(self):
-        if not (self.beta >= 0 and math.isfinite(self.beta)):
-            raise ValueError("beta must be nonnegative and finite")
+        if not 0 <= self.beta <= MAX_AMPLITUDE:
+            raise ValueError(f"beta must be nonnegative with a finite square, got {self.beta!r}")
         if not (0.0 < self.v_b_minus <= 1.0):
             raise ValueError("v_b_minus must lie in (0, 1]")
         if not (self.v_theta >= 0 and math.isfinite(self.v_theta)):
@@ -62,12 +64,20 @@ def homodyne_samples(
     rng = np.random.default_rng(rng_seed)
     x_a = rng.normal(2.0 * p.beta, 1.0, n_samples)
     x_b = rng.normal(0.0, math.sqrt(p.v_b_minus), n_samples)
-    return x_a * (theta / 2.0) + x_b
+    # a non-finite theta, or a finite one whose product overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = x_a * (theta / 2.0) + x_b
+    if not np.all(np.isfinite(samples)):
+        raise ValueError(f"homodyne samples are not finite at theta = {theta!r}")
+    return samples
 
 
 def snr_squeezed(p: SqueezedBaselineParams) -> float:
     """Closed-form signal-to-noise (beta^2 + 1) v_theta / (4 v_b_minus)."""
-    return (p.beta**2 + 1.0) * p.v_theta / (4.0 * p.v_b_minus)
+    snr = (p.beta**2 + 1.0) * p.v_theta / (4.0 * p.v_b_minus)
+    if not math.isfinite(snr):
+        raise ValueError(f"the signal-to-noise ratio overflows for {p!r}")
+    return snr
 
 
 def equal_power_params(n_bar: float, v_theta: float = 0.0) -> SqueezedBaselineParams:
@@ -101,10 +111,16 @@ def snr_monte_carlo(
     with snr_squeezed is capped at beta^2/(beta^2+1); within 5 percent
     for beta >= 5.
     """
-    if theta_probe == 0.0:
-        raise ValueError("theta_probe must be nonzero")
+    if not (theta_probe != 0.0 and math.isfinite(theta_probe)):
+        raise ValueError(f"theta_probe must be nonzero and finite, got {theta_probe!r}")
     rng = np.random.default_rng(rng_seed)
     signal = homodyne_samples(p, theta_probe, n_samples, int(rng.integers(2**63)))
     noise = homodyne_samples(p, 0.0, n_samples, int(rng.integers(2**63)))
-    beta_sq_hat = (signal.mean() / theta_probe) ** 2
-    return float(beta_sq_hat * p.v_theta / (4.0 * noise.var()))
+    # a single sample has no variance, and a tiny probe can overflow the
+    # calibration: both leave a non-finite estimate, refused below
+    with np.errstate(all="ignore"):
+        beta_sq_hat = (signal.mean() / theta_probe) ** 2
+        snr = float(beta_sq_hat * p.v_theta / (4.0 * noise.var()))
+    if not math.isfinite(snr):
+        raise ValueError(f"the estimate is not finite at theta_probe = {theta_probe!r}")
+    return snr

@@ -304,6 +304,21 @@ class TestThresholdProbability:
         with pytest.raises(IntegrationError, match="escaped"):
             threshold_probability(CoherentSuperposition.single(0.0), 0.0, method="quad")
 
+    def test_quad_reference_never_calls_the_closed_form_kernel(self, monkeypatch):
+        from catruler import coherent_algebra as ca
+
+        states = [
+            CoherentSuperposition(((1, 20j), (1, -20j))).normalized(),
+            CoherentSuperposition(((0.3 - 1j, 1.5 + 2j), (1.2, -0.4), (0.7j, 2.5 - 1j))),
+        ]
+        want = [threshold_probability(s, 0.3, method="quad") for s in states]
+
+        def refuse(amps, threshold):
+            raise AssertionError("the quad reference called _threshold_kernel_erf")
+
+        monkeypatch.setattr(ca, "_threshold_kernel_erf", refuse)
+        assert [threshold_probability(s, 0.3, method="quad") for s in states] == want
+
     def test_checked_path_rejects_nan_closed_form(self, monkeypatch):
         from catruler import coherent_algebra as ca
 

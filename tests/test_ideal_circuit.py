@@ -2,7 +2,9 @@
 
 import cmath
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -44,6 +46,38 @@ class TestPhaseGateError:
             exact = cmath.exp(-beta**2 * (1 - math.cos(theta) - 1j * math.sin(theta)))
             approx = cmath.exp(1j * theta * beta**2)
             assert phase_gate_error(beta, theta) == pytest.approx(abs(exact - approx), abs=1e-14)
+
+    def test_matches_mpmath_to_rounding(self):
+        # the README grid (phase-error --alpha 1,2,5,10 --theta-max 0.01)
+        # and seeded points; subtracting the two exponentials, as the
+        # definition reads, reached 1.2e-9 relative here
+        readme = np.linspace(0.0, 0.01, 26)
+        rng = np.random.default_rng(11)
+        seeded = [(rng.uniform(0, 20), rng.uniform(-0.05, 0.05)) for _ in range(300)]
+        points = [(b, t) for b in (1.0, 2.0, 5.0, 10.0) for t in readme] + seeded
+        worst = 0.0
+        with mpmath.workdps(60):
+            for beta, theta in points:
+                b, t = mpmath.mpf(beta), mpmath.mpf(theta)
+                exact = mpmath.exp(-b**2 * (1 - mpmath.cos(t) - 1j * mpmath.sin(t)))
+                want = abs(exact - mpmath.exp(1j * t * b**2))
+                got = phase_gate_error(beta, theta)
+                worst = max(worst, float(abs(got - want) / want) if want else got)
+        assert worst <= 2e-15
+
+    def test_broadcasts_over_theta(self):
+        thetas = np.linspace(-0.03, 0.03, 12).reshape(3, 4)
+        errors = phase_gate_error(5.0, thetas)
+        assert errors.shape == (3, 4)
+        assert [phase_gate_error(5.0, t) for t in thetas.ravel()] == list(errors.ravel())
+        assert isinstance(phase_gate_error(5.0, 0.01), float)
+
+    def test_overflowing_phase_difference_is_finite(self):
+        # theta beta^2 is finite, beta^2 (sin theta - theta) is not: the
+        # magnitude exp(x/2) underflows to 0 and the error is 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert phase_gate_error(6.6e153, 4.0) == 1.0
 
     def test_quadratic_bound_in_weak_regime(self):
         # error <= C * theta^2 beta^2 with C <= 1 wherever theta^2 beta^2 <= 0.01

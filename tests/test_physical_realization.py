@@ -492,7 +492,8 @@ class TestPhaseOffset:
 
 
 class TestLoopReferences:
-    """The vectorised helpers against the per-index loops they replaced."""
+    """The vectorised helpers against the per-index loops they replaced:
+    extremum search, half-level crossing walk and lag correlation."""
 
     @staticmethod
     def loop_extrema(theta, values):
@@ -525,6 +526,56 @@ class TestLoopReferences:
             if denom != 0.0:
                 j = j + 0.5 * (cc[j - 1] - cc[j + 1]) / denom
         return float(j * (curve.theta[1] - curve.theta[0]))
+
+    @classmethod
+    def loop_width(cls, curve):
+        theta, f = curve.theta, curve.fringe
+        if not (theta[0] < 0.0 < theta[-1]):
+            raise WidthUndefinedError("scan window must bracket theta = 0")
+        half = 0.5 * (f.max() + f.min())
+        positions, _ = cls.loop_extrema(theta, f)
+        center = positions[np.argmin(np.abs(positions))] if positions.size else 0.0
+        i0 = int(np.argmin(np.abs(theta - center)))
+
+        def crossing(direction):
+            i = i0
+            while 0 <= i + direction < len(theta):
+                j = i + direction
+                if (f[i] - half) * (f[j] - half) <= 0.0 and f[i] != f[j]:
+                    frac = (half - f[i]) / (f[j] - f[i])
+                    return float(theta[i] + frac * (theta[j] - theta[i]))
+                i = j
+            raise WidthUndefinedError(
+                "no half-amplitude crossing on "
+                + ("the right" if direction > 0 else "the left")
+                + " of the central extremum"
+            )
+
+        return crossing(+1) - crossing(-1)
+
+    def test_width_equals_the_crossing_walk(self):
+        # spans in fringe periods, two of them leaving one side of the
+        # central extremum without a crossing
+        spans = [(-3.0, 3.0), (-0.6, 0.6), (-0.1, 2.0), (-2.0, 0.08), (-0.04, 0.03)]
+        outcomes = []
+        for alpha in (0.8, 2.0, 5.0, 20.0, 300.0, 3000.0):
+            period = 2 * math.pi / alpha**2
+            for n_points in (5, 25, 101, 801):
+                for lo, hi in spans:
+                    curve = fringe_scan(alpha, lo * period, hi * period, n_points)
+                    try:
+                        want = self.loop_width(curve)
+                    except WidthUndefinedError as exc:
+                        with pytest.raises(WidthUndefinedError) as got:
+                            central_fringe_width(curve)
+                        assert str(got.value) == str(exc)
+                        outcomes.append(str(exc))
+                        continue
+                    assert central_fringe_width(curve) == want
+                    outcomes.append("width")
+        assert "width" in outcomes
+        assert any("on the right" in o for o in outcomes)
+        assert any("on the left" in o for o in outcomes)
 
     @pytest.mark.parametrize("alpha", [5.0, 10.0, 20.0])
     def test_extrema_equal_the_loop(self, alpha):

@@ -1,7 +1,7 @@
 """Range guards fail on NaN and on overflow: every public entry point
-below rejects a NaN amplitude, angle, length or coefficient, or an input
-whose formula overflows, with ValueError instead of returning NaN or inf
-or raising OverflowError.  The oracle's truncation and norm checks refuse
+below rejects a NaN amplitude, angle, length or coefficient, an input
+whose formula overflows, or a cat sign other than +-1, with ValueError
+instead of returning NaN or inf or raising OverflowError.  The oracle's truncation and norm checks refuse
 the cases in TRUNCATION_CASES instead, with TruncationError."""
 
 import math
@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from catruler.coherent_algebra import cat_norm_squared
 from catruler.errors import ApproximationRegimeWarning, TruncationError
 from catruler.fock_oracle import (
     beamsplitter_fock,
@@ -31,6 +32,12 @@ from catruler.physical_realization import (
     fringe_scan,
     fringe_spacing_physical,
     scan_extracted_spacing,
+)
+from catruler.squeezed_baseline import (
+    SqueezedBaselineParams,
+    homodyne_samples,
+    snr_monte_carlo,
+    snr_squeezed,
 )
 
 NAN = math.nan
@@ -90,6 +97,25 @@ CASES = {
     "cat_mean_photon_number-overflow": lambda: cat_mean_photon_number(1e200),
     "snr_ideal-overflow": lambda: snr_ideal(1e-4, 1e100),
     "snr_ideal-product-overflow": lambda: snr_ideal(1e300, 1e60),
+    # theta beta^2 overflows, at a finite beta^2 and at the last finite one
+    "phase_gate_error-phase-overflow": lambda: phase_gate_error(1e100, 1e300),
+    "phase_gate_error-square-limit": lambda: phase_gate_error(1.3e154, 3.0),
+    "cat_norm_squared-nan": lambda: cat_norm_squared(NAN),
+    "cat_norm_squared-overflow": lambda: cat_norm_squared(1e200),
+    "cat_norm_squared-sign": lambda: cat_norm_squared(1.0, 2),
+    "homodyne_samples-nan": lambda: homodyne_samples(SqueezedBaselineParams(1.0, 0.5), NAN, 10, 0),
+    "homodyne_samples-inf": lambda: homodyne_samples(SqueezedBaselineParams(1.0, 0.5), math.inf, 10, 0),
+    "homodyne_samples-product-overflow": lambda: homodyne_samples(
+        SqueezedBaselineParams(1e154, 0.5), 1e300, 10, 0
+    ),
+    "snr_monte_carlo-nan": lambda: snr_monte_carlo(SqueezedBaselineParams(5.0, 0.5, 1e-4), NAN, 10),
+    # one sample has no variance; a tiny probe overflows the calibration
+    "snr_monte_carlo-one-sample": lambda: snr_monte_carlo(SqueezedBaselineParams(5.0, 0.5, 1e-4), 0.1, 1),
+    "snr_monte_carlo-probe-overflow": lambda: snr_monte_carlo(
+        SqueezedBaselineParams(5.0, 0.5, 1e-4), 1e-300, 10
+    ),
+    "snr_squeezed-overflow": lambda: snr_squeezed(SqueezedBaselineParams(1e200, 0.5, 1e-4)),
+    "snr_squeezed-product-overflow": lambda: snr_squeezed(SqueezedBaselineParams(10.0, 1e-300, 1e300)),
 }
 
 
