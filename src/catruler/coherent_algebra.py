@@ -144,11 +144,15 @@ def _overlap(tau, gamma):
 
 def cat_norm_squared(alpha: float, sign: int = 1) -> float:
     """Squared norm 2 + 2 sign e^{-alpha^2/2} of the unnormalized cat
-    |0> + sign |alpha>; sign = 1 gives the plus cat, sign = -1 the minus cat."""
+    |0> + sign |alpha>; sign = 1 gives the plus cat, sign = -1 the minus cat.
+    The minus cat's norm is taken as -2 expm1(-alpha^2/2), which keeps its
+    precision (and stays positive) where 2 - 2 e^{-alpha^2/2} cancels."""
     if sign not in (1, -1):
         raise ValueError(f"sign must be 1 or -1, got {sign!r}")
     _require_alpha(alpha)
-    return 2.0 + sign * 2.0 * math.exp(-(alpha**2) / 2.0)
+    if sign < 0:
+        return -2.0 * math.expm1(-(alpha**2) / 2.0)
+    return 2.0 + 2.0 * math.exp(-(alpha**2) / 2.0)
 
 
 def _overlap_matrix(amps: np.ndarray) -> np.ndarray:

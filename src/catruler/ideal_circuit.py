@@ -93,6 +93,11 @@ def cat_mean_photon_number(alpha: float, exact: bool = False) -> float:
     return alpha**2 / 2.0
 
 
+def _require_v_theta(v_theta: float) -> None:
+    if not (v_theta >= 0 and math.isfinite(v_theta)):
+        raise ValueError("v_theta must be nonnegative and finite")
+
+
 def snr_ideal(v_theta: float, alpha: float) -> float:
     """Signal-to-noise for small phase fluctuations of power v_theta.
 
@@ -100,8 +105,7 @@ def snr_ideal(v_theta: float, alpha: float) -> float:
     noise; averaging over theta ~ N(0, v_theta) gives
     v_theta alpha^4 / 4 = v_theta nbar^2 with nbar = alpha^2/2.
     """
-    if not (v_theta >= 0 and math.isfinite(v_theta)):
-        raise ValueError("v_theta must be nonnegative and finite")
+    _require_v_theta(v_theta)
     nbar = _require_alpha(alpha) ** 2 / 2.0
     # nbar^2 raises OverflowError past MAX_AMPLITUDE; below it the product may still reach inf
     snr = v_theta * nbar**2 if nbar <= MAX_AMPLITUDE else math.inf
@@ -122,6 +126,7 @@ def snr_monte_carlo(
     ratio P(|1>)/P(|0>), keeping the exact coherent overlaps so the
     finite-alpha correction is visible.
     """
+    _require_v_theta(v_theta)
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     thetas = np.random.default_rng(rng_seed).normal(0.0, math.sqrt(v_theta), n_samples)

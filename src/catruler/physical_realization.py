@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -57,6 +58,10 @@ CANCELLATION_LIMIT = 1e8
 APPROXIMATION_WARNING_LEVEL = 0.1
 # fringe_phase_offset correlates over lags up to this fraction of the scan
 MAX_LAG_FRACTION = 0.6
+# _conditional_batch evaluates at most this many points at once: the
+# ruler's default grid, the largest one a single command scanned before
+# commands batched their alphas
+SCAN_CHUNK_POINTS = 1201
 
 
 def _mixing_angle(alpha: float) -> float:
@@ -161,17 +166,36 @@ def _cat_norms(alpha: float) -> tuple[float, float]:
     return 1.0 / math.sqrt(cat_norm_squared(alpha)), 1.0 / math.sqrt(cat_norm_squared(alpha, -1))
 
 
-def _cat_projections(alpha: float, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _per_alpha(alpha, scalars) -> tuple[np.ndarray, ...]:
+    """scalars(a), a tuple of Python numbers computed with math, once per
+    distinct alpha and gathered to the points: each value an (n,) array
+    for an array of per-point alphas, a 0-d array for one float alpha.
+    A point therefore gets the same bits whatever else shares its grid."""
+    if np.ndim(alpha) == 0:
+        return tuple(np.array(v) for v in scalars(alpha))
+    distinct, index = np.unique(alpha, return_inverse=True)
+    table = [scalars(a) for a in distinct.tolist()]
+    return tuple(np.array(column)[index] for column in zip(*table))
+
+
+def _beam_scalars(alpha: float) -> tuple:
+    """alpha, the transmitted and reflected amplitudes of |alpha> at the
+    mixing angle, and the plus / minus cat normalizations."""
+    phi = _mixing_angle(alpha)
+    return (alpha, alpha * math.cos(phi), 1j * alpha * math.sin(phi), *_cat_norms(alpha))
+
+
+def _cat_projections(alpha, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Beamsplitter expansion of cat(theta) x cat at every theta of a grid.
 
+    alpha is one float for the grid or an array of one per point.
     Returns the measured-port and homodyne-port amplitudes of the four
     product terms (vacuum, reference-transmission, signal-transmission,
     composite), each of shape (n, 4), and the overlaps <cat_+-|component>
     of the normalized plus / minus cats with the measured-port components,
     shape (n, 2, 4).  All of them are closed-form in e^{i theta}.
     """
-    phi = _mixing_angle(alpha)
-    transmitted, reflected = alpha * math.cos(phi), 1j * alpha * math.sin(phi)
+    alpha, transmitted, reflected, n_plus, n_minus = _per_alpha(alpha, _beam_scalars)
     e = np.exp(1j * thetas)
     zero = np.zeros_like(e)
     measured = np.stack(
@@ -181,8 +205,8 @@ def _cat_projections(alpha: float, thetas: np.ndarray) -> tuple[np.ndarray, np.n
         [zero, zero + transmitted, reflected * e, transmitted + reflected * e], axis=-1
     )
     on_vacuum = np.exp(_log_overlap(0.0, measured))
-    on_alpha = np.exp(_log_overlap(alpha, measured))
-    n_plus, n_minus = _cat_norms(alpha)
+    on_alpha = np.exp(_log_overlap(alpha[..., None], measured))
+    n_plus, n_minus = n_plus[..., None], n_minus[..., None]
     cats = np.stack([n_plus * (on_vacuum + on_alpha), n_minus * (on_vacuum - on_alpha)], axis=-2)
     return measured, output, cats
 
@@ -210,17 +234,53 @@ class _ConditionalBatch(NamedTuple):
         return self.joint / self.weights
 
 
-def _require(ok: np.ndarray, thetas: np.ndarray, message: str) -> None:
-    """Raise IntegrationError naming the first theta at which ok fails."""
+def _require(ok: np.ndarray, alpha, thetas: np.ndarray, message: str) -> None:
+    """Raise IntegrationError naming alpha and theta of the first point at
+    which ok fails."""
     ok = np.asarray(ok).reshape(len(thetas), -1).all(axis=1)
     if not ok.all():
-        theta = float(thetas[np.argmin(ok)])
-        raise IntegrationError(f"conditional output failed at theta = {theta!r}: {message}")
+        i = int(np.argmin(ok))
+        at_alpha = float(alpha if np.ndim(alpha) == 0 else alpha[i])
+        raise IntegrationError(
+            f"conditional output failed at alpha = {at_alpha!r}, theta = {float(thetas[i])!r}: "
+            f"{message}"
+        )
 
 
-def _conditional_batch(alpha: float, thetas: np.ndarray) -> _ConditionalBatch:
+def _kernel_scalars(alpha: float) -> tuple[float, float, float]:
+    """Input normalization n_+^2 of each cat, its square n_+^4 (the
+    two-mode norm's) and the homodyne threshold alpha/2."""
+    n_plus_sq = _cat_norms(alpha)[0] ** 2
+    return n_plus_sq, n_plus_sq**2, alpha / 2.0
+
+
+def _conditional_batch(alpha, thetas: np.ndarray) -> _ConditionalBatch:
     """Joint distribution of the cat-basis outcome and the homodyne
-    threshold result at every theta of a grid, in one batched evaluation.
+    threshold result at every point of a grid: alpha is one float for
+    the grid or an array of one per point, so that scans at several
+    amplitudes share one evaluation.
+
+    The points go through _conditional_chunk in chunks of at most
+    SCAN_CHUNK_POINTS (split evenly), which bounds the kernel's
+    temporaries; a chunk whose points share one alpha takes it as a
+    float.  Each point's values are the same bits as in a one-alpha call.
+    """
+    n = len(thetas)
+    chunks = max(1, -(-n // SCAN_CHUNK_POINTS))
+    parts = []
+    for k in range(chunks):
+        chunk = slice(n * k // chunks, n * (k + 1) // chunks)
+        a = alpha if np.ndim(alpha) == 0 else alpha[chunk]
+        if np.ndim(a) and (a == a[0]).all():
+            a = float(a[0])
+        parts.append(_conditional_chunk(a, thetas[chunk]))
+    if len(parts) == 1:
+        return parts[0]
+    return _ConditionalBatch(*(np.concatenate(column) for column in zip(*parts)))
+
+
+def _conditional_chunk(alpha, thetas: np.ndarray) -> _ConditionalBatch:
+    """One batched evaluation of _conditional_batch.
 
     Exactly normalized cat x cat input with the path phase on the measured
     beam, beamsplitter relation applied to each of the four product terms,
@@ -229,7 +289,7 @@ def _conditional_batch(alpha: float, thetas: np.ndarray) -> _ConditionalBatch:
     the |0> and |alpha> quadrature means.  The projections stay
     unnormalized: their norms^2 are the outcome weights and their
     threshold forms the joint probabilities.  Every check of the per-state
-    path is made on the whole grid and names the first failing theta.
+    path is made on the whole grid and names the first failing point.
 
     The weight closure is checked on the two-mode norm of the four product
     terms, n_+^4 sum_kl <m_k|m_l><o_k|o_l> over measured-port amplitudes m
@@ -242,29 +302,30 @@ def _conditional_batch(alpha: float, thetas: np.ndarray) -> _ConditionalBatch:
     """
     measured, output, cats = _cat_projections(alpha, thetas)
     # both input cats carry the plus-cat normalization
-    n_plus_sq = _cat_norms(alpha)[0] ** 2
-    raw = n_plus_sq * cats
-    gram, kernel = _threshold_kernel_erf(output, alpha / 2.0)
-    norm = n_plus_sq**2 * (_overlap_matrix(measured) * gram).sum(axis=(-2, -1))
-    _require(np.abs(norm - 1.0) <= WEIGHT_CLOSURE_TOL, thetas,
+    n_plus_sq, n_plus_4, threshold = _per_alpha(alpha, _kernel_scalars)
+    raw = n_plus_sq[..., None, None] * cats
+    gram, kernel = _threshold_kernel_erf(output, threshold[..., None, None])
+    norm = n_plus_4 * (_overlap_matrix(measured) * gram).sum(axis=(-2, -1))
+    _require(np.abs(norm - 1.0) <= WEIGHT_CLOSURE_TOL, alpha, thetas,
              f"two-mode norm differs from 1 by more than {WEIGHT_CLOSURE_TOL}")
     gram, kernel = gram[:, None], kernel[:, None]  # broadcast over the outcome axis
 
     weights, ok = _hermitian_form(raw, gram)
-    _require(ok, thetas, "outcome weight is not finite or carries an imaginary residue")
+    _require(ok, alpha, thetas, "outcome weight is not finite or carries an imaginary residue")
     weights = weights.real
-    _require(CANCELLATION_LIMIT * weights > (np.abs(raw) ** 2).sum(axis=-1), thetas,
+    _require(CANCELLATION_LIMIT * weights > (np.abs(raw) ** 2).sum(axis=-1), alpha, thetas,
              f"outcome weight is below 1/{CANCELLATION_LIMIT:g} of its cancelling terms")
     leakage = 1.0 - weights[:, 0] - weights[:, 1]
-    _require(leakage >= -NORM_CLAMP, thetas, "outcome weights exceed the two-mode norm")
+    _require(leakage >= -NORM_CLAMP, alpha, thetas, "outcome weights exceed the two-mode norm")
 
     # the residue is judged at the scale of the normalized conditional states
     joint, ok = _hermitian_form(raw, kernel, unit=weights)
-    _require(ok, thetas, "threshold probability is not finite or carries an imaginary residue")
+    _require(ok, alpha, thetas,
+             "threshold probability is not finite or carries an imaginary residue")
     joint = joint.real
     conditional = joint / weights
-    _require((-NORM_CLAMP <= conditional) & (conditional <= 1.0 + 1e-9 + NORM_CLAMP), thetas,
-             "conditional threshold probability escaped [0, 1]")
+    _require((-NORM_CLAMP <= conditional) & (conditional <= 1.0 + 1e-9 + NORM_CLAMP),
+             alpha, thetas, "conditional threshold probability escaped [0, 1]")
     return _ConditionalBatch(output, raw, weights, leakage, norm, np.clip(joint, 0.0, weights))
 
 
@@ -301,24 +362,39 @@ def measurement_probabilities(p: RealizationParams) -> tuple[float, float]:
     return float(p_plus), float(p_minus)
 
 
-def fringe_scan(alpha: float, theta_min: float, theta_max: float, n_points: int) -> FringeCurve:
-    """Uniformly sampled fringe curve over [theta_min, theta_max].
+def fringe_scans(
+    alphas: Sequence[float], spans: Sequence[tuple[float, float]], n_points: int
+) -> list[FringeCurve]:
+    """Uniformly sampled fringe curves, one per alpha over its span
+    (theta_min, theta_max), n_points each.
 
-    The whole grid is one batched closed-form evaluation; a failed check
-    raises IntegrationError naming the first offending theta.
+    Every alpha and span is checked first; then the concatenated grids
+    are one batched closed-form evaluation (_conditional_batch), and a
+    failed check raises IntegrationError naming alpha and theta of the
+    first offending point.
     """
     if n_points < 2:
         raise ValueError(f"n_points must be at least 2, got {n_points!r}")
-    # a non-finite bound makes the width non-finite too
-    if not math.isfinite(theta_max - theta_min):
-        raise ValueError(f"theta span {theta_min!r}:{theta_max!r} must have a finite width")
-    if not theta_min < theta_max:
-        raise ValueError("theta_min must be below theta_max")
-    RealizationParams(alpha=alpha)  # validates alpha and warns outside the weak-mixing regime
-    thetas = np.linspace(theta_min, theta_max, n_points)
-    batch = _conditional_batch(alpha, thetas)
+    for alpha, (theta_min, theta_max) in zip(alphas, spans, strict=True):
+        # a non-finite bound makes the width non-finite too
+        if not math.isfinite(theta_max - theta_min):
+            raise ValueError(f"theta span {theta_min!r}:{theta_max!r} must have a finite width")
+        if not theta_min < theta_max:
+            raise ValueError("theta_min must be below theta_max")
+        RealizationParams(alpha=alpha)  # validates alpha and warns outside the weak-mixing regime
+    thetas = np.concatenate([np.linspace(lo, hi, n_points) for lo, hi in spans])
+    batch = _conditional_batch(np.repeat(np.asarray(alphas, dtype=float), n_points), thetas)
     p_plus, p_minus = batch.conditional.T
-    return FringeCurve(theta=thetas, p_plus=p_plus, p_minus=p_minus, leakage=batch.leakage)
+    return [
+        FringeCurve(theta=thetas[k], p_plus=p_plus[k], p_minus=p_minus[k], leakage=batch.leakage[k])
+        for k in (slice(i, i + n_points) for i in range(0, thetas.size, n_points))
+    ]
+
+
+def fringe_scan(alpha: float, theta_min: float, theta_max: float, n_points: int) -> FringeCurve:
+    """Uniformly sampled fringe curve over [theta_min, theta_max]: the
+    one-alpha case of fringe_scans."""
+    return fringe_scans([alpha], [(theta_min, theta_max)], n_points)[0]
 
 
 def _local_extrema(theta: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

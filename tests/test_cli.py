@@ -5,9 +5,10 @@ import math
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from catruler import physical_realization
+from catruler import cli, fock_oracle, physical_realization
 from catruler.cli import main
 from catruler.physical_realization import RealizationParams, measurement_probabilities, output_state
 
@@ -111,6 +112,33 @@ class TestFringeCommand:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:") and "theta = " in err
         assert not out.exists()
+
+    def test_several_alphas_name_the_failing_one(self, tmp_path, capsys):
+        # one kernel evaluation covers both alphas; the failure names its point
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "--quiet", "fringe", "--alpha", "2,0.5",
+                     "--points", "11"]) == 3
+        assert "at alpha = 0.5, theta = " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_batched_alphas_write_the_single_alpha_bytes(self, tmp_path):
+        assert main(["--out", str(tmp_path / "all"), "--quiet", "fringe",
+                     "--alpha", "5,10,20", "--points", "41"]) == 0
+        for alpha in ("5", "10", "20"):
+            single = tmp_path / alpha
+            assert main(["--out", str(single), "--quiet", "fringe",
+                         "--alpha", alpha, "--points", "41"]) == 0
+            name = f"fringe_alpha{alpha}.csv"
+            assert (tmp_path / "all" / name).read_bytes() == (single / name).read_bytes()
+
+    def test_tiny_alpha_ends_without_a_traceback(self, tmp_path, capsys):
+        # the minus-cat norm 2 - 2 exp(-alpha^2/2) cancelled to 0 at alpha =
+        # 1e-9 and the command died with ZeroDivisionError
+        code = main(["--out", str(tmp_path), "--quiet", "fringe", "--alpha", "1e-9",
+                     "--points", "5", "--theta-span=-1:1"])
+        assert code in (0, 3)
+        if code == 3:
+            assert capsys.readouterr().err.startswith("numerical failure:")
 
 
 class TestWidthScaling:
@@ -279,6 +307,41 @@ class TestOracleCommand:
         closure = json.loads((tmp_path / "oracle_report.json").read_text())["checks"]["weight_closure"]
         assert closure["pass"] is False
         assert closure["value"] == pytest.approx(1e-8, rel=1e-6)
+
+
+class TestOracleLoopReference:
+    """The oracle command's randomized checks against the per-case loop
+    they replaced, which called the scan kernel once per case."""
+
+    @staticmethod
+    def loop_checks(max_alpha, cases, seed, inject_bug):
+        rng = np.random.default_rng(seed)
+        worst_dp = worst_dl = worst_norm = 0.0
+        for index in range(cases):
+            alpha = float(rng.uniform(cli.ORACLE_MIN_ALPHA, max_alpha))
+            theta = float(rng.uniform(0.0, 2.0 * math.pi))
+            oracle = fock_oracle.end_to_end_oracle(RealizationParams(alpha=alpha, theta=theta))
+            batch = physical_realization._conditional_batch(alpha, np.array([theta]))
+            p_plus, p_minus = batch.conditional[0]
+            if inject_bug and index == 0:
+                p_plus += 1e-4
+            worst_dp = max(worst_dp, abs(p_plus - oracle.p_plus), abs(p_minus - oracle.p_minus))
+            worst_dl = max(worst_dl, abs(batch.leakage[0] - oracle.leakage))
+            worst_norm = max(worst_norm, abs(batch.norm[0] - 1.0))
+        return {
+            "probability_agreement": cli._check(worst_dp, 1e-6),
+            "leakage_agreement": cli._check(worst_dl, 1e-6),
+            "weight_closure": cli._check(worst_norm, 1e-9),
+        }
+
+    @pytest.mark.parametrize("max_alpha, cases, seed, inject_bug", [
+        (3.0, 12, 0, False), (3.0, 5, 3, True), (6.0, 4, 11, False), (0.9, 6, 2, False),
+    ])
+    def test_checks_equal_the_per_case_loop(self, max_alpha, cases, seed, inject_bug):
+        got = cli._oracle_checks(max_alpha, cases, seed, inject_bug)
+        want = self.loop_checks(max_alpha, cases, seed, inject_bug)
+        assert {name: got[name] for name in want} == want
+        assert got["probability_agreement"]["pass"] is not inject_bug
 
 
 class TestPhaseErrorCommand:

@@ -24,6 +24,7 @@ from catruler.coherent_algebra import (
     _clamped_norm,
     _half_faddeeva,
     beamsplitter,
+    cat_norm_squared,
     norm_squared,
     overlap,
     quadrature_wavefunction,
@@ -151,6 +152,20 @@ class TestNormSquared:
                 for cm, gm in minus.terms
             )
             assert abs(inner) < TIGHT
+
+
+class TestCatNormSquared:
+    @pytest.mark.parametrize("alpha", [1e-9, 1e-5, 1e-3, 0.1, 1.0, 5.0, 40.0])
+    def test_matches_mpmath_for_both_signs(self, alpha):
+        for sign in (1, -1):
+            a = mpmath.mpf(alpha)
+            with mpmath.workdps(50):
+                want = float(2 + 2 * sign * mpmath.exp(-a**2 / 2))
+            assert cat_norm_squared(alpha, sign) == pytest.approx(want, rel=4e-16)
+
+    def test_minus_cat_keeps_a_positive_norm_for_small_alpha(self):
+        # 2 - 2 exp(-alpha^2/2) cancels to 0 here; the norm is alpha^2
+        assert cat_norm_squared(1e-9, -1) == pytest.approx(1e-18, rel=1e-15)
 
 
 class TestBeamsplitter:

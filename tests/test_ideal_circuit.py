@@ -160,6 +160,14 @@ class TestSnrIdeal:
             ratios.append(p1 / p0)
         assert snr_monte_carlo(alpha, v_theta, n_samples=n, rng_seed=seed) == np.mean(ratios)
 
+    @pytest.mark.parametrize("v_theta", [-1.0, math.nan, math.inf])
+    def test_monte_carlo_rejects_bad_fluctuation_power(self, v_theta):
+        # the same check as snr_ideal, naming v_theta rather than theta or sqrt
+        with pytest.raises(ValueError, match="v_theta must be nonnegative and finite"):
+            snr_monte_carlo(2.0, v_theta)
+        with pytest.raises(ValueError, match="v_theta must be nonnegative and finite"):
+            snr_ideal(v_theta, 2.0)
+
     def test_four_times_squeezed_benchmark_asymptotically(self):
         n_bar = 1e4
         v_theta = 1e-6

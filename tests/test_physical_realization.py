@@ -25,6 +25,7 @@ from catruler.physical_realization import (
     fringe_period,
     fringe_phase_offset,
     fringe_scan,
+    fringe_scans,
     fringe_spacing_physical,
     measurement_probabilities,
     output_state,
@@ -475,6 +476,93 @@ class TestRuler:
             fringe_spacing_physical(-1.0, 1e-6)
         with pytest.raises(ValueError):
             fringe_spacing_physical(10.0, 0.0)
+
+
+class TestBatchedKernel:
+    """_conditional_batch over per-point alphas: each point gets the bits
+    of a one-alpha call, in chunks of at most SCAN_CHUNK_POINTS."""
+
+    ALPHAS = (0.4, 0.8, 5.0, 20.0, 3000.0)  # 0.4 and 0.8 mix past a quarter turn
+
+    @staticmethod
+    def grid(alpha, n_points):
+        period = 2 * math.pi / alpha**2
+        return np.linspace(-3 * period, 3 * period, n_points)
+
+    @pytest.mark.parametrize("n_points", [1, 25, 801])
+    def test_per_point_alphas_equal_per_alpha_calls_bit_for_bit(self, n_points):
+        from catruler.physical_realization import SCAN_CHUNK_POINTS, _conditional_batch
+
+        grids = [self.grid(a, n_points) if n_points > 1 else np.array([0.7]) for a in self.ALPHAS]
+        singles = [_conditional_batch(a, t) for a, t in zip(self.ALPHAS, grids)]
+        alphas = np.repeat(self.ALPHAS, n_points)
+        thetas = np.concatenate(grids)
+        # in grid order and shuffled, so that chunks mix the alphas
+        order = np.random.default_rng(n_points).permutation(alphas.size)
+        for index in (np.arange(alphas.size), order):
+            batch = _conditional_batch(alphas[index], thetas[index])
+            for field in ("joint", "weights", "leakage", "norm"):
+                want = np.concatenate([getattr(b, field) for b in singles])[index]
+                assert np.array_equal(getattr(batch, field), want), field
+        assert (alphas.size > SCAN_CHUNK_POINTS) == (n_points == 801)
+
+    def test_chunks_stay_within_the_cap(self, monkeypatch):
+        from catruler import physical_realization as pr
+
+        sizes = []
+        chunk = pr._conditional_chunk
+
+        def counting(alpha, thetas):
+            sizes.append(len(thetas))
+            return chunk(alpha, thetas)
+
+        monkeypatch.setattr(pr, "_conditional_chunk", counting)
+        spans = [(-0.1, 0.1)] * 3
+        fringe_scans([5.0, 10.0, 20.0], spans, 801)
+        assert sizes == [801, 801, 801]
+        sizes.clear()
+        fringe_scans([5.0, 10.0, 20.0], spans, 25)
+        assert sizes == [75]
+        sizes.clear()
+        fringe_scan(20.0, -0.1, 0.1, pr.SCAN_CHUNK_POINTS)
+        assert sizes == [pr.SCAN_CHUNK_POINTS]
+        sizes.clear()
+        # split evenly: two full chunks of 1201 take 2402 points, one more makes three
+        pr._conditional_batch(np.full(2403, 5.0), np.linspace(-0.1, 0.1, 2403))
+        assert sizes == [801, 801, 801]
+
+    def test_scans_equal_one_scan_per_alpha(self):
+        alphas = [2.0, 5.0, 20.0]
+        spans = [(-0.3, 0.2), (-0.1, 0.1), (0.0, 0.05)]
+        curves = fringe_scans(alphas, spans, 41)
+        for alpha, (lo, hi), curve in zip(alphas, spans, curves):
+            single = fringe_scan(alpha, lo, hi, 41)
+            for field in ("theta", "p_plus", "p_minus", "leakage"):
+                assert np.array_equal(getattr(curve, field), getattr(single, field))
+
+    def test_every_setting_is_checked_before_the_kernel_runs(self):
+        # alpha = 0.5 fails in the kernel (exit 3), but the later span is
+        # a usage error and is found first
+        with pytest.raises(ValueError, match="theta_min must be below theta_max"):
+            fringe_scans([0.5, 5.0], [(-1.0, 1.0), (0.1, -0.1)], 11)
+        with pytest.raises(ValueError):  # one span per alpha
+            fringe_scans([5.0, 5.0], [(-0.1, 0.1)], 11)
+
+    def test_failure_names_alpha_and_theta(self, monkeypatch):
+        from catruler import physical_realization as pr
+
+        kernel_erf = pr._threshold_kernel_erf
+
+        def corrupt_one_point(amps, threshold):
+            gram, kernel = kernel_erf(amps, threshold)
+            kernel[7, 1, 2] = complex("nan")
+            return gram, kernel
+
+        monkeypatch.setattr(pr, "_threshold_kernel_erf", corrupt_one_point)
+        spans = [(-0.1, 0.1), (-0.05, 0.05)]
+        theta = float(np.linspace(-0.05, 0.05, 5)[2])  # point 7 is alpha 10's third
+        with pytest.raises(IntegrationError, match=rf"alpha = 10.0, theta = {theta!r}: threshold"):
+            fringe_scans([5.0, 10.0], spans, 5)
 
 
 class TestPhaseOffset:
