@@ -63,11 +63,13 @@ def _require_finite_complex(value: complex, name: str) -> complex:
 
 def _require_alpha(alpha: float, name: str = "alpha") -> float:
     """Reject a cat amplitude that is not positive or whose square (which
-    every alpha formula of the package takes) overflows."""
+    every alpha formula of the package takes) overflows or underflows."""
     if not (alpha > 0 and math.isfinite(alpha)):
         raise ValueError(f"{name} must be positive and finite, got {alpha!r}")
     if alpha > MAX_AMPLITUDE:
         raise ValueError(f"{name} must have a finite square, got {alpha!r}")
+    if alpha * alpha < sys.float_info.min:
+        raise ValueError(f"{name} must have a square that is a normal double, got {alpha!r}")
     return alpha
 
 

@@ -3,9 +3,10 @@
 Everything the analytic modules compute in closed form is recomputed
 here in number-basis algebra: coherent states expand as
 c_n = e^{-|g|^2/2} g^n / sqrt(n!), beamsplitters act through the
-Chebyshev-Bessel series of exp(i t (a^dag b + a b^dag)), cat-basis
-outcomes are projections, and quadrature CDFs are exact sums over
-Hermite-function Wronskians at the threshold, in the fixed quadrature
+Chebyshev-Bessel series of exp(i t (a^dag b + a b^dag)) on the grid
+packed by total photon number m + n, which the generator conserves,
+cat-basis outcomes are projections, and quadrature CDFs are exact sums
+over Hermite-function Wronskians at the threshold, in the fixed quadrature
 units of coherent_algebra (<x> = Re g, vacuum variance 1/4).  Agreement
 between the two routes is what licenses trusting the closed forms, so
 nothing in this module reuses the analytic formulas: it imports nothing
@@ -17,7 +18,9 @@ the module needs numpy alone.
 
 Truncations follow N = max(30, ceil(|g|^2 + 8 |g| + 20)) per mode
 (a Poisson-tail bound), and coherent_to_fock and beamsplitter_fock verify
-the realized tail mass / norm loss rather than assuming the bound.  States
+the realized tail mass / norm loss rather than assuming the bound;
+beamsplitter_fock leaves out the photon-number blocks that carry less
+than BLOCK_DROP_MASS of the input norm^2 between them.  States
 are plain complex arrays: a single mode is its coefficient vector
 c_0 .. c_N, two modes the (N+1) x (N+1) grid (mode a, mode b).
 """
@@ -37,6 +40,10 @@ from .physical_realization import CANCELLATION_LIMIT, RealizationParams
 TAIL_TOL = 1e-8
 # Largest norm drift, or mass at the occupation cutoff, of the beamsplitter.
 UNITARY_NORM_TOL = 1e-8
+# beamsplitter_fock drops the photon-number blocks above the last one whose
+# tail (its mass and that of all blocks above it) exceeds this fraction of
+# the input norm^2: amplitude 1e-17, the Bessel series' cut-off.
+BLOCK_DROP_MASS = 1e-34
 # Largest |norm^2 - 1| of a state that parity and the quadrature CDF accept.
 STATE_NORM_TOL = 1e-6
 # Largest alpha of end_to_end_oracle: a (N+1)^2 grid, N ~ alpha^2, is 5 MiB at 20.
@@ -142,6 +149,35 @@ def _bessel_series(x: float) -> np.ndarray:
     return values[: np.flatnonzero(np.abs(values) > 1e-17)[-1] + 1]
 
 
+def _chebyshev_step(link: np.ndarray, v: np.ndarray, w: np.ndarray, buffer: np.ndarray) -> None:
+    """w <- 2 A v - w, where (2 A v)_j = link[j-1] v_{j-1} + link[j] v_{j+1}
+    on vectors that start with a zero; buffer is work space."""
+    np.multiply(link, v[:-1], buffer[:-1])
+    np.subtract(buffer[:-1], w[1:], w[1:])
+    np.multiply(link[1:], v[2:], buffer[:-2])
+    np.add(w[1:-1], buffer[:-2], w[1:-1])
+
+
+def _chebyshev_series(start: np.ndarray, link: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """sum_k coefficients[k] T_k(A) start for the A of _chebyshev_step,
+    by T_0 = start, T_1 = A start, T_{k+1} = 2 A T_k - T_{k-1}.  Each
+    step is written over the older of the two vectors it reads, start
+    among them, through one buffer: no temporaries."""
+    out, current, buffer = np.empty((3, start.size), dtype=complex)  # one allocation
+    np.multiply(start, coefficients[0], out)
+    current[:] = 0.0
+    previous = start
+    _chebyshev_step(link, previous, current, buffer)
+    current *= 0.5
+    for k, c in enumerate(coefficients[1:], start=1):
+        if k > 1:
+            _chebyshev_step(link, current, previous, buffer)
+            previous, current = current, previous
+        np.multiply(current, c, buffer)
+        np.add(out, buffer, out)
+    return out
+
+
 def beamsplitter_fock(grid: np.ndarray, mix_angle: float) -> np.ndarray:
     """exp[i t (a^dag b + a b^dag)], the unitary whose coherent-amplitude
     action is |g>|b> -> |cos t g + i sin t b>|cos t b + i sin t g>.
@@ -153,17 +189,31 @@ def beamsplitter_fock(grid: np.ndarray, mix_angle: float) -> np.ndarray:
     only t' is left to the series, whose length grows with |t'|.  For
     |t| <= pi/4, q = 0 and this step is skipped.
 
+    H = a^dag b + a b^dag conserves the total photon number T = m + n,
+    so the grid is packed block by block: block T holds |m, T - m> for
+    m = max(0, T - N) .. min(T, N), and the blocks follow one another in
+    T.  In this order H is a shift by one, with weight sqrt((m+1) n)
+    between |m, n> and its successor |m+1, n-1> inside a block, and 0
+    between blocks and at the end of a chain cut by the truncation
+    (m = N).  The blocks above `top` are dropped and come out as 0, where
+    top is the last T whose tail (the input's mass in blocks T and above)
+    exceeds BLOCK_DROP_MASS = 1e-34 of the norm^2, an amplitude of 1e-17
+    as at the series' cut-off; the norm-drift check still compares with
+    the whole input.
+
     The rest is the Chebyshev-Bessel series of the propagator
     (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)),
     exp(i x y) = J_0(x) + 2 sum_k i^k J_k(x) T_k(y) with y = H / s, where
-    s = 2N + 1 bounds the spectrum of the truncated generator H
-    (Gershgorin) and x = |t'| s; a negative t' turns i^k into (-i)^k.  The
-    series stops after the last order with |J_k(x)| > 1e-17; the J_k
-    come from Miller's backward recurrence (_bessel_series).  The
-    truncated generator is Hermitian, so the evolution is exactly unitary
-    and norm loss cannot witness an undersized truncation; instead,
-    probability reaching the occupation cutoff (where the truncated
-    dynamics diverge from the untruncated ones) raises a truncation error.
+    s = top + 1 bounds the spectrum of the truncated generator on the
+    kept blocks (Gershgorin: sqrt((m+1) n) + sqrt(m (n+1)) <= m + n + 1)
+    and x = |t'| s; a negative t' turns i^k into (-i)^k.  With every
+    block kept, s = 2N + 1.  The series stops after the last order with
+    |J_k(x)| > 1e-17; the J_k come from Miller's backward recurrence
+    (_bessel_series).  The truncated generator is Hermitian, so the
+    evolution is exactly unitary and norm loss cannot witness an
+    undersized truncation; instead, probability reaching the occupation
+    cutoff (where the truncated dynamics diverge from the untruncated
+    ones) raises a truncation error.
     """
     if not math.isfinite(mix_angle):
         raise ValueError("mix_angle must be finite")
@@ -174,52 +224,69 @@ def beamsplitter_fock(grid: np.ndarray, mix_angle: float) -> np.ndarray:
     n_cut = d - 1
     quarter = round(mix_angle / (math.pi / 2.0))
     turn = mix_angle - quarter * (math.pi / 2.0)
+
+    # block T holds sizes[T] entries, from packed entry ends[T] - sizes[T]
+    # on, whose m run up from first[T] = max(0, T - N): m - j is constant
+    # within a block, so the packed order needs no sort.  |m, T - m> is
+    # entry m (N+1) + T - m = T + N m of the flat grid
+    totals = np.arange(2 * n_cut + 1)
+    first = np.concatenate((np.zeros(d, dtype=int), np.arange(1, d)))
+    sizes = np.concatenate((np.arange(1, d + 1), np.arange(n_cut, 0, -1)))
+    ends = np.cumsum(sizes)
+    rows = np.repeat(first - (ends - sizes), sizes) + np.arange(d * d)
+    index = np.repeat(totals, sizes) + n_cut * rows
+    # entry j of the packed state sits at j + 1, after a zero that the
+    # shift reads at the lower end; an odd number of quarter turns swaps
+    # the modes
+    start = np.zeros(d * d + 1, dtype=complex)
+    source = np.ascontiguousarray(grid.T) if quarter % 2 else grid
+    np.take(source, index, out=start[1:], mode="clip")  # "raise" would buffer out
+
+    masses = np.add.reduceat(np.square(start[1:].view(float)), 2 * (ends - sizes))
+    tails = np.cumsum(masses[::-1])[::-1]
+    before = float(tails[0])
+    # tails falls with T; NaN keeps only the vacuum block
+    top = max(int(np.count_nonzero(tails > BLOCK_DROP_MASS * before)) - 1, 0)
+    kept = int(ends[top])
+    start = start[: kept + 1]
     if quarter % 4:
-        total = np.add.outer(np.arange(d), np.arange(d))
-        phase = np.array([1.0, 1j, -1.0, -1j])[(quarter % 4) * total % 4]
-        grid = phase * (grid.T if quarter % 2 else grid)
-    flat = grid.reshape(-1)
-    before = float(np.vdot(flat, flat).real)
+        phase = np.array([1.0, 1j, -1.0, -1j])[quarter * totals[: top + 1] % 4]
+        start[1:] *= np.repeat(phase, sizes[: top + 1])
 
-    s = 2.0 * n_cut + 1.0
+    s = top + 1.0
     bessel = _bessel_series(abs(turn) * s)
-    order = bessel.size - 1
-    # H couples flat index j = m (N+1) + n, i.e. |m, n>, to j + N, i.e.
-    # |m+1, n-1>, with weight sqrt(m+1) sqrt(n); the weight is zero at
-    # n = 0, where the flat step would wrap into the next row
-    m, n = np.divmod(np.arange(d * d - n_cut), d)
-    # complex, so that the products below need no dtype conversion
-    double = ((2.0 / s) * np.sqrt(m + 1.0) * np.sqrt(n)).astype(complex)
-    span = double.size
-
-    def recur(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """2 (H / s) v - w, written over w."""
-        w *= -1.0
-        w[n_cut:] += double * v[:span]
-        w[:span] += double * v[n_cut:]
-        return w
-
-    # T_0 = v, T_1 = (H / s) v, T_{k+1} = 2 (H / s) T_k - T_{k-1}
-    previous, current = flat.copy(), recur(flat, np.zeros_like(flat)) / 2.0
-    out = bessel[0] * flat
     unit = 1j if turn >= 0 else -1j
-    for c in 2.0 * bessel[1 : order + 1] * unit ** np.arange(1, order + 1):
-        out += c * current
-        previous, current = current, recur(current, previous)
+    coefficients = 2.0 * bessel * np.array([1.0, unit, -1.0, -unit])[np.arange(bessel.size) % 4]
+    coefficients[0] = bessel[0]
+    # link[j] = (2 / s) sqrt((m+1) n) joins entry j - 1, |m, n>, to entry
+    # j, |m+1, n-1>, and link[0] meets the leading zero.  It vanishes at
+    # the end of a block: there n = 0 up to T = N, and from T = N on
+    # m = N, which link[ends[T]] leaves
+    m = rows[: kept - 1]
+    link = np.zeros(kept, dtype=complex)  # complex: the products need no conversion
+    link[1:] = (2.0 / s) * np.sqrt((m + 1.0) * (index[: kept - 1] - d * m))
+    link[ends[n_cut:top]] = 0.0
+    # the series holds five vectors of the packed size: free what it does
+    # not need before it, and what the output grid does not need after it
+    del rows, m
+    out = _chebyshev_series(start, link, coefficients)[1:]
+    del start, link
 
-    after = float(np.vdot(out, out).real)
-    # written so that NaN fails both checks
-    if not abs(after - before) <= UNITARY_NORM_TOL * max(1.0, before):
+    after = float(np.sum(np.square(out.view(float))))
+    tolerance = UNITARY_NORM_TOL * max(1.0, before)
+    # written so that NaN fails both checks; an infinite input fails here
+    if not (abs(after - before) <= tolerance and math.isfinite(before)):
         raise TruncationError(
             f"beamsplitter norm drift {after - before:.3e} exceeds {UNITARY_NORM_TOL:.1e}"
         )
-    grid = out.reshape(d, d)
+    grid = np.zeros((d, d), dtype=complex)
+    grid.reshape(-1)[index[:kept]] = out
     boundary = (
         float(np.sum(np.abs(grid[-1, :]) ** 2))
         + float(np.sum(np.abs(grid[:, -1]) ** 2))
         - float(np.abs(grid[-1, -1]) ** 2)
     )
-    if not boundary <= UNITARY_NORM_TOL * max(1.0, before):
+    if not boundary <= tolerance:
         raise TruncationError(
             f"occupation mass {boundary:.3e} reached the cutoff N = {n_cut}; "
             "increase the truncation"
@@ -278,7 +345,11 @@ def quadrature_cdf_fock(state: np.ndarray, threshold: float) -> float:
     phi_n' = sqrt(n/2) phi_{n-1} - sqrt((n+1)/2) phi_{n+1}; on the
     diagonal the ladder operators give
     I_nn = I_{n-1,n-1} - phi_{n-1} phi_n / sqrt(2n) from the vacuum
-    Gaussian I_00 = erfc(-xi) / 2.
+    Gaussian I_00 = erfc(-xi) / 2.  I is real symmetric, so
+    c^dag I c = a^T I a + b^T I b for c = a + i b, and the two halves of
+    each off-diagonal pair add up: a^T I a = sum_n a_n^2 I_nn +
+    sum_{m != n} (a phi')_m (a phi)_n / (n - m), one product with the
+    reciprocal differences 1 / (n - m) per part.
     """
     if not math.isfinite(threshold):
         raise ValueError("threshold must be finite")
@@ -292,19 +363,20 @@ def quadrature_cdf_fock(state: np.ndarray, threshold: float) -> float:
     if threshold >= edge:
         return min(n2, 1.0 + 1e-9)
     xi = math.sqrt(2.0) * threshold
-    n = np.arange(state.size)
+    n = np.arange(state.size, dtype=float)
     phi = _hermite_functions(state.size + 1, xi)  # phi_0 .. phi_{N+1}
     below = np.concatenate(([0.0], phi[:-2]))  # phi_{n-1}, zero at n = 0
     phi, above = phi[:-1], phi[1:]
     slope = np.sqrt(n / 2.0) * below - np.sqrt((n + 1.0) / 2.0) * above
-    gap = 2.0 * (n[None, :] - n[:, None])
-    np.fill_diagonal(gap, 1.0)
-    integrals = (np.outer(slope, phi) - np.outer(phi, slope)) / gap
     steps = phi[:-1] * phi[1:] / np.sqrt(2.0 * n[1:])
-    np.fill_diagonal(integrals, 0.5 * math.erfc(-xi) - np.concatenate(([0.0], np.cumsum(steps))))
-    # I is real symmetric, so c^dag I c = a^T I a + b^T I b for c = a + i b
+    diagonal = 0.5 * math.erfc(-xi) - np.concatenate(([0.0], np.cumsum(steps)))
+    reciprocal = n - n[:, None]  # n - m at [m, n]
+    np.fill_diagonal(reciprocal, math.inf)
+    np.reciprocal(reciprocal, out=reciprocal)
     parts = np.stack([state.real, state.imag])
-    probability = float(np.sum(parts * (parts @ integrals)))
+    probability = float(
+        np.sum(parts * parts * diagonal) + np.sum(((parts * slope) @ reciprocal) * (parts * phi))
+    )
     if not math.isfinite(probability):
         raise ValueError(f"quadrature CDF {probability!r} is not finite")
     return min(max(probability, 0.0), 1.0 + 1e-9)
@@ -353,8 +425,9 @@ def end_to_end_oracle(p: RealizationParams) -> OracleProbabilities:
     w_plus = float(np.vdot(conditional_plus, conditional_plus).real)
     w_minus = float(np.vdot(conditional_minus, conditional_minus).real)
     leakage = 1.0 - w_plus - w_minus
+    magnitudes = np.abs(mixed)
     for cat, weight in ((plus_cat, w_plus), (minus_cat, w_minus)):
-        terms = np.abs(cat) @ np.abs(mixed)
+        terms = np.abs(cat) @ magnitudes
         if not CANCELLATION_LIMIT * weight > terms @ terms:
             raise IntegrationError(
                 f"oracle failed at theta = {p.theta!r}: outcome weight is below "

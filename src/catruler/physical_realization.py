@@ -35,6 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .coherent_algebra import (
+    MAX_AMPLITUDE,
     NORM_CLAMP,
     CoherentSuperposition,
     _hermitian_form,
@@ -83,6 +84,11 @@ class RealizationParams:
             raise ValueError(
                 f"alpha = {self.alpha!r} is too large: the mixing angle "
                 "pi / (2 alpha^2) is not a normal double"
+            )
+        if not self.phi <= MAX_AMPLITUDE:
+            raise ValueError(
+                f"alpha = {self.alpha!r} is too small: the square of the mixing "
+                "angle pi / (2 alpha^2) overflows"
             )
         if not math.isfinite(self.theta):
             raise ValueError("theta must be finite")

@@ -178,6 +178,21 @@ class TestWidthScaling:
         assert err.startswith("usage error:") and "alpha" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        # pi / (2 alpha^2) is finite, but its square overflows
+        ["fringe", "--alpha", "1e-100", "--points", "5", "--theta-span=-1:1"],
+        ["ruler", "--alpha", "1e-100", "--wavelength", "1e-6"],
+        # alpha^2 underflows to 0
+        ["fringe", "--alpha", "1e-170", "--points", "5", "--theta-span=-1:1"],
+        ["width-scaling", "--alpha", "1e-170,5"],
+    ])
+    def test_tiny_alpha_is_a_one_line_usage_error(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "--quiet"] + command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "alpha" in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_large_alphas_keep_the_inverse_square_law(self, tmp_path):
         assert main(["--out", str(tmp_path), "--quiet", "width-scaling",
                      "--alpha", "1e3,1e4"]) == 0

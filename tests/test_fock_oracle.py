@@ -43,6 +43,13 @@ def total_quanta(truncation):
     return np.add.outer(np.arange(truncation + 1), np.arange(truncation + 1))
 
 
+def dense_evolution(grid, angle):
+    """exp(i angle H) of the truncated generator H, as a dense matrix on the flat grid."""
+    lowering = np.diag(np.sqrt(np.arange(1.0, grid.shape[0])), 1)
+    generator = np.kron(lowering.T, lowering) + np.kron(lowering, lowering.T)
+    return expm(1j * angle * generator) @ grid.reshape(-1)
+
+
 class TestCoherentToFock:
     def test_vacuum(self):
         v = coherent_to_fock(0.0, 10)
@@ -181,6 +188,87 @@ class TestBeamsplitterFock:
         with pytest.raises(TruncationError):
             beamsplitter_fock(grid, math.pi / 4)
 
+    @staticmethod
+    def spy_scale(monkeypatch):
+        """Record x = |t'| s of every _bessel_series call."""
+        seen = []
+        bessel_series = fock_oracle._bessel_series
+        monkeypatch.setattr(fock_oracle, "_bessel_series", lambda x: seen.append(x) or bessel_series(x))
+        return seen
+
+    @staticmethod
+    def last_kept_block(grid):
+        """top: the last total T whose input tail, blocks T and above, holds
+        more than BLOCK_DROP_MASS of the norm^2."""
+        truncation = grid.shape[0] - 1
+        masses = np.bincount(total_quanta(truncation).ravel(), weights=(np.abs(grid) ** 2).ravel())
+        tails = np.cumsum(masses[::-1])[::-1]
+        return int(np.flatnonzero(tails > fock_oracle.BLOCK_DROP_MASS * tails[0])[-1])
+
+    @staticmethod
+    def oracle_input(alpha, theta):
+        """cat(theta) x cat and the mixing angle, as end_to_end_oracle builds them."""
+        p = RealizationParams(alpha=alpha, theta=theta)
+        truncation = default_truncation(alpha * (math.cos(p.phi) + math.sin(p.phi)))
+        cat = exact_cat(alpha, +1, truncation)
+        return np.outer(phase_rotate(cat, theta), cat), p.phi
+
+    @pytest.mark.parametrize("case", ["fidelity", 0.4, 1.0, 1.7, 3.0])
+    def test_dropping_no_block_is_the_whole_grid_series(self, case, monkeypatch):
+        # at drop level 0 every block is kept and the series runs at scale
+        # 2N + 1 over the whole grid, as it did before the blocks were packed
+        if case == "fidelity":  # the product state of the oracle's fidelity check
+            grid, angle = np.outer(coherent_to_fock(1.5, 50), coherent_to_fock(1.0, 50)), 0.3
+        else:
+            grid, angle = self.oracle_input(case, 2.1)
+        packed = beamsplitter_fock(grid, angle)
+        monkeypatch.setattr(fock_oracle, "BLOCK_DROP_MASS", 0.0)
+        seen = self.spy_scale(monkeypatch)
+        whole = beamsplitter_fock(grid, angle)
+        turn = abs(angle - round(angle / (math.pi / 2)) * (math.pi / 2))
+        assert seen == [turn * (2 * grid.shape[0] - 1)]
+        assert np.max(np.abs(packed - whole)) <= 1e-15
+
+    @pytest.mark.parametrize("angle", [0.6, -0.3])
+    def test_dropped_blocks_match_dense_exponential(self, angle, monkeypatch):
+        # a coherent product at N = 20 holds no mass worth keeping in the
+        # highest blocks: the series runs at a scale below 2N + 1 and the
+        # dropped blocks come out as 0
+        n = 20
+        grid = np.outer(coherent_to_fock(1.0, n), coherent_to_fock(0.5j, n))
+        top = self.last_kept_block(grid)
+        assert top < 2 * n
+        seen = self.spy_scale(monkeypatch)
+        out = beamsplitter_fock(grid, angle)
+        assert seen == [abs(angle) * (top + 1)]
+        assert np.all(out[total_quanta(n) > top] == 0.0)
+        assert np.max(np.abs(out.reshape(-1) - dense_evolution(grid, angle))) < 1e-12
+
+    @pytest.mark.parametrize("angle", [0.6, -0.3])
+    def test_truncated_block_matches_dense_exponential(self, angle, monkeypatch):
+        # mass only in T = 30 > N = 20, whose chain |10, 20> .. |20, 10> the
+        # truncation cuts at m = N (and at n = N): blocks past 30 are empty
+        n, total = 20, 30
+        rng = np.random.default_rng(total)
+        grid = np.zeros((n + 1, n + 1), dtype=complex)
+        rows = np.arange(total - n, n + 1)
+        grid[rows, total - rows] = rng.normal(size=rows.size) + 1j * rng.normal(size=rows.size)
+        grid /= np.linalg.norm(grid)
+        assert self.last_kept_block(grid) == total
+        # the mass sits at the cutoff: compare the truncated dynamics with the
+        # checks off
+        monkeypatch.setattr(fock_oracle, "UNITARY_NORM_TOL", math.inf)
+        out = beamsplitter_fock(grid, angle)
+        assert np.max(np.abs(out.reshape(-1) - dense_evolution(grid, angle))) < 1e-12
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, -math.inf)])
+    @pytest.mark.parametrize("where", [(0, 0), (5, 5)])
+    def test_non_finite_grid_raises(self, value, where):
+        grid = np.outer(coherent_to_fock(0.5, 6), coherent_to_fock(0.5, 6))
+        grid[where] = value
+        with np.errstate(invalid="ignore"), pytest.raises(TruncationError):
+            beamsplitter_fock(grid, 0.3)
+
     @pytest.mark.parametrize("x", [0.0, 1e-3, 0.5, 3.0, 17.3, 80.0, 140.0, 500.0, 950.0, 1300.0])
     def test_bessel_series_matches_jv(self, x):
         # the orders beamsplitter_fock asks of the recurrence
@@ -278,6 +366,38 @@ class TestQuadratureCdf:
         # near N are of order one there
         value = quadrature_cdf_fock(coherent_to_fock(amplitude), threshold)
         assert value == pytest.approx(0.5 * math.erfc(-z / math.sqrt(2)), abs=1e-9)
+
+    @staticmethod
+    def integral_matrix_cdf(state, threshold):
+        """The explicit form: c^dag I c with the whole symmetric matrix I_mn."""
+        xi = math.sqrt(2.0) * threshold
+        n = np.arange(state.size)
+        phi = fock_oracle._hermite_functions(state.size + 1, xi)
+        below = np.concatenate(([0.0], phi[:-2]))
+        phi, above = phi[:-1], phi[1:]
+        slope = np.sqrt(n / 2.0) * below - np.sqrt((n + 1.0) / 2.0) * above
+        gap = 2.0 * (n[None, :] - n[:, None])
+        np.fill_diagonal(gap, 1.0)
+        integrals = (np.outer(slope, phi) - np.outer(phi, slope)) / gap
+        steps = phi[:-1] * phi[1:] / np.sqrt(2.0 * n[1:])
+        np.fill_diagonal(integrals, 0.5 * math.erfc(-xi) - np.concatenate(([0.0], np.cumsum(steps))))
+        parts = np.stack([state.real, state.imag])
+        return float(np.sum(parts * (parts @ integrals)))
+
+    @pytest.mark.parametrize("truncation", [0, 7, 60])
+    def test_matches_the_integral_matrix(self, truncation):
+        rng = np.random.default_rng(truncation)
+        coefficients = rng.normal(size=truncation + 1) + 1j * rng.normal(size=truncation + 1)
+        coefficients /= np.linalg.norm(coefficients)
+        for threshold in (-4.0, -1.3, 0.0, 0.7, 4.0):
+            expected = self.integral_matrix_cdf(coefficients, threshold)
+            assert abs(quadrature_cdf_fock(coefficients, threshold) - expected) <= 1e-14
+
+    @pytest.mark.parametrize("amplitude, threshold", [(25.0, 27.5), (-25.0, -27.5)])
+    def test_deep_tail_matches_the_integral_matrix(self, amplitude, threshold):
+        state = coherent_to_fock(amplitude)  # N = 845
+        expected = self.integral_matrix_cdf(state, threshold)
+        assert abs(quadrature_cdf_fock(state, threshold) - expected) <= 1e-14
 
     def test_gaussian_tail_value(self):
         # P(x <= mean - 2 sigma) for a coherent state, sigma = 1/2

@@ -86,6 +86,11 @@ CASES = {
     # alpha = 1e200 is finite, but alpha^2 is not
     "RealizationParams-overflow": lambda: RealizationParams(1e200),
     "fringe_spacing_physical-overflow": lambda: fringe_spacing_physical(1e200, 1e-6),
+    # alpha = 1e-170 is finite, but alpha^2 underflows; at 1e-100 it does not,
+    # but the square of the mixing angle pi / (2 alpha^2) overflows
+    "RealizationParams-underflow": lambda: RealizationParams(1e-170),
+    "RealizationParams-mixing-angle-overflow": lambda: RealizationParams(1e-100),
+    "fringe_spacing_physical-underflow": lambda: fringe_spacing_physical(1e-170, 1e-6),
     # finite bounds whose difference overflows
     "fringe_scan-span-overflow": lambda: fringe_scan(5.0, -1e308, 1e308, 3),
     # alpha and wavelength are finite, but wavelength / (2 alpha^2) is not a normal double
