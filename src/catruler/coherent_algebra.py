@@ -49,9 +49,6 @@ MAX_AMPLITUDE = math.sqrt(sys.float_info.max)
 # d = |tau - gamma| ~ 38.6, and far beyond that the exponent overflows;
 # overlaps of amplitudes farther apart than this are exactly 0.
 OVERLAP_CUTOFF = 40.0
-# Adaptive-quadrature reference path: relative tolerance and subinterval limit.
-QUAD_RTOL = 1e-9
-QUAD_LIMIT = 200
 
 
 def _require_finite_complex(value: complex, name: str) -> complex:
@@ -219,27 +216,6 @@ def beamsplitter(gamma_a: complex, gamma_b: complex, mix_angle: float) -> tuple[
     return (c * gamma_a + 1j * s * gamma_b, c * gamma_b + 1j * s * gamma_a)
 
 
-def _wavefunction(gamma, x):
-    """psi_g(x), elementwise over broadcast amplitude and position arrays."""
-    return (2.0 / np.pi) ** 0.25 * np.exp(
-        -(x**2) + 2.0 * gamma * x - gamma**2 / 2.0 - np.abs(gamma) ** 2 / 2.0
-    )
-
-
-def quadrature_wavefunction(gamma, x):
-    """Complex position-space amplitude psi_g(x).
-
-    |psi_g(x)|^2 is Gaussian with mean Re(g) and variance 1/4, and
-    integral(conj(psi_t) psi_g) = overlap(t, g) exactly.  x may be a
-    scalar or an ndarray.
-    """
-    gamma = _require_finite_complex(gamma, "gamma")
-    psi = _wavefunction(gamma, np.asarray(x, dtype=float))
-    if np.isscalar(x):
-        return complex(psi)
-    return psi
-
-
 # Weideman's rational series for the Faddeeva function w (J. A. C. Weideman,
 # SIAM J. Numer. Anal. 31, 1497 (1994)) with N = 40 terms.  L = 4 is near
 # Weideman's sqrt(N / sqrt(2)) = 5.3 and as accurate, and a power of two,
@@ -340,34 +316,6 @@ def _threshold_kernel_erf(amps: np.ndarray, threshold: float) -> tuple[np.ndarra
     return gram, kernel
 
 
-def _threshold_quad(s_state: CoherentSuperposition, threshold: float) -> float:
-    # imported here so that it stays out of every start-up: scipy.integrate
-    # loads scipy.optimize and scipy.sparse, and only this path needs it
-    from scipy.integrate import quad
-
-    coeffs = s_state.coefficients
-    amps = s_state.amplitudes
-    # 12 vacuum standard deviations (1/2 each) below the lowest mean
-    lower = min(float(amps.real.min()), threshold) - 6.0
-
-    def integrand(x: float) -> float:
-        return abs(coeffs @ _wavefunction(amps, x)) ** 2
-
-    result = quad(
-        integrand, lower, threshold, epsabs=1e-14, epsrel=QUAD_RTOL,
-        limit=QUAD_LIMIT, full_output=1,
-    )
-    if len(result) == 4:  # quad appends an explanation string on failure
-        raise IntegrationError(f"adaptive quadrature failed: {result[3].strip()}")
-    value, abserr = result[0], result[1]
-    if abserr > max(QUAD_RTOL * abs(value), 1e-12):
-        raise IntegrationError(
-            f"adaptive quadrature reached error {abserr:.3e} for value {value:.6e}, "
-            f"worse than relative tolerance {QUAD_RTOL:.1e}"
-        )
-    return value
-
-
 def threshold_probability(
     s: CoherentSuperposition,
     threshold: float,
@@ -380,10 +328,13 @@ def threshold_probability(
     normalized state this is a probability; for an unnormalized one it
     carries the state's squared norm.
 
-    method selects the evaluation path: "erf" (exact closed form via the
-    Faddeeva function, the production path) or "quad" (adaptive
-    quadrature over [mu_min - 12 sigma, T], the tests' independent
-    reference, bounded by norm_squared: it never calls the kernel).
+    The value is the exact closed form of _threshold_kernel_erf (the
+    Faddeeva function), bounded by the squared norm from the same
+    kernel's Gram matrix.  method accepts only "erf", and any other
+    value raises ValueError: the keyword stays only because the
+    benchmark's threshold workload passes method="erf", and it goes when
+    that call drops it.  The adaptive-quadrature reference that the
+    tests compare with lives in tests/quad_reference.py.
     """
     if not math.isfinite(threshold):
         raise ValueError("threshold must be finite")
@@ -391,21 +342,17 @@ def threshold_probability(
     # (hypot, unlike abs of a complex, returns inf rather than raising)
     if abs(threshold) + max(math.hypot(g.real, g.imag) for _, g in s.terms) > MAX_AMPLITUDE / 2:
         raise ValueError("threshold and amplitudes must stay within MAX_AMPLITUDE / 2")
-    if method not in ("erf", "quad"):
-        raise ValueError(f"unknown method {method!r}; use 'erf' or 'quad'")
+    if method != "erf":
+        raise ValueError(f"unknown method {method!r}; the only method is 'erf'")
     coeffs = s.coefficients
-    if method == "quad":
-        n2, value = norm_squared(s), _threshold_quad(s, threshold)
-    else:
-        # the [0, norm^2] bound comes from the kernel's own Gram matrix
-        gram, kernel = _threshold_kernel_erf(s.amplitudes, threshold)
-        n2 = _clamped_norm(coeffs, gram)
-        # the residue is judged at the scale of the normalized state
-        scale = max(n2, float(np.vdot(coeffs, coeffs).real))
-        value, ok = _state_form(coeffs, kernel, scale)
-        if not ok:
-            raise IntegrationError("threshold probability is not finite or carries an imaginary residue")
-        value = value.real
+    gram, kernel = _threshold_kernel_erf(s.amplitudes, threshold)
+    n2 = _clamped_norm(coeffs, gram)
+    # the residue is judged at the scale of the normalized state
+    scale = max(n2, float(np.vdot(coeffs, coeffs).real))
+    value, ok = _state_form(coeffs, kernel, scale)
+    if not ok:
+        raise IntegrationError("threshold probability is not finite or carries an imaginary residue")
+    value = value.real
 
     bound = n2 * (1.0 + 1e-9)
     if not -NORM_CLAMP <= value <= bound + NORM_CLAMP:

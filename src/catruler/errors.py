@@ -10,8 +10,9 @@ class NormalizationError(CatRulerError):
 
 
 class IntegrationError(CatRulerError):
-    """A probability failed its checks: adaptive quadrature missed its
-    tolerance, or a value came out non-finite or out of range."""
+    """A probability failed its checks: a value came out non-finite, with
+    an imaginary residue or out of range, or an outcome weight was lost to
+    cancellation.  The package runs no adaptive quadrature."""
 
 
 class TruncationError(CatRulerError):

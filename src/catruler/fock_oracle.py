@@ -112,9 +112,17 @@ def coherent_to_fock(gamma: complex, truncation: int | None = None) -> np.ndarra
 
 
 def phase_rotate(state: np.ndarray, theta: float) -> np.ndarray:
-    """Apply exp(i theta n): coefficient c_n picks up e^{i n theta}."""
+    """Apply exp(i theta n): coefficient c_n picks up e^{i n theta}.
+
+    A theta past pi is first reduced to its principal angle through its
+    sine and cosine, which libm reduces exactly: theta n would round away
+    the phase of a large theta (2 pi is not a double, so a remainder by
+    it would too) and overflow past about 1e308 / n.
+    """
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
+    if abs(theta) > math.pi:
+        theta = math.atan2(math.sin(theta), math.cos(theta))
     return state * np.exp(1j * theta * np.arange(state.size))
 
 
@@ -351,20 +359,27 @@ def quadrature_cdf_fock(state: np.ndarray, threshold: float) -> float:
     sum_{m != n} (a phi')_m (a phi)_n / (n - m), one product with the
     reciprocal differences 1 / (n - m) per part.
     """
+    return _quadrature_cdfs([state], threshold)[0]
+
+
+def _quadrature_cdfs(states: list[np.ndarray], threshold: float) -> list[float]:
+    """quadrature_cdf_fock of each of several normalized vectors of one
+    size, from one table of Hermite functions and reciprocal differences."""
     if not math.isfinite(threshold):
         raise ValueError("threshold must be finite")
-    n2 = _normalized_norm_squared(state)
+    norms = [_normalized_norm_squared(state) for state in states]
+    size = states[0].size
     # support of every basis state up to N ends near the classical
     # turning point sqrt(N + 1/2); far below it nothing is left to
     # integrate, far above it everything is
-    edge = math.sqrt(state.size - 0.5) + 8.0
+    edge = math.sqrt(size - 0.5) + 8.0
     if threshold <= -edge:
-        return 0.0
+        return [0.0] * len(states)
     if threshold >= edge:
-        return min(n2, 1.0 + 1e-9)
+        return [min(n2, 1.0 + 1e-9) for n2 in norms]
     xi = math.sqrt(2.0) * threshold
-    n = np.arange(state.size, dtype=float)
-    phi = _hermite_functions(state.size + 1, xi)  # phi_0 .. phi_{N+1}
+    n = np.arange(size, dtype=float)
+    phi = _hermite_functions(size + 1, xi)  # phi_0 .. phi_{N+1}
     below = np.concatenate(([0.0], phi[:-2]))  # phi_{n-1}, zero at n = 0
     phi, above = phi[:-1], phi[1:]
     slope = np.sqrt(n / 2.0) * below - np.sqrt((n + 1.0) / 2.0) * above
@@ -373,13 +388,16 @@ def quadrature_cdf_fock(state: np.ndarray, threshold: float) -> float:
     reciprocal = n - n[:, None]  # n - m at [m, n]
     np.fill_diagonal(reciprocal, math.inf)
     np.reciprocal(reciprocal, out=reciprocal)
-    parts = np.stack([state.real, state.imag])
-    probability = float(
-        np.sum(parts * parts * diagonal) + np.sum(((parts * slope) @ reciprocal) * (parts * phi))
-    )
-    if not math.isfinite(probability):
-        raise ValueError(f"quadrature CDF {probability!r} is not finite")
-    return min(max(probability, 0.0), 1.0 + 1e-9)
+    probabilities = []
+    for state in states:
+        parts = np.stack([state.real, state.imag])
+        probability = float(
+            np.sum(parts * parts * diagonal) + np.sum(((parts * slope) @ reciprocal) * (parts * phi))
+        )
+        if not math.isfinite(probability):
+            raise ValueError(f"quadrature CDF {probability!r} is not finite")
+        probabilities.append(min(max(probability, 0.0), 1.0 + 1e-9))
+    return probabilities
 
 
 class OracleProbabilities(NamedTuple):
@@ -435,6 +453,7 @@ def end_to_end_oracle(p: RealizationParams) -> OracleProbabilities:
             )
 
     threshold = alpha / 2.0
-    p_plus = quadrature_cdf_fock(conditional_plus / math.sqrt(w_plus), threshold)
-    p_minus = quadrature_cdf_fock(conditional_minus / math.sqrt(w_minus), threshold)
+    p_plus, p_minus = _quadrature_cdfs(
+        [conditional_plus / math.sqrt(w_plus), conditional_minus / math.sqrt(w_minus)], threshold
+    )
     return OracleProbabilities(p_plus, p_minus, leakage, w_plus, w_minus)

@@ -2,7 +2,8 @@
 
 Derived expectations are computed here by independent routes: truncated
 number-basis series built inline with numpy, direct adaptive quadrature
-of the wave functions, and scipy's and mpmath's Faddeeva function.
+of the wave functions (quad_reference), and scipy's and mpmath's
+Faddeeva function.
 """
 
 import importlib.util
@@ -27,10 +28,12 @@ from catruler.coherent_algebra import (
     cat_norm_squared,
     norm_squared,
     overlap,
-    quadrature_wavefunction,
     threshold_probability,
 )
 from catruler.errors import CatRulerError, IntegrationError, NormalizationError
+
+import quad_reference
+from quad_reference import quadrature_wavefunction
 
 TIGHT = 1e-12
 SELF_CONSISTENCY_TOL = 1e-8
@@ -239,8 +242,8 @@ class TestQuadratureWavefunction:
 class TestThresholdProbability:
     def test_coherent_at_own_mean_is_half(self):
         s = CoherentSuperposition.single(3.0)
-        for method in ("quad", "erf"):
-            assert threshold_probability(s, 3.0, method=method) == pytest.approx(0.5, abs=1e-9)
+        for probability in (quad_reference.threshold_probability, threshold_probability):
+            assert probability(s, 3.0) == pytest.approx(0.5, abs=1e-9)
 
     def test_vacuum_below_distant_threshold(self):
         # threshold at the mean of |alpha/2> with alpha = 5
@@ -260,22 +263,22 @@ class TestThresholdProbability:
             )
             s = CoherentSuperposition(terms)
             threshold = rng.uniform(-4, 4)
-            a = threshold_probability(s, threshold, method="quad")
+            a = quad_reference.threshold_probability(s, threshold)
             b = threshold_probability(s, threshold, method="erf")
             assert abs(a - b) <= 1e-8 * max(1.0, abs(b))
 
     def test_unreachable_tolerance_raises(self, monkeypatch):
-        from catruler import coherent_algebra as ca
-
         # widely separated peaks cannot be resolved with one subdivision
-        monkeypatch.setattr(ca, "QUAD_LIMIT", 1)
+        monkeypatch.setattr(quad_reference, "QUAD_LIMIT", 1)
         s = CoherentSuperposition(((0.5, -8.0), (0.5, 8.0)))
         with pytest.raises(IntegrationError):
-            threshold_probability(s, 10.0, method="quad")
+            quad_reference.threshold_probability(s, 10.0)
 
     def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            threshold_probability(CoherentSuperposition.single(0.0), 0.0, method="simpson")
+        # the adaptive-quadrature reference lives with the tests, not behind "quad"
+        for method in ("simpson", "quad"):
+            with pytest.raises(ValueError, match="unknown method"):
+                threshold_probability(CoherentSuperposition.single(0.0), 0.0, method=method)
 
     def test_wide_imaginary_separation_is_finite(self):
         # an underflowing overlap times an overflowing complex erf used to
@@ -283,7 +286,7 @@ class TestThresholdProbability:
         s = CoherentSuperposition(((1, 20j), (1, -20j))).normalized()
         exact = threshold_probability(s, 0.3, method="erf")
         assert exact == pytest.approx(0.71815, abs=1e-5)
-        assert abs(exact - threshold_probability(s, 0.3, method="quad")) <= 1e-8
+        assert abs(exact - quad_reference.threshold_probability(s, 0.3)) <= 1e-8
 
     def test_far_lower_tail_keeps_relative_precision(self):
         # below every mean the kernel takes the exp(-z^2) w(-iz) branch,
@@ -310,14 +313,12 @@ class TestThresholdProbability:
             (0.5, complex(-shift, 0.3 * separation)),
         )).normalized()
         exact = threshold_probability(s, threshold, method="erf")
-        assert abs(exact - threshold_probability(s, threshold, method="quad")) <= 1e-8
+        assert abs(exact - quad_reference.threshold_probability(s, threshold)) <= 1e-8
 
     def test_nan_from_quadrature_fails_the_range_guard(self, monkeypatch):
-        from catruler import coherent_algebra as ca
-
-        monkeypatch.setattr(ca, "_threshold_quad", lambda *args: math.nan)
+        monkeypatch.setattr(quad_reference, "_threshold_quad", lambda *args: math.nan)
         with pytest.raises(IntegrationError, match="escaped"):
-            threshold_probability(CoherentSuperposition.single(0.0), 0.0, method="quad")
+            quad_reference.threshold_probability(CoherentSuperposition.single(0.0), 0.0)
 
     def test_quad_reference_never_calls_the_closed_form_kernel(self, monkeypatch):
         from catruler import coherent_algebra as ca
@@ -326,13 +327,13 @@ class TestThresholdProbability:
             CoherentSuperposition(((1, 20j), (1, -20j))).normalized(),
             CoherentSuperposition(((0.3 - 1j, 1.5 + 2j), (1.2, -0.4), (0.7j, 2.5 - 1j))),
         ]
-        want = [threshold_probability(s, 0.3, method="quad") for s in states]
+        want = [quad_reference.threshold_probability(s, 0.3) for s in states]
 
         def refuse(amps, threshold):
             raise AssertionError("the quad reference called _threshold_kernel_erf")
 
         monkeypatch.setattr(ca, "_threshold_kernel_erf", refuse)
-        assert [threshold_probability(s, 0.3, method="quad") for s in states] == want
+        assert [quad_reference.threshold_probability(s, 0.3) for s in states] == want
 
     def test_checked_path_rejects_nan_closed_form(self, monkeypatch):
         from catruler import coherent_algebra as ca

@@ -1,8 +1,8 @@
 """Start-up: importing the CLI, or any single module of the package,
-must load no scipy module at all (the production path runs on numpy and
-the math module; only the adaptive-quadrature reference path imports
-scipy.integrate, when it is asked for), and every module of the package
-must import on its own.
+must load no scipy module at all, nor may a threshold probability or an
+oracle run load one later (the package runs on numpy and the math module;
+scipy serves only the tests, through quad_reference and their own
+references), and every module of the package must import on its own.
 
 The checks run in a fresh interpreter, because the test modules of this
 suite import scipy themselves.
@@ -15,6 +15,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import quad_reference
+from catruler.coherent_algebra import CoherentSuperposition
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -37,15 +40,21 @@ for name in modules:
     if scipy_modules() and not loaded:
         loaded[name] = scipy_modules()
 from catruler.coherent_algebra import CoherentSuperposition, threshold_probability
+from catruler.fock_oracle import end_to_end_oracle
+from catruler.physical_realization import RealizationParams
 state = CoherentSuperposition(((1.0, 0.0), (1.0, 1.5))).normalized()
+erf = threshold_probability(state, 0.7)
+end_to_end_oracle(RealizationParams(2.0, 0.1))
 print(json.dumps({
     "bound": bound,
     "modules": modules,
     "loaded": loaded,
-    "quad": threshold_probability(state, 0.7, method="quad"),
-    "erf": threshold_probability(state, 0.7, method="erf"),
+    "erf": erf,
+    "after_calls": scipy_modules(),
 }))
 """
+
+STATE = CoherentSuperposition(((1.0, 0.0), (1.0, 1.5))).normalized()
 
 
 @pytest.fixture(scope="module")
@@ -58,8 +67,13 @@ def probe():
 
 def test_cli_import_defers_the_quadrature_stack(probe):
     assert probe["loaded"] == {}
-    # the deferred import still serves the reference path when it is asked for
-    assert abs(probe["quad"] - probe["erf"]) <= 1e-8
+    # the scipy-free interpreter computes what the quadrature reference does
+    assert abs(quad_reference.threshold_probability(STATE, 0.7) - probe["erf"]) <= 1e-8
+
+
+def test_threshold_and_oracle_calls_load_no_scipy(probe):
+    # no runtime path imports scipy lazily
+    assert probe["after_calls"] == []
 
 
 def test_each_module_imports_alone_and_the_package_binds_no_name(probe):

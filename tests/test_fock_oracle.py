@@ -466,6 +466,17 @@ class TestEndToEnd:
                 )
         assert worst < 2e-14
 
+    @pytest.mark.parametrize("alpha", [2.0, 5.0])
+    @pytest.mark.parametrize("theta", [math.pi * 1e8, math.pi * 1e12, 1e308])
+    def test_matches_closed_form_at_large_theta(self, alpha, theta):
+        # theta n rounds the phase away (1.9e-6 in P- at alpha = 5,
+        # pi 1e12) and overflows at 1e308 unless theta is reduced first
+        oracle = end_to_end_oracle(RealizationParams(alpha=alpha, theta=theta))
+        batch = _conditional_batch(alpha, np.array([theta]))
+        assert abs(oracle.p_plus - batch.conditional[0, 0]) < 1e-6
+        assert abs(oracle.p_minus - batch.conditional[0, 1]) < 1e-6
+        assert abs(oracle.leakage - batch.leakage[0]) < 1e-6
+
     def test_kernel_joint_distribution_matches_oracle(self):
         # the kernel's outcome weights and joint probabilities against the
         # oracle's weights and p x weight, past a quarter turn and beyond

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from catruler.coherent_algebra import norm_squared, overlap, threshold_probability
+from catruler.coherent_algebra import norm_squared, overlap
 from catruler.errors import ApproximationRegimeWarning, IntegrationError, WidthUndefinedError
 from catruler.physical_realization import (
     FringeCurve,
@@ -31,6 +31,8 @@ from catruler.physical_realization import (
     output_state,
     scan_extracted_spacing,
 )
+
+import quad_reference
 
 pytestmark = pytest.mark.filterwarnings("ignore::catruler.errors.ApproximationRegimeWarning")
 
@@ -186,10 +188,10 @@ class TestCatCoefficients:
 
 
 def quad_probabilities(p):
-    """(P_+, P_-) from threshold_probability's quadrature reference on the
-    output_state states."""
+    """(P_+, P_-) from the adaptive-quadrature reference (quad_reference) on
+    the output_state states."""
     out = output_state(p)
-    return tuple(threshold_probability(state, p.alpha / 2, method="quad")
+    return tuple(quad_reference.threshold_probability(state, p.alpha / 2)
                  for state in (out.plus_state, out.minus_state))
 
 
