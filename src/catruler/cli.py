@@ -240,18 +240,19 @@ def _oracle_checks(max_alpha: float, cases: int, seed: int, inject_bug: bool) ->
     checks["parity_theorem"] = _check(worst_parity, 1e-10)
 
     # randomized end-to-end agreement with the analytic pipeline, every
-    # case drawn first (alpha, then theta) and the analytic side one
-    # evaluation of the scan kernel over all of them; small alpha
-    # deliberately violates the weak-mixing regime, so silence the
-    # advisory warning for these exactness checks
+    # case drawn first (alpha, then theta), the oracle side one call over
+    # all of them and the analytic side one evaluation of the scan kernel;
+    # small alpha deliberately violates the weak-mixing regime, so silence
+    # the advisory warning for these exactness checks
     draws = [
         (float(rng.uniform(ORACLE_MIN_ALPHA, max_alpha)), float(rng.uniform(0.0, 2.0 * math.pi)))
         for _ in range(cases)
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ApproximationRegimeWarning)
-        oracles = [fock_oracle.end_to_end_oracle(RealizationParams(alpha=alpha, theta=theta))
-                   for alpha, theta in draws]
+        oracles = fock_oracle._end_to_end_oracles(
+            [RealizationParams(alpha=alpha, theta=theta) for alpha, theta in draws]
+        )
     alphas, thetas = np.array(draws).T
     batch = physical_realization._conditional_batch(alphas, thetas)
     conditional = batch.conditional

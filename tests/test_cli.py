@@ -285,6 +285,32 @@ class TestOracleCommand:
             assert report["checks"]["probability_agreement"]["value"] < 1e-6
             assert report["checks"]["weight_closure"]["value"] < 1e-9
 
+    def test_shared_series_stay_within_the_cap(self, tmp_path, monkeypatch):
+        # a series runs over at most GROUP_ENTRIES packed entries, unless it
+        # is one larger case running alone
+        sizes, vectors = [], []
+        packed, series = fock_oracle._packed, fock_oracle._chebyshev_series
+
+        def spy_packed(*args):
+            rung, case = packed(*args)
+            sizes.append(case.start.size)
+            return rung, case
+
+        def spy_series(start, link, coefficients):
+            vectors.append(start.size - 1)  # the entries after the leading zero
+            return series(start, link, coefficients)
+
+        monkeypatch.setattr(fock_oracle, "_packed", spy_packed)
+        monkeypatch.setattr(fock_oracle, "_chebyshev_series", spy_series)
+        # seed 4 draws alpha = 9.45 first, a case larger than the cap
+        for seed, cases, max_alpha in (("0", "50", "3"), ("4", "2", "10")):
+            assert main(["--out", str(tmp_path / seed), "--seed", seed, "--quiet", "oracle",
+                         "--cases", cases, "--max-alpha", max_alpha]) == 0
+        cap = fock_oracle.GROUP_ENTRIES
+        large = sorted(size for size in sizes if size > cap)
+        assert large and len(vectors) < len(sizes)
+        assert sorted(size for size in vectors if size > cap) == large
+
     def test_injected_bug_fails(self, tmp_path):
         assert main(["--out", str(tmp_path), "--seed", "5", "--quiet", "oracle",
                      "--cases", "2", "--max-alpha", "2.5", "--inject-bug"]) == 3

@@ -40,11 +40,12 @@ for name in modules:
     if scipy_modules() and not loaded:
         loaded[name] = scipy_modules()
 from catruler.coherent_algebra import CoherentSuperposition, threshold_probability
-from catruler.fock_oracle import end_to_end_oracle
+from catruler.fock_oracle import _end_to_end_oracles, end_to_end_oracle
 from catruler.physical_realization import RealizationParams
 state = CoherentSuperposition(((1.0, 0.0), (1.0, 1.5))).normalized()
 erf = threshold_probability(state, 0.7)
 end_to_end_oracle(RealizationParams(2.0, 0.1))
+_end_to_end_oracles([RealizationParams(2.0, 0.1), RealizationParams(1.3, 2.5)])
 print(json.dumps({
     "bound": bound,
     "modules": modules,
@@ -65,7 +66,7 @@ def probe():
     return json.loads(run.stdout)
 
 
-def test_cli_import_defers_the_quadrature_stack(probe):
+def test_no_module_import_loads_scipy(probe):
     assert probe["loaded"] == {}
     # the scipy-free interpreter computes what the quadrature reference does
     assert abs(quad_reference.threshold_probability(STATE, 0.7) - probe["erf"]) <= 1e-8

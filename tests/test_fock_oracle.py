@@ -12,6 +12,8 @@ from catruler import fock_oracle
 from catruler.coherent_algebra import CoherentSuperposition, threshold_probability
 from catruler.errors import IntegrationError, TruncationError
 from catruler.fock_oracle import (
+    _beamsplitter_fock_many,
+    _end_to_end_oracles,
     beamsplitter_fock,
     coherent_to_fock,
     default_truncation,
@@ -36,6 +38,12 @@ def exact_cat(alpha, sign, truncation):
     vac = coherent_to_fock(0.0, truncation)
     amp = coherent_to_fock(alpha, truncation)
     return (vac + sign * amp) * norm
+
+
+def rung(x):
+    """x > 0 rounded up to the next quarter octave 2^(j/4)."""
+    j = math.ceil(4.0 * math.log2(x))
+    return 2.0 ** (j / 4.0) if 2.0 ** (j / 4.0) >= x else 2.0 ** ((j + 1) / 4.0)
 
 
 def total_quanta(truncation):
@@ -209,14 +217,14 @@ class TestBeamsplitterFock:
     def oracle_input(alpha, theta):
         """cat(theta) x cat and the mixing angle, as end_to_end_oracle builds them."""
         p = RealizationParams(alpha=alpha, theta=theta)
-        truncation = default_truncation(alpha * (math.cos(p.phi) + math.sin(p.phi)))
+        truncation = default_truncation(alpha * (abs(math.cos(p.phi)) + abs(math.sin(p.phi))))
         cat = exact_cat(alpha, +1, truncation)
         return np.outer(phase_rotate(cat, theta), cat), p.phi
 
     @pytest.mark.parametrize("case", ["fidelity", 0.4, 1.0, 1.7, 3.0])
     def test_dropping_no_block_is_the_whole_grid_series(self, case, monkeypatch):
-        # at drop level 0 every block is kept and the series runs at scale
-        # 2N + 1 over the whole grid, as it did before the blocks were packed
+        # at drop level 0 every block is kept and the series runs at the
+        # rung of |t'| (2N + 1) over the whole grid
         if case == "fidelity":  # the product state of the oracle's fidelity check
             grid, angle = np.outer(coherent_to_fock(1.5, 50), coherent_to_fock(1.0, 50)), 0.3
         else:
@@ -226,21 +234,22 @@ class TestBeamsplitterFock:
         seen = self.spy_scale(monkeypatch)
         whole = beamsplitter_fock(grid, angle)
         turn = abs(angle - round(angle / (math.pi / 2)) * (math.pi / 2))
-        assert seen == [turn * (2 * grid.shape[0] - 1)]
+        # alpha = 1 mixes by pi/2, whole quarter turns that need no series
+        assert seen == ([rung(turn * (2 * grid.shape[0] - 1))] if turn else [])
         assert np.max(np.abs(packed - whole)) <= 1e-15
 
     @pytest.mark.parametrize("angle", [0.6, -0.3])
     def test_dropped_blocks_match_dense_exponential(self, angle, monkeypatch):
         # a coherent product at N = 20 holds no mass worth keeping in the
-        # highest blocks: the series runs at a scale below 2N + 1 and the
-        # dropped blocks come out as 0
+        # highest blocks: the series runs at the rung of |t'| (top + 1), not
+        # of |t'| (2N + 1), and the dropped blocks come out as 0
         n = 20
         grid = np.outer(coherent_to_fock(1.0, n), coherent_to_fock(0.5j, n))
         top = self.last_kept_block(grid)
         assert top < 2 * n
         seen = self.spy_scale(monkeypatch)
         out = beamsplitter_fock(grid, angle)
-        assert seen == [abs(angle) * (top + 1)]
+        assert seen == [rung(abs(angle) * (top + 1))]
         assert np.all(out[total_quanta(n) > top] == 0.0)
         assert np.max(np.abs(out.reshape(-1) - dense_evolution(grid, angle))) < 1e-12
 
@@ -506,3 +515,81 @@ class TestEndToEnd:
         monkeypatch.setattr(fock_oracle, "default_truncation", lambda reach: 12)
         with pytest.raises(TruncationError):
             end_to_end_oracle(RealizationParams(alpha=3.0))
+
+    def test_truncation_covers_both_output_amplitudes(self, monkeypatch):
+        # alpha = 0.85 mixes by phi = 2.17 rad, where cos phi < 0: the bound
+        # alpha (|cos phi| + |sin phi|) = 1.18 asks for N = 31, while
+        # alpha (cos phi + sin phi) = 0.22 would leave the floor N = 30
+        seen = []
+        to_fock = fock_oracle.coherent_to_fock
+        monkeypatch.setattr(fock_oracle, "coherent_to_fock",
+                            lambda gamma, truncation: seen.append(truncation) or to_fock(gamma, truncation))
+        end_to_end_oracle(RealizationParams(alpha=0.85, theta=0.3))
+        assert seen == [31, 31]
+
+
+def cli_draws(seed, max_alpha, cases):
+    """The oracle command's cases: alpha, then theta, from the seed."""
+    rng = np.random.default_rng(seed)
+    return [
+        RealizationParams(alpha=float(rng.uniform(0.4, max_alpha)),
+                          theta=float(rng.uniform(0.0, 2.0 * math.pi)))
+        for _ in range(cases)
+    ]
+
+
+def spy_series(monkeypatch):
+    """Record the start vector of every Chebyshev series."""
+    seen = []
+    series = fock_oracle._chebyshev_series
+    monkeypatch.setattr(fock_oracle, "_chebyshev_series",
+                        lambda start, link, coefficients: seen.append(start.copy())
+                        or series(start, link, coefficients))
+    return seen
+
+
+class TestSharedSeries:
+    """Grids of one call on the same series rung share a series; each
+    comes out equal to its one-grid call."""
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("max_alpha", [3.0, 6.0])
+    def test_oracles_equal_the_one_case_calls(self, seed, max_alpha, monkeypatch):
+        params = cli_draws(seed, max_alpha, 50)
+        one_case = [end_to_end_oracle(p) for p in params]
+        seen = spy_series(monkeypatch)
+        assert _end_to_end_oracles(params) == one_case
+        assert len(seen) < len(params)  # the cases did share series
+        assert _end_to_end_oracles(params[::-1]) == one_case[::-1]
+
+    @staticmethod
+    def product(a, b, truncation=20):
+        return np.outer(coherent_to_fock(a, truncation), coherent_to_fock(b, truncation))
+
+    def test_non_finite_grid_is_refused_before_it_shares_a_series(self, monkeypatch):
+        # equal moduli, equal block masses: one rung
+        good, other = self.product(0.5, 0.2j), self.product(0.5j, -0.2)
+        bad = self.product(0.5, 0.5)
+        bad[5, 5] = math.nan
+        one_grid = [beamsplitter_fock(grid, 0.3) for grid in (good, other)]
+        seen = spy_series(monkeypatch)
+        with np.errstate(invalid="ignore"), pytest.raises(TruncationError, match="^case 1: "):
+            _beamsplitter_fock_many([good, bad, other], [0.3] * 3)
+        assert seen and all(np.isfinite(start).all() for start in seen)
+        # the good grids share one series and keep their one-grid values
+        seen.clear()
+        mixed = _beamsplitter_fock_many([good, other], [0.3] * 2)
+        assert len(seen) == 1
+        assert all(np.array_equal(out, want) for out, want in zip(mixed, one_grid))
+
+    def test_first_failing_case_in_input_order_raises(self):
+        # case 0 fails after its series (mass at the cutoff), case 1 before
+        # any series (non-finite); a loop over the cases meets case 0 first
+        overflow = np.zeros((7, 7), dtype=complex)
+        overflow[4, 4] = 1.0
+        bad = self.product(0.5, 0.5)
+        bad[0, 0] = math.inf
+        with pytest.raises(TruncationError, match="^case 0: occupation mass"):
+            _beamsplitter_fock_many([overflow, bad], [math.pi / 4, 0.3])
+        with pytest.raises(TruncationError, match="^case 0: beamsplitter input"):
+            _beamsplitter_fock_many([bad, overflow], [0.3, math.pi / 4])
