@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import random
 import sys
 import warnings
 from pathlib import Path
@@ -216,8 +217,13 @@ def _check(value: float, tolerance: float, at_least: bool = False) -> dict:
     return {"value": float(value), "tolerance": tolerance, "pass": bool(passed)}
 
 
+def _oracle_draws(seed: int, max_alpha: float, cases: int) -> list[tuple[float, float]]:
+    """The oracle's (alpha, theta) cases from random.Random(seed), not numpy.random."""
+    uniform = random.Random(seed).uniform
+    return [(uniform(ORACLE_MIN_ALPHA, max_alpha), uniform(0.0, 2.0 * math.pi)) for _ in range(cases)]
+
+
 def _oracle_checks(max_alpha: float, cases: int, seed: int, inject_bug: bool) -> dict:
-    rng = np.random.default_rng(seed)
     checks: dict[str, dict] = {}
 
     # beamsplitter against the coherent-amplitude prediction
@@ -231,28 +237,22 @@ def _oracle_checks(max_alpha: float, cases: int, seed: int, inject_bug: bool) ->
     # parity of displaced cats
     worst_parity = 0.0
     for alpha in (1.0, 2.0, 3.0):
+        lo_amp = fock_oracle.coherent_to_fock(-alpha / 2.0, 60)
+        hi_amp = fock_oracle.coherent_to_fock(alpha / 2.0, 60)
         for sign in (+1, -1):
             norm = 1.0 / math.sqrt(cat_norm_squared(alpha, sign))
-            lo_amp = fock_oracle.coherent_to_fock(-alpha / 2.0, 60)
-            hi_amp = fock_oracle.coherent_to_fock(alpha / 2.0, 60)
             p_even, p_odd = fock_oracle.parity_distribution((lo_amp + sign * hi_amp) * norm)
             worst_parity = max(worst_parity, p_odd if sign > 0 else p_even)
     checks["parity_theorem"] = _check(worst_parity, 1e-10)
 
-    # randomized end-to-end agreement with the analytic pipeline, every
-    # case drawn first (alpha, then theta), the oracle side one call over
-    # all of them and the analytic side one evaluation of the scan kernel;
-    # small alpha deliberately violates the weak-mixing regime, so silence
-    # the advisory warning for these exactness checks
-    draws = [
-        (float(rng.uniform(ORACLE_MIN_ALPHA, max_alpha)), float(rng.uniform(0.0, 2.0 * math.pi)))
-        for _ in range(cases)
-    ]
+    # randomized end-to-end agreement with the analytic pipeline: the
+    # oracle side one call over all the cases, the analytic side one scan
+    # kernel evaluation; small alpha deliberately violates the weak-mixing
+    # regime, so silence the advisory warning for these exactness checks
+    draws = _oracle_draws(seed, max_alpha, cases)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ApproximationRegimeWarning)
-        oracles = fock_oracle._end_to_end_oracles(
-            [RealizationParams(alpha=alpha, theta=theta) for alpha, theta in draws]
-        )
+        oracles = fock_oracle._end_to_end_oracles([RealizationParams(*draw) for draw in draws])
     alphas, thetas = np.array(draws).T
     batch = physical_realization._conditional_batch(alphas, thetas)
     conditional = batch.conditional
@@ -278,7 +278,7 @@ def cmd_oracle(args) -> int:
             f"alpha draw starts at {ORACLE_MIN_ALPHA}, and the number-basis grid grows as "
             f"alpha^4; got {args.max_alpha!r}"
         )
-    # numpy would reject a negative seed without naming the flag
+    # random.Random would draw the cases of the seed's absolute value
     if args.seed < 0:
         raise ValueError(f"--seed must be a non-negative integer, got {args.seed!r}")
 
@@ -336,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cat-state interferometer sweeps, SNR tables and oracle validation.",
     )
     parser.add_argument("--out", default=".", help="output directory (default: current)")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized commands (default 0)")
+    parser.add_argument("--seed", type=int, default=0, help="random.Random seed of the oracle cases (default 0)")
     parser.add_argument("--quiet", action="store_true", help="suppress informational output")
     sub = parser.add_subparsers(dest="command", required=True)
 

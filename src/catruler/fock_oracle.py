@@ -80,16 +80,17 @@ def default_truncation(max_abs_amplitude: float) -> int:
 
 
 def coherent_to_fock(gamma: complex, truncation: int | None = None) -> np.ndarray:
-    """|gamma> in the number basis, c_0 .. c_N, built by the stable ratio
-    recurrence c_n = c_{n-1} gamma / sqrt(n) from c_0 = e^{-|gamma|^2/2}.
+    """|gamma> in the number basis, c_0 .. c_N, by the stable ratio
+    recurrence c_n = c_{n-1} gamma / sqrt(n) from c_0 = e^{-|gamma|^2/2}:
+    the even entries of the cumulative product of c_0, gamma, 1/sqrt(1),
+    gamma, 1/sqrt(2), ..., which rounds as numpy's c_{n-1} * gamma / sqrt(n).
 
     c_0 leaves the normal floating-point range past |gamma| ~ 37.6, while
-    the coefficients near n = |gamma|^2 stay of order |gamma|^(-1/2).  As
-    in _hermite_functions, the running coefficient then carries a
-    power-of-two factor 2^-scale: c_0 starts multiplied by enough factors
-    2^900 to be representable, a factor comes off whenever a coefficient
-    grows past 2^900, and the stored values undo the rest.  While c_0 is
-    a normal number no factor is applied.
+    the coefficients near n = |gamma|^2 stay of order |gamma|^(-1/2).  The
+    running product then carries powers of 2^900, as in _hermite_functions:
+    c_0 and the 1/sqrt(n) take those that keep each running c_n within
+    [1, 2^900), and the stored values undo them.  While c_0 is a normal
+    number no factor is applied.
     """
     gamma = complex(gamma)
     if not (math.isfinite(gamma.real) and math.isfinite(gamma.imag)):
@@ -102,21 +103,19 @@ def coherent_to_fock(gamma: complex, truncation: int | None = None) -> np.ndarra
     # more than half the mass lies beyond N < |gamma|^2
     if truncation < mean:
         raise TruncationError(f"N = {truncation} is below |gamma|^2 = {mean:.3e}")
-    coeffs = np.empty(truncation + 1, dtype=complex)
-    coeffs[0] = math.exp(-mean / 2.0)
-    shifts = 0
-    if coeffs[0].real < sys.float_info.min:
+    factors = np.empty(2 * truncation + 1, dtype=complex)
+    factors[0] = math.exp(-mean / 2.0)
+    factors[1::2] = gamma
+    factors[2::2] = 1.0 / np.sqrt(np.arange(1.0, truncation + 1))
+    scales = 0
+    if factors[0].real < sys.float_info.min:
         shifts = math.ceil((mean / 2.0 - 640.0) / (900.0 * math.log(2.0)))
-        coeffs[0] = math.exp(900.0 * shifts * math.log(2.0) - mean / 2.0)
-    drops = []  # orders at which a factor 2^900 comes off
-    for n in range(1, truncation + 1):
-        coeffs[n] = coeffs[n - 1] * gamma / math.sqrt(n)
-        if shifts and abs(coeffs[n]) > 2.0**900:
-            coeffs[n] /= 2.0**900
-            drops.append(n)
-    if shifts:
-        scales = 900 * (np.searchsorted(drops, np.arange(truncation + 1), side="right") - shifts)
-        coeffs.real, coeffs.imag = np.ldexp(coeffs.real, scales), np.ldexp(coeffs.imag, scales)
+        factors[0] = math.exp(900.0 * shifts * math.log(2.0) - mean / 2.0)
+        drops = (np.cumsum(np.log2(np.abs(factors)))[::2] // 900.0).astype(int)
+        factors[::2] = np.ldexp(factors[::2].real, -900 * np.diff(drops, prepend=0))
+        scales = 900 * (drops - shifts)
+    coeffs = np.cumprod(factors)[::2].copy()
+    coeffs.real, coeffs.imag = np.ldexp(coeffs.real, scales), np.ldexp(coeffs.imag, scales)
     tail = 1.0 - float(np.sum(np.abs(coeffs) ** 2))
     # fails on a non-finite sum as well
     if not abs(tail) <= TAIL_TOL:
@@ -553,7 +552,8 @@ def _oracle_cats(p: RealizationParams) -> tuple[np.ndarray, np.ndarray, np.ndarr
     truncation = default_truncation(alpha * (abs(math.cos(p.phi)) + abs(math.sin(p.phi))))
 
     norm = 1.0 / math.sqrt(2.0 + 2.0 * math.exp(-(alpha**2) / 2.0))
-    vac = coherent_to_fock(0.0, truncation)
+    vac = np.zeros(truncation + 1, dtype=complex)
+    vac[0] = 1.0
     amp = coherent_to_fock(alpha, truncation)
     plus_cat = (vac + amp) * norm
     minus_norm = 1.0 / math.sqrt(2.0 - 2.0 * math.exp(-(alpha**2) / 2.0))

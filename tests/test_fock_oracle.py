@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 from scipy.special import jv
 
-from catruler import fock_oracle
+from catruler import cli, fock_oracle
 from catruler.coherent_algebra import CoherentSuperposition, threshold_probability
 from catruler.errors import IntegrationError, TruncationError
 from catruler.fock_oracle import (
@@ -29,6 +29,8 @@ from catruler.physical_realization import (
     measurement_probabilities,
     output_state,
 )
+
+from ratio_reference import coherent_to_fock_loop
 
 pytestmark = pytest.mark.filterwarnings("ignore::catruler.errors.ApproximationRegimeWarning")
 
@@ -91,11 +93,19 @@ class TestCoherentToFock:
     def test_no_rescaling_while_the_vacuum_term_is_normal(self):
         gamma = 37.0
         v = coherent_to_fock(gamma)
-        plain = np.empty(v.size, dtype=complex)
-        plain[0] = math.exp(-(gamma**2) / 2.0)
-        for k in range(1, v.size):
-            plain[k] = plain[k - 1] * gamma / math.sqrt(k)
-        assert np.array_equal(v, plain)
+        assert np.array_equal(v, coherent_to_fock_loop(gamma, v.size - 1))
+
+    @pytest.mark.parametrize("gamma, truncation", [
+        (0.0, None), (0.5, None), (3 + 1j, None), (12.0, None), (37.5, None),
+        (40.0, None), (100j, None),  # these two rescale: c_0 underflows
+        (40.0, 4000),  # the tail runs out of the normal range
+    ])
+    def test_matches_the_ratio_loop(self, gamma, truncation):
+        got = coherent_to_fock(gamma, truncation)
+        want = coherent_to_fock_loop(gamma, got.size - 1)
+        tiny = np.abs(want) <= 1e-300
+        assert np.all(np.abs(got[~tiny] - want[~tiny]) <= 1e-14 * np.abs(want[~tiny]))
+        assert np.all(np.abs(got[tiny]) <= 2e-300)
 
     def test_default_truncation_heuristic(self):
         assert default_truncation(0.0) == 30
@@ -525,17 +535,13 @@ class TestEndToEnd:
         monkeypatch.setattr(fock_oracle, "coherent_to_fock",
                             lambda gamma, truncation: seen.append(truncation) or to_fock(gamma, truncation))
         end_to_end_oracle(RealizationParams(alpha=0.85, theta=0.3))
-        assert seen == [31, 31]
+        assert seen == [31]  # the amplitude; the vacuum is e_0
 
 
 def cli_draws(seed, max_alpha, cases):
     """The oracle command's cases: alpha, then theta, from the seed."""
-    rng = np.random.default_rng(seed)
-    return [
-        RealizationParams(alpha=float(rng.uniform(0.4, max_alpha)),
-                          theta=float(rng.uniform(0.0, 2.0 * math.pi)))
-        for _ in range(cases)
-    ]
+    return [RealizationParams(alpha=alpha, theta=theta)
+            for alpha, theta in cli._oracle_draws(seed, max_alpha, cases)]
 
 
 def spy_series(monkeypatch):
