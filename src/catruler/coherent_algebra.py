@@ -154,29 +154,11 @@ def cat_norm_squared(alpha: float, sign: int = 1) -> float:
     return 2.0 + 2.0 * math.exp(-(alpha**2) / 2.0)
 
 
-def _overlap_matrix(amps: np.ndarray) -> np.ndarray:
-    """Gram matrix <g_k|g_l>: shape (..., k) -> (..., k, k)."""
-    return _overlap(amps[..., :, None], amps[..., None, :])
-
-
-def _hermitian_form(coeffs: np.ndarray, kernel: np.ndarray, unit=1.0) -> tuple[np.ndarray, np.ndarray]:
-    """conj(c) . K . c for Hermitian K, over any leading axes of c and K.
-
-    Returns the complex values and a mask that is False wherever a value
-    is not finite or its imaginary residue exceeds IMAG_RESIDUE_LIMIT
-    times the coefficient scale max(unit, sum |c_k|^2).  unit is the
-    squared norm that reads as 1: passing a state's norm^2 makes the test
-    that of the normalized state.
-    """
-    value = np.einsum("...k,...kl,...l->...", np.conj(coeffs), kernel, coeffs)
-    scale = np.maximum(unit, (np.abs(coeffs) ** 2).sum(axis=-1))
-    return value, np.isfinite(value) & (np.abs(value.imag) <= IMAG_RESIDUE_LIMIT * scale)
-
-
 def _state_form(coeffs: np.ndarray, kernel: np.ndarray, scale: float) -> tuple[complex, bool]:
-    """_hermitian_form for one state, on Python scalars: conj(c) . K . c
-    as a complex, and whether it is finite with an imaginary residue of
-    at most IMAG_RESIDUE_LIMIT * scale, where scale = max(unit, sum |c_k|^2)."""
+    """Hermitian form conj(c) . K . c of one state, on Python scalars, as a
+    complex, and whether it is finite with an imaginary residue of at most
+    IMAG_RESIDUE_LIMIT * scale, where scale = max(unit, sum |c_k|^2) for
+    the squared norm unit that reads as 1."""
     value = complex(np.vdot(coeffs, kernel @ coeffs))
     finite = math.isfinite(value.real) and math.isfinite(value.imag)
     return value, finite and abs(value.imag) <= IMAG_RESIDUE_LIMIT * scale
@@ -199,7 +181,8 @@ def _clamped_norm(coeffs: np.ndarray, gram: np.ndarray) -> float:
 
 def norm_squared(s: CoherentSuperposition) -> float:
     """<s|s> via the Gram matrix; tiny negatives clamp to zero."""
-    return _clamped_norm(s.coefficients, _overlap_matrix(s.amplitudes))
+    amps = s.amplitudes
+    return _clamped_norm(s.coefficients, _overlap(amps[:, None], amps[None, :]))
 
 
 def beamsplitter(gamma_a: complex, gamma_b: complex, mix_angle: float) -> tuple[complex, complex]:

@@ -35,12 +35,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .coherent_algebra import (
+    IMAG_RESIDUE_LIMIT,
     MAX_AMPLITUDE,
     NORM_CLAMP,
     CoherentSuperposition,
-    _hermitian_form,
     _log_overlap,
-    _overlap_matrix,
     _require_alpha,
     _threshold_kernel_erf,
     cat_norm_squared,
@@ -57,8 +56,6 @@ WEIGHT_CLOSURE_TOL = 1e-9
 CANCELLATION_LIMIT = 1e8
 # Above this value of phi^2 alpha^2 the weak-mixing picture degrades.
 APPROXIMATION_WARNING_LEVEL = 0.1
-# fringe_phase_offset correlates over lags up to this fraction of the scan
-MAX_LAG_FRACTION = 0.6
 # _conditional_batch evaluates at most this many points at once: the
 # ruler's default grid, the largest one a single command scanned before
 # commands batched their alphas
@@ -172,54 +169,60 @@ def _cat_norms(alpha: float) -> tuple[float, float]:
     return 1.0 / math.sqrt(cat_norm_squared(alpha)), 1.0 / math.sqrt(cat_norm_squared(alpha, -1))
 
 
-def _per_alpha(alpha, scalars) -> tuple[np.ndarray, ...]:
-    """scalars(a), a tuple of Python numbers computed with math, once per
+def _alpha_scalars(alpha: float) -> tuple:
+    """The per-alpha constants of the scan kernel: alpha, the transmitted
+    and reflected amplitudes of |alpha> at the mixing angle, the plus /
+    minus cat normalizations n_+ and n_-, the input normalization n_+^2
+    of each cat (both input cats are plus cats), its square n_+^4 (the
+    two-mode norm's) and the homodyne threshold alpha/2."""
+    phi = _mixing_angle(alpha)
+    n_plus, n_minus = _cat_norms(alpha)
+    n_plus_sq = n_plus**2
+    return (alpha, alpha * math.cos(phi), 1j * alpha * math.sin(phi), n_plus, n_minus,
+            n_plus_sq, n_plus_sq**2, alpha / 2.0)
+
+
+def _per_alpha(alpha) -> tuple[np.ndarray, ...]:
+    """_alpha_scalars(a), Python numbers computed with math once per
     distinct alpha and gathered to the points: each value an (n,) array
     for an array of per-point alphas, a 0-d array for one float alpha.
     A point therefore gets the same bits whatever else shares its grid."""
     if np.ndim(alpha) == 0:
-        return tuple(np.array(v) for v in scalars(alpha))
+        return tuple(np.array(v) for v in _alpha_scalars(alpha))
     distinct, index = np.unique(alpha, return_inverse=True)
-    table = [scalars(a) for a in distinct.tolist()]
+    table = [_alpha_scalars(a) for a in distinct.tolist()]
     return tuple(np.array(column)[index] for column in zip(*table))
 
 
-def _beam_scalars(alpha: float) -> tuple:
-    """alpha, the transmitted and reflected amplitudes of |alpha> at the
-    mixing angle, and the plus / minus cat normalizations."""
-    phi = _mixing_angle(alpha)
-    return (alpha, alpha * math.cos(phi), 1j * alpha * math.sin(phi), *_cat_norms(alpha))
-
-
-def _cat_projections(alpha, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _cat_projections(table: tuple, thetas: np.ndarray) -> tuple[np.ndarray, ...]:
     """Beamsplitter expansion of cat(theta) x cat at every theta of a grid.
 
-    alpha is one float for the grid or an array of one per point.
-    Returns the measured-port and homodyne-port amplitudes of the four
-    product terms (vacuum, reference-transmission, signal-transmission,
-    composite), each of shape (n, 4), and the overlaps <cat_+-|component>
-    of the normalized plus / minus cats with the measured-port components,
-    shape (n, 2, 4).  All of them are closed-form in e^{i theta}.
+    table is _per_alpha of one float alpha for the grid or of an array of
+    one per point.  Returns the measured-port and homodyne-port amplitudes
+    of the four product terms (vacuum, reference-transmission,
+    signal-transmission, composite), each of shape (n, 4), the overlaps
+    <cat_+-|component> of the normalized plus / minus cats with the
+    measured-port components, shape (n, 2, 4), and the measured-port Gram
+    <m_k|m_l>, shape (n, 4, 4).  All of them are closed-form in e^{i theta}.
     """
-    alpha, transmitted, reflected, n_plus, n_minus = _per_alpha(alpha, _beam_scalars)
+    alpha, transmitted, reflected, n_plus, n_minus = table[:5]
     e = np.exp(1j * thetas)
     zero = np.zeros_like(e)
-    measured = np.stack(
-        [zero, zero + reflected, transmitted * e, transmitted * e + reflected], axis=-1
-    )
-    output = np.stack(
-        [zero, zero + transmitted, reflected * e, transmitted + reflected * e], axis=-1
-    )
-    on_vacuum = np.exp(_log_overlap(0.0, measured))
-    on_alpha = np.exp(_log_overlap(alpha[..., None], measured))
+    # one Gram of the measured-port amplitudes with alpha appended: its
+    # row 0 is <0|m_k> (m_0 = 0) and its last row <alpha|m_k>
+    measured = [zero, zero + reflected, transmitted * e, transmitted * e + reflected]
+    amps = np.stack(measured + [zero + alpha], axis=-1)
+    gram = np.exp(_log_overlap(amps[..., :, None], amps[..., None, :]))
+    output = np.stack([zero, zero + transmitted, reflected * e, transmitted + reflected * e], -1)
+    on_vacuum, on_alpha = gram[..., 0, :4], gram[..., 4, :4]
     n_plus, n_minus = n_plus[..., None], n_minus[..., None]
     cats = np.stack([n_plus * (on_vacuum + on_alpha), n_minus * (on_vacuum - on_alpha)], axis=-2)
-    return measured, output, cats
+    return amps[..., :4], output, cats, gram[..., :4, :4]
 
 
 def cat_coefficients(p: RealizationParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """_cat_projections at one theta: arrays of shape (4,), (4,) and (2, 4)."""
-    measured, output, cats = _cat_projections(p.alpha, np.array([p.theta]))
+    measured, output, cats, _ = _cat_projections(_per_alpha(p.alpha), np.array([p.theta]))
     return measured[0], output[0], cats[0]
 
 
@@ -251,13 +254,6 @@ def _require(ok: np.ndarray, alpha, thetas: np.ndarray, message: str) -> None:
             f"conditional output failed at alpha = {at_alpha!r}, theta = {float(thetas[i])!r}: "
             f"{message}"
         )
-
-
-def _kernel_scalars(alpha: float) -> tuple[float, float, float]:
-    """Input normalization n_+^2 of each cat, its square n_+^4 (the
-    two-mode norm's) and the homodyne threshold alpha/2."""
-    n_plus_sq = _cat_norms(alpha)[0] ** 2
-    return n_plus_sq, n_plus_sq**2, alpha / 2.0
 
 
 def _conditional_batch(alpha, thetas: np.ndarray) -> _ConditionalBatch:
@@ -304,31 +300,34 @@ def _conditional_chunk(alpha, thetas: np.ndarray) -> _ConditionalBatch:
     not be negative.  Each outcome weight must exceed 1/CANCELLATION_LIMIT
     of sum_k |raw_k|^2, the size of the terms it cancels from (a weight of
     rounding size would make joint / weight garbage), and each
-    conditional probability must lie in [0, 1].
+    conditional probability must lie in [0, 1].  Weights and joint
+    probabilities are one contraction of raw with the homodyne-port Gram
+    and threshold kernel.
     """
-    measured, output, cats = _cat_projections(alpha, thetas)
+    table = _per_alpha(alpha)
+    _, output, cats, measured_gram = _cat_projections(table, thetas)
     # both input cats carry the plus-cat normalization
-    n_plus_sq, n_plus_4, threshold = _per_alpha(alpha, _kernel_scalars)
+    n_plus_sq, n_plus_4, threshold = table[5:]
     raw = n_plus_sq[..., None, None] * cats
     gram, kernel = _threshold_kernel_erf(output, threshold[..., None, None])
-    norm = n_plus_4 * (_overlap_matrix(measured) * gram).sum(axis=(-2, -1))
+    norm = n_plus_4 * (measured_gram * gram).sum(axis=(-2, -1))
     _require(np.abs(norm - 1.0) <= WEIGHT_CLOSURE_TOL, alpha, thetas,
              f"two-mode norm differs from 1 by more than {WEIGHT_CLOSURE_TOL}")
-    gram, kernel = gram[:, None], kernel[:, None]  # broadcast over the outcome axis
 
-    weights, ok = _hermitian_form(raw, gram)
-    _require(ok, alpha, thetas, "outcome weight is not finite or carries an imaginary residue")
-    weights = weights.real
-    _require(CANCELLATION_LIMIT * weights > (np.abs(raw) ** 2).sum(axis=-1), alpha, thetas,
+    forms = np.einsum("...ok,...fkl,...ol->f...o", np.conj(raw), np.stack([gram, kernel], 1), raw)
+    weights, joint = forms.real
+    size = (np.abs(raw) ** 2).sum(axis=-1)
+    # an imaginary residue is judged at max(1, sum_k |raw_k|^2) for a weight
+    # and at max(weight, sum_k |raw_k|^2), the normalized state's, for joint
+    scale = np.maximum(size, [np.ones_like(size), weights])
+    ok = np.isfinite(forms) & (np.abs(forms.imag) <= IMAG_RESIDUE_LIMIT * scale)
+    _require(ok[0], alpha, thetas, "outcome weight is not finite or carries an imaginary residue")
+    _require(CANCELLATION_LIMIT * weights > size, alpha, thetas,
              f"outcome weight is below 1/{CANCELLATION_LIMIT:g} of its cancelling terms")
     leakage = 1.0 - weights[:, 0] - weights[:, 1]
     _require(leakage >= -NORM_CLAMP, alpha, thetas, "outcome weights exceed the two-mode norm")
-
-    # the residue is judged at the scale of the normalized conditional states
-    joint, ok = _hermitian_form(raw, kernel, unit=weights)
-    _require(ok, alpha, thetas,
+    _require(ok[1], alpha, thetas,
              "threshold probability is not finite or carries an imaginary residue")
-    joint = joint.real
     conditional = joint / weights
     _require((-NORM_CLAMP <= conditional) & (conditional <= 1.0 + 1e-9 + NORM_CLAMP),
              alpha, thetas, "conditional threshold probability escaped [0, 1]")
@@ -500,27 +499,3 @@ def _normal_spacing(spacing: float, wavelength: float) -> float:
         )
     return spacing
 
-
-def fringe_phase_offset(curve: FringeCurve) -> float:
-    """Lag (in theta) at which the P_+ / P_- cross-correlation peaks.
-
-    Uses mean-removed, overlap-averaged correlation over lags up to
-    MAX_LAG_FRACTION of the scan window, with parabolic refinement of the
-    peak.  For the exact pipeline the two conditional fringe patterns are
-    antiphase, so the offset lands at half the fringe period.
-    """
-    a = curve.p_plus - curve.p_plus.mean()
-    b = curve.p_minus - curve.p_minus.mean()
-    n = len(a)
-    max_lag = int(n * MAX_LAG_FRACTION)
-    if max_lag < 2:
-        raise WidthUndefinedError("scan too short for a cross-correlation offset")
-    # cc[j] = mean over the overlap of a[i] * b[i + j]
-    cc = np.correlate(b, a, "full")[n - 1 : n - 1 + max_lag] / (n - np.arange(max_lag))
-    j = int(np.argmax(cc))
-    h = curve.theta[1] - curve.theta[0]
-    if 0 < j < max_lag - 1:
-        denom = cc[j + 1] - 2.0 * cc[j] + cc[j - 1]
-        if denom != 0.0:
-            j = j + 0.5 * (cc[j - 1] - cc[j + 1]) / denom
-    return float(j * h)

