@@ -23,7 +23,7 @@ from . import fock_oracle, physical_realization
 from .coherent_algebra import MAX_AMPLITUDE, _require_alpha, beamsplitter, cat_norm_squared
 from .errors import ApproximationRegimeWarning, CatRulerError
 from .fock_oracle import ORACLE_MAX_ALPHA
-from .ideal_circuit import phase_gate_error, snr_ideal
+from .ideal_circuit import _require_v_theta, phase_gate_error, snr_ideal
 from .physical_realization import (
     RealizationParams,
     fringe_scan,
@@ -165,15 +165,19 @@ def cmd_snr(args) -> int:
     for n_bar in n_bars:
         if not (n_bar > 0 and math.isfinite(n_bar)):
             raise ValueError(f"--n-bar values must be positive and finite, got {n_bar!r}")
-    v_theta = args.v_theta  # snr_ideal checks it
+    v_theta = args.v_theta
+    _require_v_theta(v_theta)
     rows = []
     for n_bar in n_bars:
         alpha = math.sqrt(2.0 * n_bar)
-        ideal = snr_ideal(v_theta, alpha)
-        squeezed = snr_squeezed(equal_power_params(n_bar, v_theta))
-        # the physical realization consumes two cats per shot, so the fair
-        # comparison hands the squeezed benchmark the doubled budget
-        squeezed_doubled = snr_squeezed(equal_power_params(2.0 * n_bar, v_theta))
+        try:
+            ideal = snr_ideal(v_theta, alpha)
+            squeezed = snr_squeezed(equal_power_params(n_bar, v_theta))
+            # the physical realization consumes two cats per shot, so the fair
+            # comparison hands the squeezed benchmark the doubled budget
+            squeezed_doubled = snr_squeezed(equal_power_params(2.0 * n_bar, v_theta))
+        except ValueError as err:  # it may name alpha, for which snr has no option
+            raise ValueError(f"--n-bar {n_bar!r}: {err}") from err
         ratio = ideal / squeezed if squeezed > 0 else 0.0
         adjusted = ideal / squeezed_doubled if squeezed_doubled > 0 else 0.0
         rows.append((n_bar, ideal, squeezed, ratio, adjusted))

@@ -26,10 +26,10 @@ c_0 .. c_N, two modes the (N+1) x (N+1) grid (mode a, mode b).
 
 The series scale of a beamsplitter is rounded up to a quarter-octave
 rung 2^(j/4), so that its Bessel coefficients depend on the rung alone:
-the grids of one call (_beamsplitter_fock_many, _end_to_end_oracles)
-whose rungs coincide run as one series over their concatenated packed
-entries, up to GROUP_ENTRIES of them, and each comes out equal to its
-own one-grid call.  The series is a few vector operations per order on
+the grids of one _mixed call (beamsplitter_fock and _end_to_end_oracles
+make one each) whose rungs coincide run as one series over their
+concatenated packed entries, up to GROUP_ENTRIES of them, and each comes
+out equal to its own one-grid call.  The series is a few vector operations per order on
 short vectors, so sharing it saves numpy's per-call overhead.
 """
 
@@ -309,81 +309,70 @@ def _unpacked(case: _Packed, out: np.ndarray) -> np.ndarray:
     return grid
 
 
-def _evolved(rung: int | None, group: list[_Packed]):
-    """Yield (index, mixed grid or the TruncationError it raised) for each
-    case of a group that shares one rung, from one series over their
-    concatenated packed entries.  The link is 0 where one case meets the
-    next, so the series acts on each case as it would alone."""
+def _evolved(rung: int | None, group: list[_Packed]) -> list[np.ndarray]:
+    """The packed outputs of the cases of a group that shares one rung,
+    from one series over their concatenated packed entries.  The link is
+    0 where one case meets the next, so the series acts on each case as
+    it would alone."""
     if rung is None:
-        outs = [case.start for case in group]
-    else:
-        bessel = _bessel_series(_rung_scale(rung))
-        coefficients = 2.0 * bessel * np.array([1.0, 1j, -1.0, -1j])[np.arange(bessel.size) % 4]
-        coefficients[0] = bessel[0]
-        # the series reads a zero before the first entry
-        start = np.concatenate([np.zeros(1, dtype=complex)] + [case.start for case in group])
-        link = np.concatenate([_link(case) for case in group])
-        out = _chebyshev_series(start, link, coefficients)
-        del start, link
-        outs = np.split(out[1:], np.cumsum([case.start.size for case in group[:-1]]))
-    for case, packed_out in zip(group, outs):
-        try:
-            yield case.index, _unpacked(case, packed_out)
-        except TruncationError as err:
-            yield case.index, err
+        return [case.start for case in group]
+    bessel = _bessel_series(_rung_scale(rung))
+    coefficients = 2.0 * bessel * np.array([1.0, 1j, -1.0, -1j])[np.arange(bessel.size) % 4]
+    coefficients[0] = bessel[0]
+    # the series reads a zero before the first entry
+    start = np.concatenate([np.zeros(1, dtype=complex)] + [case.start for case in group])
+    link = np.concatenate([_link(case) for case in group])
+    out = _chebyshev_series(start, link, coefficients)
+    return np.split(out[1:], np.cumsum([case.start.size for case in group[:-1]]))
 
 
-def _mixed(grids, angles):
-    """Yield (index, mixed grid or the error it raised) for the grids of a
-    call, group by group: the grids on one rung share a series while their
-    packed entries fit GROUP_ENTRIES, a larger grid runs alone, and a grid
-    at whole quarter turns needs none.  After a grid is refused, the
-    ones before it still run, so that the first failure can be found, and
-    the ones after it do not."""
+def _mixed(grids, angles: list[float], reduce=lambda index, grid: grid) -> list:
+    """reduce(i, beamsplitter_fock(grids[i], angles[i])) for each i, equal
+    to the one-grid calls.  grids may be an iterator that builds each grid
+    as it is packed.  The grids on one rung share a series while their
+    packed entries fit GROUP_ENTRIES, a larger grid runs alone, a grid at
+    whole quarter turns needs none, and each group is reduced as its
+    series ends, so that only its mixed grids are held at once.
+
+    A failure raises the error of the first failing case, as a loop over
+    the cases one at a time would; with more than one case its message
+    names the case.  After a grid is refused, the ones before it still
+    run, so that the first failure can be found, and the ones after it
+    are not built."""
+    results, failures = {}, {}
+
+    def reduced(rung: int | None, group: list[_Packed]) -> None:
+        for case, out in zip(group, _evolved(rung, group)):
+            try:
+                results[case.index] = reduce(case.index, _unpacked(case, out))
+            except (ValueError, CatRulerError) as err:
+                failures[case.index] = err
+
     groups: dict[int, list[_Packed]] = {}
-    refused = None
-    for index, (grid, angle) in enumerate(zip(grids, angles)):
+    grids = iter(grids)
+    for index, angle in enumerate(angles):
         try:
-            rung, case = _packed(index, grid, angle)
-        except (ValueError, TruncationError) as err:
-            refused = index, err
+            rung, case = _packed(index, next(grids), angle)
+        except (ValueError, CatRulerError) as err:
+            failures[index] = err
             break
         if rung is None or case.start.size > GROUP_ENTRIES:
-            yield from _evolved(rung, [case])
+            reduced(rung, [case])
             continue
         group = groups.setdefault(rung, [])
         if sum(member.start.size for member in group) + case.start.size > GROUP_ENTRIES:
-            yield from _evolved(rung, group)
+            reduced(rung, group)
             group.clear()
         group.append(case)
     for rung in list(groups):
-        yield from _evolved(rung, groups.pop(rung))
-    if refused is not None:
-        yield refused
-
-
-def _raise_first(failures: dict[int, Exception], count: int) -> None:
-    """Raise the failure of the first failing case, as a loop over the
-    cases one at a time would; with more than one case its message names
-    the case."""
+        reduced(rung, groups.pop(rung))
     if failures:
         index = min(failures)
         error = failures[index]
-        if count == 1:
+        if len(angles) == 1:
             raise error
         raise type(error)(f"case {index}: {error}") from error
-
-
-def _beamsplitter_fock_many(grids: list[np.ndarray], angles: list[float]) -> list[np.ndarray]:
-    """beamsplitter_fock(grids[i], angles[i]) for each i, equal to the
-    one-grid calls, with the grids whose series rungs coincide mixed in
-    shared series."""
-    mixed: dict[int, np.ndarray] = {}
-    failures: dict[int, Exception] = {}
-    for index, result in _mixed(grids, angles):
-        (failures if isinstance(result, Exception) else mixed)[index] = result
-    _raise_first(failures, len(grids))
-    return [mixed[index] for index in range(len(grids))]
+    return [results[index] for index in range(len(angles))]
 
 
 def beamsplitter_fock(grid: np.ndarray, mix_angle: float) -> np.ndarray:
@@ -418,12 +407,11 @@ def beamsplitter_fock(grid: np.ndarray, mix_angle: float) -> np.ndarray:
     so |y| <= 1 for any scale X >= x = |t'| s; X is x rounded up to the
     next quarter-octave rung 2^(j/4), j = ceil(4 log2 x), or the rung
     above where rounding leaves X < x.  The sign of t' goes into y, so the
-    coefficients depend on X alone: the grids of one
-    _beamsplitter_fock_many call on the same rung share one series over
-    their concatenated packed entries (up to GROUP_ENTRIES of them; a
-    larger grid runs alone), with a zero shift weight where one grid
-    meets the next, and each grid comes out equal to its call here.  With
-    every block kept, s = 2N + 1.  The series stops after the last order
+    coefficients depend on X alone: the grids of one _mixed call on the
+    same rung share one series over their concatenated packed entries
+    (up to GROUP_ENTRIES of them; a larger grid runs alone), with a zero
+    shift weight where one grid meets the next, and each grid comes out
+    equal to its call here.  With every block kept, s = 2N + 1.  The series stops after the last order
     with |J_k(X)| > 1e-17; the J_k come from Miller's backward recurrence
     (_bessel_series).  The truncated generator is Hermitian, so the
     evolution is exactly unitary and norm loss cannot witness an
@@ -432,7 +420,7 @@ def beamsplitter_fock(grid: np.ndarray, mix_angle: float) -> np.ndarray:
     ones) raises a truncation error.  A non-finite grid raises one before
     any series runs.
     """
-    return _beamsplitter_fock_many([grid], [mix_angle])[0]
+    return _mixed([grid], [mix_angle])[0]
 
 
 def _normalized_norm_squared(state: np.ndarray) -> float:
@@ -590,29 +578,20 @@ def _oracle_outcome(
 def _end_to_end_oracles(params: list[RealizationParams]) -> list[OracleProbabilities]:
     """end_to_end_oracle of each case, equal to the one-case calls, with
     the beamsplitters of the cases whose series rungs coincide in shared
-    series; each mixed grid is reduced to its outcome as its group
+    series (_mixed).  Each case's cats and grid are built as _mixed packs
+    it, and each mixed grid is reduced to its outcome as its group
     finishes.  A failure raises the error of the first failing case."""
-    failures: dict[int, Exception] = {}
     cats = []
-    for index, p in enumerate(params):
-        try:
-            cats.append(_oracle_cats(p))
-        except (ValueError, TruncationError) as err:
-            failures[index] = err
-            break
-    # each grid is built as its case is packed
-    grids = (np.outer(rotated, plus_cat) for rotated, plus_cat, _ in cats)
-    outcomes: dict[int, OracleProbabilities] = {}
-    for index, mixed in _mixed(grids, [p.phi for p in params[: len(cats)]]):
-        if isinstance(mixed, Exception):
-            failures[index] = mixed
-            continue
-        try:
-            outcomes[index] = _oracle_outcome(params[index], *cats[index][1:], mixed)
-        except (ValueError, CatRulerError) as err:
-            failures[index] = err
-    _raise_first(failures, len(params))
-    return [outcomes[index] for index in range(len(params))]
+
+    def grid(p: RealizationParams) -> np.ndarray:
+        cats.append(_oracle_cats(p))
+        rotated, plus_cat, _ = cats[-1]
+        return np.outer(rotated, plus_cat)
+
+    def outcome(index: int, mixed: np.ndarray) -> OracleProbabilities:
+        return _oracle_outcome(params[index], *cats[index][1:], mixed)
+
+    return _mixed(map(grid, params), [p.phi for p in params], outcome)
 
 
 def end_to_end_oracle(p: RealizationParams) -> OracleProbabilities:

@@ -182,13 +182,11 @@ def _alpha_scalars(alpha: float) -> tuple:
             n_plus_sq, n_plus_sq**2, alpha / 2.0)
 
 
-def _per_alpha(alpha) -> tuple[np.ndarray, ...]:
-    """_alpha_scalars(a), Python numbers computed with math once per
-    distinct alpha and gathered to the points: each value an (n,) array
-    for an array of per-point alphas, a 0-d array for one float alpha.
-    A point therefore gets the same bits whatever else shares its grid."""
-    if np.ndim(alpha) == 0:
-        return tuple(np.array(v) for v in _alpha_scalars(alpha))
+def _per_alpha(alpha: np.ndarray) -> tuple[np.ndarray, ...]:
+    """_alpha_scalars(a) of an array of per-point alphas, Python numbers
+    computed with math once per distinct alpha and gathered to the
+    points, each value an (n,) array.  A point therefore gets the same
+    bits whatever else shares its grid."""
     distinct, index = np.unique(alpha, return_inverse=True)
     table = [_alpha_scalars(a) for a in distinct.tolist()]
     return tuple(np.array(column)[index] for column in zip(*table))
@@ -197,13 +195,13 @@ def _per_alpha(alpha) -> tuple[np.ndarray, ...]:
 def _cat_projections(table: tuple, thetas: np.ndarray) -> tuple[np.ndarray, ...]:
     """Beamsplitter expansion of cat(theta) x cat at every theta of a grid.
 
-    table is _per_alpha of one float alpha for the grid or of an array of
-    one per point.  Returns the measured-port and homodyne-port amplitudes
-    of the four product terms (vacuum, reference-transmission,
-    signal-transmission, composite), each of shape (n, 4), the overlaps
-    <cat_+-|component> of the normalized plus / minus cats with the
-    measured-port components, shape (n, 2, 4), and the measured-port Gram
-    <m_k|m_l>, shape (n, 4, 4).  All of them are closed-form in e^{i theta}.
+    table is _per_alpha of the grid's per-point alphas.  Returns the
+    measured-port and homodyne-port amplitudes of the four product terms
+    (vacuum, reference-transmission, signal-transmission, composite),
+    each of shape (n, 4), the overlaps <cat_+-|component> of the
+    normalized plus / minus cats with the measured-port components, shape
+    (n, 2, 4), and the measured-port Gram <m_k|m_l>, shape (n, 4, 4).
+    All of them are closed-form in e^{i theta}.
     """
     alpha, transmitted, reflected, n_plus, n_minus = table[:5]
     e = np.exp(1j * thetas)
@@ -222,7 +220,8 @@ def _cat_projections(table: tuple, thetas: np.ndarray) -> tuple[np.ndarray, ...]
 
 def cat_coefficients(p: RealizationParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """_cat_projections at one theta: arrays of shape (4,), (4,) and (2, 4)."""
-    measured, output, cats, _ = _cat_projections(_per_alpha(p.alpha), np.array([p.theta]))
+    measured, output, cats, _ = _cat_projections(_per_alpha(np.array([p.alpha])),
+                                                 np.array([p.theta]))
     return measured[0], output[0], cats[0]
 
 
@@ -243,45 +242,42 @@ class _ConditionalBatch(NamedTuple):
         return self.joint / self.weights
 
 
-def _require(ok: np.ndarray, alpha, thetas: np.ndarray, message: str) -> None:
+def _require(ok: np.ndarray, alpha: np.ndarray, thetas: np.ndarray, message: str) -> None:
     """Raise IntegrationError naming alpha and theta of the first point at
     which ok fails."""
     ok = np.asarray(ok).reshape(len(thetas), -1).all(axis=1)
     if not ok.all():
         i = int(np.argmin(ok))
-        at_alpha = float(alpha if np.ndim(alpha) == 0 else alpha[i])
         raise IntegrationError(
-            f"conditional output failed at alpha = {at_alpha!r}, theta = {float(thetas[i])!r}: "
-            f"{message}"
+            f"conditional output failed at alpha = {float(alpha[i])!r}, "
+            f"theta = {float(thetas[i])!r}: {message}"
         )
 
 
 def _conditional_batch(alpha, thetas: np.ndarray) -> _ConditionalBatch:
     """Joint distribution of the cat-basis outcome and the homodyne
-    threshold result at every point of a grid: alpha is one float for
-    the grid or an array of one per point, so that scans at several
+    threshold result at every point of a grid: alpha, one float or one
+    per point, is broadcast to one per point, so that scans at several
     amplitudes share one evaluation.
 
     The points go through _conditional_chunk in chunks of at most
     SCAN_CHUNK_POINTS (split evenly), which bounds the kernel's
-    temporaries; a chunk whose points share one alpha takes it as a
-    float.  Each point's values are the same bits as in a one-alpha call.
+    temporaries.  Each point's values are the same bits as in a
+    one-alpha call.
     """
     n = len(thetas)
+    alpha = np.broadcast_to(np.asarray(alpha, dtype=float), n)
     chunks = max(1, -(-n // SCAN_CHUNK_POINTS))
     parts = []
     for k in range(chunks):
         chunk = slice(n * k // chunks, n * (k + 1) // chunks)
-        a = alpha if np.ndim(alpha) == 0 else alpha[chunk]
-        if np.ndim(a) and (a == a[0]).all():
-            a = float(a[0])
-        parts.append(_conditional_chunk(a, thetas[chunk]))
+        parts.append(_conditional_chunk(alpha[chunk], thetas[chunk]))
     if len(parts) == 1:
         return parts[0]
     return _ConditionalBatch(*(np.concatenate(column) for column in zip(*parts)))
 
 
-def _conditional_chunk(alpha, thetas: np.ndarray) -> _ConditionalBatch:
+def _conditional_chunk(alpha: np.ndarray, thetas: np.ndarray) -> _ConditionalBatch:
     """One batched evaluation of _conditional_batch.
 
     Exactly normalized cat x cat input with the path phase on the measured
@@ -446,16 +442,6 @@ def central_fringe_width(curve: FringeCurve) -> float:
     right, left = (theta[i] + (half - f[i]) / (f[j] - f[i]) * (theta[j] - theta[i])
                    for i, j in ((k, k + 1), (m, m - 1)))
     return float(right) - float(left)
-
-
-def fringe_period(curve: FringeCurve) -> float:
-    """Mean spacing between consecutive fringe maxima (about 2 pi / alpha^2)."""
-    positions, values = _local_extrema(curve.theta, curve.fringe)
-    mid = 0.5 * (curve.fringe.max() + curve.fringe.min())
-    maxima = positions[values > mid]
-    if maxima.size < 2:
-        raise WidthUndefinedError("need at least two maxima to measure a period")
-    return float(np.diff(maxima).mean())
 
 
 def extremum_spacing(curve: FringeCurve) -> float:

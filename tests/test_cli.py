@@ -246,12 +246,22 @@ class TestSnrCommand:
             assert row[1:] == [0.0, 0.0, 0.0, 0.0]
 
 
-    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    # the last three pass the n-bar check, but alpha = sqrt(2 n_bar)
+    # overflows, has a subnormal square, or overflows v_theta nbar^2
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "1e308", "1e-320", "5e307"])
     def test_bad_n_bar_is_usage_error(self, tmp_path, capsys, value):
         out = tmp_path / "out"
         assert main(["--out", str(out), "--quiet", "snr", "--n-bar", value,
                      "--v-theta", "1e-4"]) == 2
-        assert "n-bar" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "n-bar" in err and repr(float(value)) in err
+        assert not out.exists()
+
+    def test_bad_v_theta_is_not_blamed_on_an_n_bar(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "--quiet", "snr", "--n-bar", "200",
+                     "--v-theta", "nan"]) == 2
+        assert capsys.readouterr().err == "usage error: v_theta must be nonnegative and finite\n"
         assert not out.exists()
 
 

@@ -12,8 +12,8 @@ from catruler import cli, fock_oracle
 from catruler.coherent_algebra import CoherentSuperposition, threshold_probability
 from catruler.errors import IntegrationError, TruncationError
 from catruler.fock_oracle import (
-    _beamsplitter_fock_many,
     _end_to_end_oracles,
+    _mixed,
     beamsplitter_fock,
     coherent_to_fock,
     default_truncation,
@@ -569,6 +569,37 @@ class TestSharedSeries:
         assert _end_to_end_oracles(params[::-1]) == one_case[::-1]
 
     @staticmethod
+    def refused():
+        # case 1 is refused before its grid is built; alpha = 1 would mix
+        # by exactly a quarter turn and run no series
+        return [RealizationParams(1.5), RealizationParams(25.0), RealizationParams(2.0)]
+
+    def test_refused_case_stops_the_cases_after_it(self, monkeypatch):
+        built = []
+        cats = fock_oracle._oracle_cats
+        monkeypatch.setattr(fock_oracle, "_oracle_cats", lambda p: built.append(p.alpha) or cats(p))
+        seen = spy_series(monkeypatch)
+        with pytest.raises(ValueError, match="^case 1: the oracle accepts alpha up to 20"):
+            _end_to_end_oracles(self.refused())
+        assert len(seen) == 1  # case 0 still ran
+        assert built == [1.5, 25.0]
+
+    def test_earlier_failure_wins_over_a_later_refusal(self, monkeypatch):
+        monkeypatch.setattr(fock_oracle, "CANCELLATION_LIMIT", 0.0)
+        with pytest.raises(IntegrationError, match="^case 0: oracle failed"):
+            _end_to_end_oracles(self.refused())
+
+    def test_each_grid_is_built_as_it_is_packed(self, monkeypatch):
+        params = cli_draws(0, 3.0, 6)
+        events = []
+        outer, packed = np.outer, fock_oracle._packed
+        monkeypatch.setattr(np, "outer", lambda *args: events.append("outer") or outer(*args))
+        monkeypatch.setattr(fock_oracle, "_packed",
+                            lambda *args: events.append("packed") or packed(*args))
+        _end_to_end_oracles(params)
+        assert events == ["outer", "packed"] * len(params)
+
+    @staticmethod
     def product(a, b, truncation=20):
         return np.outer(coherent_to_fock(a, truncation), coherent_to_fock(b, truncation))
 
@@ -580,11 +611,11 @@ class TestSharedSeries:
         one_grid = [beamsplitter_fock(grid, 0.3) for grid in (good, other)]
         seen = spy_series(monkeypatch)
         with np.errstate(invalid="ignore"), pytest.raises(TruncationError, match="^case 1: "):
-            _beamsplitter_fock_many([good, bad, other], [0.3] * 3)
+            _mixed([good, bad, other], [0.3] * 3)
         assert seen and all(np.isfinite(start).all() for start in seen)
         # the good grids share one series and keep their one-grid values
         seen.clear()
-        mixed = _beamsplitter_fock_many([good, other], [0.3] * 2)
+        mixed = _mixed([good, other], [0.3] * 2)
         assert len(seen) == 1
         assert all(np.array_equal(out, want) for out, want in zip(mixed, one_grid))
 
@@ -596,6 +627,6 @@ class TestSharedSeries:
         bad = self.product(0.5, 0.5)
         bad[0, 0] = math.inf
         with pytest.raises(TruncationError, match="^case 0: occupation mass"):
-            _beamsplitter_fock_many([overflow, bad], [math.pi / 4, 0.3])
+            _mixed([overflow, bad], [math.pi / 4, 0.3])
         with pytest.raises(TruncationError, match="^case 0: beamsplitter input"):
-            _beamsplitter_fock_many([bad, overflow], [0.3, math.pi / 4])
+            _mixed([bad, overflow], [0.3, math.pi / 4])

@@ -22,7 +22,6 @@ from catruler.physical_realization import (
     cat_coefficients,
     central_fringe_width,
     extremum_spacing,
-    fringe_period,
     fringe_scan,
     fringe_scans,
     fringe_spacing_physical,
@@ -284,12 +283,6 @@ class TestFringeScan:
         assert crossings >= 10
         assert f.max() - f.min() > 0.9
 
-    def test_fringe_period_matches_phase_gate_factor(self):
-        for alpha in (5.0, 10.0):
-            curve = small_scan(alpha)
-            expected = 2 * math.pi / alpha**2
-            assert fringe_period(curve) == pytest.approx(expected, rel=0.03)
-
     def test_per_point_failure_identifies_theta(self, monkeypatch):
         from catruler import physical_realization as pr
 
@@ -318,7 +311,7 @@ class TestFringeScan:
             measured, output, _, _ = projections(table, thetas)
             measured = measured.copy()
             measured[:, 3] = output[:, 3]
-            alpha = float(table[0])
+            alpha = float(table[0][0])
             on_vacuum = np.exp(-np.abs(measured) ** 2 / 2)
             on_alpha = np.exp(-(alpha**2 + np.abs(measured) ** 2) / 2 + alpha * measured)
             n_plus, n_minus = pr._cat_norms(alpha)
@@ -471,9 +464,11 @@ class TestRuler:
         measured = scan_extracted_spacing(curve, wavelength)
         assert measured == pytest.approx(fringe_spacing_physical(10.0, wavelength), rel=0.05)
 
-    def test_extremum_spacing_is_half_period(self):
-        curve = small_scan(10.0)
-        assert extremum_spacing(curve) == pytest.approx(math.pi / 100, rel=0.05)
+    @pytest.mark.parametrize("alpha", [5.0, 10.0])
+    def test_extremum_spacing_is_half_period(self, alpha):
+        # half the fringe period 2 pi / alpha^2 that the phase gate sets
+        curve = small_scan(alpha)
+        assert extremum_spacing(curve) == pytest.approx(math.pi / alpha**2, rel=0.03)
 
     def test_validation(self):
         with pytest.raises(ValueError):
