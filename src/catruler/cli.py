@@ -132,10 +132,30 @@ def cmd_fringe(args) -> int:
 # ---------------------------------------------------------- width-scaling
 
 
+def _loglog_slope(xs: list[float], ys: list[float]) -> float:
+    """Ordinary least-squares slope of log y on log x, from centred sums;
+    the x values must have distinct logs."""
+    log_x = [math.log(x) for x in xs]
+    log_y = [math.log(y) for y in ys]
+    mean_x = sum(log_x) / len(log_x)
+    mean_y = sum(log_y) / len(log_y)
+    dx = [v - mean_x for v in log_x]
+    return sum(d * (v - mean_y) for d, v in zip(dx, log_y)) / sum(d * d for d in dx)
+
+
 def cmd_width_scaling(args) -> int:
     alphas = _parse_float_list(args.alpha, "alpha")
-    if len(set(alphas)) < len(alphas):
-        raise ValueError(f"width-scaling needs distinct alpha values, got {alphas}")
+    # the report keys each width by its formatted alpha, so alphas that
+    # format alike would merge into one entry
+    seen: dict[str, float] = {}
+    for alpha in alphas:
+        key = _fmt(alpha)
+        if key in seen:
+            raise ValueError(
+                f"width-scaling needs distinct alpha values at 12 significant digits: "
+                f"{seen[key]!r} and {alpha!r} share the report key {key!r}"
+            )
+        seen[key] = alpha
 
     curves = fringe_scans(alphas, [_auto_span(alpha) for alpha in alphas], args.points)
     widths = {a: physical_realization.central_fringe_width(c) for a, c in zip(alphas, curves)}
@@ -150,8 +170,7 @@ def cmd_width_scaling(args) -> int:
             f"{_fmt(a)}/{_fmt(b)}": widths[a] / widths[b]
             for a, b in zip(alphas, alphas[1:])
         }
-        slope = np.polyfit(np.log(np.array(alphas)), np.log(np.array([widths[a] for a in alphas])), 1)
-        report["exponent"] = float(slope[0])
+        report["exponent"] = _loglog_slope(alphas, [widths[a] for a in alphas])
 
     _write_report(args, "width_scaling.json", report)
     return 0

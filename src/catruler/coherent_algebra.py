@@ -203,34 +203,23 @@ def beamsplitter(gamma_a: complex, gamma_b: complex, mix_angle: float) -> tuple[
 # SIAM J. Numer. Anal. 31, 1497 (1994)) with N = 40 terms.  L = 4 is near
 # Weideman's sqrt(N / sqrt(2)) = 5.3 and as accurate, and a power of two,
 # so that 1 / L is exact.
-_FADDEEVA_TERMS = 40
 _FADDEEVA_L = 4.0
-
-
-def _faddeeva_coefficients() -> np.ndarray:
-    """Coefficients v_0 .. v_{N-1} of _half_faddeeva, v_{10j+i} at row j,
-    column i.
-
-    Weideman's a_n come from one FFT of exp(-t^2) (L^2 + t^2) sampled at
-    t = L tan(k pi / 2N), and give, with r = 1 / (L - s) and
-    zeta = (L + s) r,
-        w(-i s) / 2 = r (r sum_{n<N} a_n zeta^n + 1 / (2 sqrt(pi))) = r q(zeta),
-    where q(zeta) = 1 / (2 sqrt(pi)) + (1 + zeta) sum_n a_n zeta^n / (2L),
-    since r = (1 + zeta) / (2L).  Dividing out zeta - 1 = 2 s r gives
-    q(zeta) = q(1) + s r v(zeta), whose v_n are twice the tail sums of
-    q's coefficients; q(1) is taken as exactly L / 2, its value for
-    w(0) = 1, which the sum of q's coefficients meets to rounding.
-    """
-    m = 2 * _FADDEEVA_TERMS
-    t = _FADDEEVA_L * np.tan(np.arange(1 - m, m) * (np.pi / (2 * m)))
-    f = np.concatenate(([0.0], np.exp(-t * t) * (_FADDEEVA_L**2 + t * t)))
-    a = np.fft.fft(np.fft.fftshift(f)).real[1 : _FADDEEVA_TERMS + 1] / (2 * m)
-    q = (np.append(a, 0.0) + np.insert(a, 0, 0.0)) / (2.0 * _FADDEEVA_L)
-    q[0] += 0.5 / math.sqrt(math.pi)
-    return 2.0 * np.cumsum(q[::-1])[::-1][1:].reshape(4, 10)
-
-
-_FADDEEVA_COEFFS = _faddeeva_coefficients()
+# v_0 .. v_39 of _half_faddeeva, v_{10j+i} at row j, column i; derived by
+# one FFT in tests/faddeeva_reference.py, which the tests match bit for bit
+_FADDEEVA_COEFFS = np.array([
+    [2.9040043389995085, 1.9274556099186266, 1.1542469076533894, 0.6133930763401529,
+     0.28254148846214716, 0.1085305512222723, 0.03214903631271314, 0.005778982971187655,
+     -0.00033307268008257284, -0.0006140315325913327],
+    [-0.00015897889111713873, 1.783384375349914e-05, 2.146926333171474e-05, 2.608715457281756e-06,
+     -2.086636719134926e-06, -6.633282355329988e-07, 1.8521510966697617e-07, 1.111638663202404e-07,
+     -1.680194895825351e-08, -1.7426608106179245e-08],
+    [1.8436058159010508e-09, 2.769818124486745e-09, -2.9934388676973727e-10, -4.5327800543336625e-10,
+     6.868647280334764e-11, 7.505167283706763e-11, -1.788506879872861e-11, -1.2029669300128689e-11,
+     4.634822708415895e-12, 1.704877533048629e-12],
+    [-1.135539257612864e-12, -1.5967542342784416e-13, 2.5450495016234314e-13, -1.4384589616036026e-14,
+     -4.992308543567949e-14, 1.3485795866219511e-14, 7.537882466043444e-15, -4.805448411830083e-15,
+     -5.717377244621437e-16, 1.0711982880081166e-15],
+])
 # L and L / 2 as complex 0-d arrays: added to a complex array they need
 # no float-to-complex cast, which on a threshold-sized grid costs as much
 # as the addition itself
@@ -242,7 +231,7 @@ def _half_faddeeva(s: np.ndarray) -> np.ndarray:
     """w(-i s) / 2 elementwise over an array with Re s <= 0, i.e. w in the
     closed upper half plane, within about 2e-14 relative of w.
 
-    Evaluated as r (L / 2 + s r v(zeta)) (see _faddeeva_coefficients):
+    Evaluated as r (L / 2 + s r v(zeta)) (derived in tests/faddeeva_reference.py):
     zeta lies in the closed unit disc and |s r| <= 1, and at s = 0 the
     value is 1/2 exactly.  No square of s or of L - s is formed, so an
     |s| up to 1e300 gives the asymptote -1 / (2 sqrt(pi) s) without

@@ -2,15 +2,16 @@
 
 import json
 import math
-import shlex
-from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from catruler import cli, fock_oracle, physical_realization
 from catruler.cli import main
 from catruler.physical_realization import RealizationParams, measurement_probabilities, output_state
+from readme_commands import readme_argv
 
 pytestmark = pytest.mark.filterwarnings("ignore::catruler.errors.ApproximationRegimeWarning")
 
@@ -207,6 +208,39 @@ class TestWidthScaling:
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and "alpha" in err
         assert not out.exists()
+
+    def test_alphas_sharing_a_report_key_are_usage_error(self, tmp_path, capsys):
+        # distinct floats, one 12-digit key: their widths would merge into one entry
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "--quiet", "width-scaling",
+                     "--alpha", "5,5.000000000000001"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert "5.0 and 5.000000000000001" in err
+        assert not out.exists()
+
+    @staticmethod
+    def exponent_and_polyfit(out, alphas):
+        assert main(["--out", str(out), "--quiet", "width-scaling",
+                     "--alpha", ",".join(map(repr, alphas)), "--points", "25"]) == 0
+        report = json.loads((out / "width_scaling.json").read_text())
+        widths = [report["widths"][cli._fmt(a)] for a in report["alphas"]]
+        return report["exponent"], float(np.polyfit(np.log(report["alphas"]), np.log(widths), 1)[0])
+
+    @pytest.mark.parametrize("alphas", [[5.0, 10.0, 20.0], [1e3, 1e4]])
+    def test_exponent_equals_polyfit(self, tmp_path, alphas):
+        exponent, fitted = self.exponent_and_polyfit(tmp_path, alphas)
+        assert exponent == pytest.approx(fitted, rel=1e-12, abs=0.0)
+
+    # at least 1 % apart: through nearly coincident points the slope is
+    # ill-conditioned, and either fit's rounding of the logs would decide it
+    @given(st.lists(st.floats(2.0, 1e6), min_size=2, max_size=4).filter(
+        lambda a: all(y / x >= 1.01 for x, y in zip(sorted(a), sorted(a)[1:]))))
+    @settings(max_examples=8, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_drawn_exponent_equals_polyfit(self, tmp_path, alphas):
+        exponent, fitted = self.exponent_and_polyfit(tmp_path, alphas)
+        assert exponent == pytest.approx(fitted, rel=1e-12, abs=0.0)
 
     def test_batched_alphas_give_the_single_alpha_widths(self, tmp_path):
         assert main(["--out", str(tmp_path / "all"), "--quiet", "width-scaling",
@@ -471,11 +505,7 @@ class TestTopLevel:
 
 class TestReadme:
     def test_cli_block_commands_run(self, tmp_path):
-        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
-        commands = [shlex.split(line)[1:] for line in block.splitlines()
-                    if line.startswith("catruler ")]
+        commands = readme_argv(tmp_path)
         assert len(commands) == 6
         for argv in commands:
-            argv[argv.index("--out") + 1] = str(tmp_path)
-            assert main(["--quiet", *argv]) == 0, argv
+            assert main(argv) == 0, argv

@@ -2,8 +2,9 @@
 
 Derived expectations are computed here by independent routes: truncated
 number-basis series built inline with numpy, direct adaptive quadrature
-of the wave functions (quad_reference), and scipy's and mpmath's
-Faddeeva function.
+of the wave functions (quad_reference), scipy's and mpmath's Faddeeva
+function, and the FFT derivation of the Faddeeva coefficient table
+(faddeeva_reference).
 """
 
 import importlib.util
@@ -20,6 +21,7 @@ from scipy.integrate import quad
 from scipy.special import wofz
 
 from catruler.coherent_algebra import (
+    _FADDEEVA_COEFFS,
     MAX_AMPLITUDE,
     CoherentSuperposition,
     _clamped_norm,
@@ -33,6 +35,7 @@ from catruler.coherent_algebra import (
 from catruler.errors import CatRulerError, IntegrationError, NormalizationError
 
 import quad_reference
+from faddeeva_reference import faddeeva_coefficients
 from quad_reference import quadrature_wavefunction
 
 TIGHT = 1e-12
@@ -409,6 +412,17 @@ FADDEEVA_RTOL = 5e-14
 
 
 class TestFaddeeva:
+    def test_table_equals_its_fft_derivation(self):
+        derived = faddeeva_coefficients()
+        assert _FADDEEVA_COEFFS.shape == derived.shape == (4, 10)
+        if int(np.__version__.split(".")[0]) >= 2:
+            # the FFT that wrote the table: not one bit may differ
+            assert np.array_equal(_FADDEEVA_COEFFS, derived)
+        else:
+            # numpy 1.x has another pocketfft, whose sums may round the
+            # last bit the other way
+            np.testing.assert_allclose(_FADDEEVA_COEFFS, derived, rtol=0.0, atol=8 * np.finfo(float).eps)
+
     def test_matches_scipy(self):
         z = faddeeva_points()
         ref = wofz(z)
