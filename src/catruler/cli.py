@@ -1,10 +1,11 @@
 """Command-line front end: parameter sweeps, scaling fits, SNR tables,
 quantum-ruler numbers and oracle validation, emitted as CSV/JSON.
 
-Exit codes: 0 success, 2 usage error (an unwritable --out included), 3
-numerical failure.  Identical arguments and seed produce byte-identical
-output files; numbers are serialized with 12 significant digits and a
-dot decimal separator, and every CSV starts with a `# schema=1` line.
+Exit codes: 0 success, 2 usage error (an unwritable --out and a request
+too large to allocate included), 3 numerical failure.  Identical
+arguments and seed produce byte-identical output files; numbers are
+serialized with 12 significant digits and a dot decimal separator, and
+every CSV starts with a `# schema=1` line.
 """
 
 from __future__ import annotations
@@ -52,6 +53,23 @@ def _parse_float_list(text: str, name: str) -> list[float]:
     if not values:
         raise ValueError(f"{name} list is empty")
     return values
+
+
+def _parse_alphas(text: str, command: str) -> list[float]:
+    """The --alpha list of a command that keys its outputs by the
+    formatted alpha (fringe's file names, width-scaling's report entries):
+    alphas that format alike would overwrite or merge, so they are refused."""
+    alphas = _parse_float_list(text, "alpha")
+    seen: dict[str, float] = {}
+    for alpha in alphas:
+        key = _fmt(alpha)
+        if key in seen:
+            raise ValueError(
+                f"{command} needs distinct alpha values at 12 significant digits: "
+                f"{seen[key]!r} and {alpha!r} share the report key {key!r}"
+            )
+        seen[key] = alpha
+    return alphas
 
 
 def _auto_span(alpha: float) -> tuple[float, float]:
@@ -111,7 +129,7 @@ def _write_report(args, name: str, report: dict) -> None:
 
 
 def cmd_fringe(args) -> int:
-    alphas = _parse_float_list(args.alpha, "alpha")
+    alphas = _parse_alphas(args.alpha, "fringe")
     spans = [_parse_span(args.theta_span, alpha) for alpha in alphas]
     curves = fringe_scans(alphas, spans, args.points)
 
@@ -144,19 +162,7 @@ def _loglog_slope(xs: list[float], ys: list[float]) -> float:
 
 
 def cmd_width_scaling(args) -> int:
-    alphas = _parse_float_list(args.alpha, "alpha")
-    # the report keys each width by its formatted alpha, so alphas that
-    # format alike would merge into one entry
-    seen: dict[str, float] = {}
-    for alpha in alphas:
-        key = _fmt(alpha)
-        if key in seen:
-            raise ValueError(
-                f"width-scaling needs distinct alpha values at 12 significant digits: "
-                f"{seen[key]!r} and {alpha!r} share the report key {key!r}"
-            )
-        seen[key] = alpha
-
+    alphas = _parse_alphas(args.alpha, "width-scaling")
     curves = fringe_scans(alphas, [_auto_span(alpha) for alpha in alphas], args.points)
     widths = {a: physical_realization.central_fringe_width(c) for a, c in zip(alphas, curves)}
 
@@ -417,6 +423,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:  # an OSError names the --out path it failed on
         print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's names the size it could not allocate
+        print(f"usage error: the request is too large to allocate: {exc}", file=sys.stderr)
         return 2
     except CatRulerError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

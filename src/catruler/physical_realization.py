@@ -56,9 +56,9 @@ WEIGHT_CLOSURE_TOL = 1e-9
 CANCELLATION_LIMIT = 1e8
 # Above this value of phi^2 alpha^2 the weak-mixing picture degrades.
 APPROXIMATION_WARNING_LEVEL = 0.1
-# _conditional_batch evaluates at most this many points at once: the
-# ruler's default grid, the largest one a single command scanned before
-# commands batched their alphas
+# _conditional_batch evaluates at most this many points at once, so no
+# command's kernel temporaries outgrow those of the ruler's default
+# 1201-point scan, however many alphas and points it asks for
 SCAN_CHUNK_POINTS = 1201
 
 

@@ -219,6 +219,19 @@ class TestWidthScaling:
         assert "5.0 and 5.000000000000001" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("alphas, pair", [
+        ("5,5", "5.0 and 5.0"),
+        ("5,5.000000000000001", "5.0 and 5.000000000000001"),
+    ])
+    def test_alphas_sharing_a_fringe_file_name_are_usage_error(self, tmp_path, capsys, alphas, pair):
+        # both scans would be written to fringe_alpha5.csv, the second over the first
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "--quiet", "fringe", "--alpha", alphas, "--points", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: fringe needs distinct alpha values") and err.count("\n") == 1
+        assert pair in err
+        assert not out.exists()
+
     @staticmethod
     def exponent_and_polyfit(out, alphas):
         assert main(["--out", str(out), "--quiet", "width-scaling",
@@ -325,6 +338,14 @@ class TestRulerCommand:
                      "--alpha", alpha, "--wavelength", wavelength]) == 2
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and "spacing" in err
+        assert not out.exists()
+
+    def test_scan_without_two_extrema_is_numerical_failure(self, tmp_path, capsys):
+        # three points over six fringe periods resolve no spacing
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "--quiet", "ruler", "--alpha", "20",
+                     "--wavelength", "1e-6", "--points", "3"]) == 3
+        assert capsys.readouterr().err == "numerical failure: need at least two extrema to measure a spacing\n"
         assert not out.exists()
 
 
@@ -485,6 +506,31 @@ class TestTopLevel:
         assert after.read_bytes() == first.read_bytes()
         # the explicit span of the middle call did not become the default
         assert read_csv(after)[2][0][0] == pytest.approx(-3 * 2 * math.pi / 25, rel=1e-9)
+
+    @pytest.mark.parametrize("command, message", [
+        (["fringe", "--alpha", "abc"], "could not parse alpha list 'abc'"),
+        (["fringe", "--alpha", ","], "alpha list is empty"),
+        (["phase-error", "--alpha", "1", "--theta-points", "1"], "--theta-points must be at least 2"),
+    ])
+    def test_unusable_list_or_grid_is_a_named_usage_error(self, tmp_path, capsys, command, message):
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "--quiet", *command]) == 2
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not out.exists()
+
+    def test_allocation_failure_is_a_one_line_usage_error(self, tmp_path, capsys, monkeypatch):
+        # 1e12 points would ask numpy for 8 TB; the stand-in refuses the
+        # theta grid as numpy would, without requesting any memory
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "--quiet", "fringe", "--alpha", "5",
+                     "--points", "1000000000000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "7.28 TiB" in err and err.count("\n") == 1
+        assert not out.exists()
 
     def test_unwritable_out_is_usage_error_naming_the_path(self, tmp_path, capsys):
         (tmp_path / "f").touch()

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import wofz
 
+from catruler import coherent_algebra
 from catruler.coherent_algebra import (
     _FADDEEVA_COEFFS,
     MAX_AMPLITUDE,
@@ -137,6 +138,13 @@ class TestNormSquared:
         # non-Hermitian kernel stands in for corrupted coefficients
         kernel = np.array([[1.0, 1j], [0.0, 1.0]])
         with pytest.raises(NormalizationError):
+            _clamped_norm(np.array([1.0, 1.0], dtype=complex), kernel)
+
+    def test_negative_quadratic_form_raises(self):
+        # an indefinite kernel stands in for a Gram matrix that lost its
+        # positivity: c^dag K c = 2 - 4, which would clamp to 0
+        kernel = np.array([[1.0, -2.0], [-2.0, 1.0]], dtype=complex)
+        with pytest.raises(NormalizationError, match="negative beyond tolerance"):
             _clamped_norm(np.array([1.0, 1.0], dtype=complex), kernel)
 
     def test_non_finite_quadratic_form_raises(self):
@@ -276,6 +284,19 @@ class TestThresholdProbability:
         s = CoherentSuperposition(((0.5, -8.0), (0.5, 8.0)))
         with pytest.raises(IntegrationError):
             quad_reference.threshold_probability(s, 10.0)
+
+    def test_probability_above_the_norm_raises(self, monkeypatch):
+        # a doubled threshold kernel stands in for a faulty one: far above
+        # the mean the probability reads 2, which would clamp to the norm
+        exact = coherent_algebra._threshold_kernel_erf
+
+        def doubled(amplitudes, threshold):
+            gram, kernel = exact(amplitudes, threshold)
+            return gram, 2.0 * kernel
+
+        monkeypatch.setattr(coherent_algebra, "_threshold_kernel_erf", doubled)
+        with pytest.raises(IntegrationError, match="escaped"):
+            threshold_probability(CoherentSuperposition.single(0.0), 3.0)
 
     def test_unknown_method_rejected(self):
         # the adaptive-quadrature reference lives with the tests, not behind "quad"

@@ -10,7 +10,9 @@ or call a LAPACK routine of numpy.linalg (width-scaling fits its
 exponent in closed form): each pages in library code for no work.
 
 The checks run in a fresh interpreter, because the test modules of this
-suite import scipy themselves.
+suite import scipy themselves.  Its path starts at the directory that
+holds the catruler this suite imports: src/ in the source tree, or
+site-packages when the suite runs against an installed wheel.
 """
 
 import json
@@ -21,11 +23,12 @@ from pathlib import Path
 
 import pytest
 
+import catruler
 import quad_reference
 from catruler.coherent_algebra import CoherentSuperposition
 from readme_commands import readme_argv
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+PACKAGE_ROOT = Path(catruler.__file__).resolve().parent.parent
 
 PROBE = """
 import importlib, json, pkgutil, sys
@@ -82,6 +85,7 @@ fft = sorted(m for m in sys.modules if m.startswith("numpy.fft"))
 # the recorder sees the fit the package no longer makes
 numpy.polyfit([1.0, 2.0, 3.0], [2.0, 1.0, 0.5], 1)
 print(json.dumps({
+    "package": catruler.__file__,
     "bound": bound,
     "modules": modules,
     "loaded": loaded,
@@ -112,7 +116,7 @@ def readme_commands(out):
 
 @pytest.fixture(scope="module")
 def probe(tmp_path_factory):
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_ROOT))
     commands = json.dumps(readme_commands(tmp_path_factory.mktemp("out")))
     run = subprocess.run([sys.executable, "-c", PROBE, commands], env=env, capture_output=True,
                          text=True, check=True)
@@ -148,6 +152,8 @@ def test_readme_commands_call_no_lapack_routine(probe):
 
 
 def test_each_module_imports_alone_and_the_package_binds_no_name(probe):
+    # the probe imported the package this suite tests
+    assert Path(probe["package"]).resolve() == Path(catruler.__file__).resolve()
     assert "cli" in probe["modules"] and "physical_realization" in probe["modules"]
     # names are imported from their modules, not re-exported by the package
     assert probe["bound"] == []

@@ -288,7 +288,17 @@ class TestBeamsplitterFock:
         with np.errstate(invalid="ignore"), pytest.raises(TruncationError):
             beamsplitter_fock(grid, 0.3)
 
-    @pytest.mark.parametrize("x", [0.0, 1e-3, 0.5, 3.0, 17.3, 80.0, 140.0, 500.0, 950.0, 1300.0])
+    def test_norm_drift_raises(self, monkeypatch):
+        # series coefficients 1 % too large stand in for a faulty series:
+        # the evolution scales the norm instead of keeping it
+        exact = fock_oracle._bessel_series
+        monkeypatch.setattr(fock_oracle, "_bessel_series", lambda x: 1.01 * exact(x))
+        grid = np.outer(coherent_to_fock(1.5, 30), coherent_to_fock(1.0, 30))
+        with pytest.raises(TruncationError, match="norm drift"):
+            beamsplitter_fock(grid, 0.3)
+
+    # at x = 1e-15 the running values pass 1e150 and are rescaled
+    @pytest.mark.parametrize("x", [0.0, 1e-15, 1e-3, 0.5, 3.0, 17.3, 80.0, 140.0, 500.0, 950.0, 1300.0])
     def test_bessel_series_matches_jv(self, x):
         # the orders beamsplitter_fock asks of the recurrence
         ref = jv(np.arange(math.ceil(x + 15.0 * x ** (1.0 / 3.0) + 30.0)), x)
@@ -379,10 +389,13 @@ class TestQuadratureCdf:
             expected, _ = quad(density, lower, threshold, limit=400, epsabs=1e-13, epsrel=1e-12)
             assert quadrature_cdf_fock(coefficients, threshold) == pytest.approx(expected, abs=1e-10)
 
-    @pytest.mark.parametrize("amplitude, threshold, z", [(25.0, 27.5, 5.0), (-25.0, -27.5, -5.0)])
+    @pytest.mark.parametrize("amplitude, threshold, z", [
+        (25.0, 27.5, 5.0), (-25.0, -27.5, -5.0), (40.0, 42.5, 5.0), (-40.0, -42.5, -5.0),
+    ])
     def test_deep_tail_of_a_large_coherent_state(self, amplitude, threshold, z):
         # N = 845: phi_0 underflows at xi = sqrt(2) 27.5 while the orders
-        # near N are of order one there
+        # near N are of order one there; at N = 1940 and xi = sqrt(2) 42.5
+        # the running pair also passes 2^900 and is scaled down
         value = quadrature_cdf_fock(coherent_to_fock(amplitude), threshold)
         assert value == pytest.approx(0.5 * math.erfc(-z / math.sqrt(2)), abs=1e-9)
 
@@ -417,6 +430,12 @@ class TestQuadratureCdf:
         state = coherent_to_fock(amplitude)  # N = 845
         expected = self.integral_matrix_cdf(state, threshold)
         assert abs(quadrature_cdf_fock(state, threshold) - expected) <= 1e-14
+
+    def test_non_finite_probability_raises(self, monkeypatch):
+        # NaN Hermite functions stand in for a recurrence that broke down
+        monkeypatch.setattr(fock_oracle, "_hermite_functions", lambda count, xi: np.full(count, math.nan))
+        with pytest.raises(ValueError, match="not finite"):
+            quadrature_cdf_fock(coherent_to_fock(1.0), 0.3)
 
     def test_gaussian_tail_value(self):
         # P(x <= mean - 2 sigma) for a coherent state, sigma = 1/2

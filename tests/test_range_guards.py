@@ -1,15 +1,23 @@
 """Range guards fail on NaN and on overflow: every public entry point
-below rejects a NaN amplitude, angle, length or coefficient, an input
-whose formula overflows, or a cat sign other than +-1, with ValueError
-instead of returning NaN or inf or raising OverflowError.  The oracle's truncation and norm checks refuse
-the cases in TRUNCATION_CASES instead, with TruncationError."""
+below rejects a NaN amplitude, angle, threshold, length or coefficient,
+an input whose formula overflows, a cat sign other than +-1, a sample
+count or truncation below 1, or fringe columns of unequal length, with
+ValueError instead of returning NaN or inf or raising OverflowError.
+The oracle's truncation and norm checks refuse the cases in
+TRUNCATION_CASES instead, with TruncationError."""
 
 import math
 
 import numpy as np
 import pytest
 
-from catruler.coherent_algebra import cat_norm_squared
+from catruler import ideal_circuit
+from catruler.coherent_algebra import (
+    CoherentSuperposition,
+    beamsplitter,
+    cat_norm_squared,
+    threshold_probability,
+)
 from catruler.errors import ApproximationRegimeWarning, TruncationError
 from catruler.fock_oracle import (
     beamsplitter_fock,
@@ -28,6 +36,7 @@ from catruler.ideal_circuit import (
     v_theta_from_length_power,
 )
 from catruler.physical_realization import (
+    FringeCurve,
     RealizationParams,
     fringe_scan,
     fringe_spacing_physical,
@@ -65,12 +74,18 @@ CASES = {
     "ideal_output": lambda: ideal_output(2.0, NAN),
     "ideal_output-nan-in-array": lambda: ideal_output(2.0, np.array([0.0, NAN, 0.1])),
     "v_theta_from_length_power": lambda: v_theta_from_length_power(NAN, 1.0),
+    "v_theta_from_length_power-nan-wavelength": lambda: v_theta_from_length_power(1e-12, NAN),
     "phase_gate_error": lambda: phase_gate_error(NAN, 0.01),
     "parity_distribution": lambda: parity_distribution(nan_vector()),
     "quadrature_cdf_fock": lambda: quadrature_cdf_fock(nan_vector(), 0.0),
+    "quadrature_cdf_fock-nan-threshold": lambda: quadrature_cdf_fock(coherent_to_fock(1.0), NAN),
     "coherent_to_fock": lambda: coherent_to_fock(NAN, 10),
+    "coherent_to_fock-truncation-0": lambda: coherent_to_fock(0.0, 0),
     "phase_rotate": lambda: phase_rotate(coherent_to_fock(1.0), NAN),
     "beamsplitter_fock-nan": lambda: beamsplitter_fock(nan_grid(), 0.3),
+    "beamsplitter_fock-nan-angle": lambda: beamsplitter_fock(np.eye(3, dtype=complex) / math.sqrt(3), NAN),
+    "beamsplitter-nan-angle": lambda: beamsplitter(1.0, 0.5, NAN),
+    "threshold_probability-nan": lambda: threshold_probability(CoherentSuperposition.single(1.0), NAN),
     # |gamma| = 1e160 is finite, but |gamma|^2 is not
     "coherent_to_fock-overflow": lambda: coherent_to_fock(1e160, 10),
     "default_truncation-overflow": lambda: default_truncation(1e160),
@@ -85,6 +100,10 @@ CASES = {
     "snr_ideal-inf": lambda: snr_ideal(math.inf, 2.0),
     # alpha = 1e200 is finite, but alpha^2 is not
     "RealizationParams-overflow": lambda: RealizationParams(1e200),
+    "RealizationParams-nan-theta": lambda: RealizationParams(5.0, NAN),
+    "FringeCurve-unequal-columns": lambda: FringeCurve(
+        theta=[0.0, 1.0], p_plus=[0.5], p_minus=[0.5, 0.5], leakage=[0.0, 0.0]
+    ),
     "fringe_spacing_physical-overflow": lambda: fringe_spacing_physical(1e200, 1e-6),
     # alpha = 1e-170 is finite, but alpha^2 underflows; at 1e-100 it does not,
     # but the square of the mixing angle pi / (2 alpha^2) overflows
@@ -97,6 +116,7 @@ CASES = {
     "fringe_spacing_physical-spacing-overflow": lambda: fringe_spacing_physical(0.52, 1e308),
     "fringe_spacing_physical-spacing-underflow": lambda: fringe_spacing_physical(20.0, 1e-322),
     "scan_extracted_spacing-overflow": lambda: scan_extracted_spacing(alpha_06_scan(), 1.7e308),
+    "scan_extracted_spacing-nan-wavelength": lambda: scan_extracted_spacing(alpha_06_scan(), NAN),
     "ideal_output-overflow": lambda: ideal_output(1e200, 0.1),
     "ideal_output-phase-overflow": lambda: ideal_output(1e100, 1e300),
     "cat_mean_photon_number-overflow": lambda: cat_mean_photon_number(1e200),
@@ -113,12 +133,14 @@ CASES = {
     "homodyne_samples-product-overflow": lambda: homodyne_samples(
         SqueezedBaselineParams(1e154, 0.5), 1e300, 10, 0
     ),
+    "homodyne_samples-no-samples": lambda: homodyne_samples(SqueezedBaselineParams(1.0, 0.5), 0.1, 0, 0),
     "snr_monte_carlo-nan": lambda: snr_monte_carlo(SqueezedBaselineParams(5.0, 0.5, 1e-4), NAN, 10),
     # one sample has no variance; a tiny probe overflows the calibration
     "snr_monte_carlo-one-sample": lambda: snr_monte_carlo(SqueezedBaselineParams(5.0, 0.5, 1e-4), 0.1, 1),
     "snr_monte_carlo-probe-overflow": lambda: snr_monte_carlo(
         SqueezedBaselineParams(5.0, 0.5, 1e-4), 1e-300, 10
     ),
+    "ideal_circuit.snr_monte_carlo-no-samples": lambda: ideal_circuit.snr_monte_carlo(2.0, 1e-4, 0),
     "snr_squeezed-overflow": lambda: snr_squeezed(SqueezedBaselineParams(1e200, 0.5, 1e-4)),
     "snr_squeezed-product-overflow": lambda: snr_squeezed(SqueezedBaselineParams(10.0, 1e-300, 1e300)),
 }
@@ -133,7 +155,16 @@ TRUNCATION_CASES = {
 }
 
 
+# cases whose input a later step would refuse with a ValueError of its
+# own: the message shows that the guard refused it first
+MESSAGES = {
+    "beamsplitter_fock-nan-angle": "mix_angle must be finite",
+    "quadrature_cdf_fock-nan-threshold": "threshold must be finite",
+    "scan_extracted_spacing-nan-wavelength": "wavelength must be positive and finite",
+}
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_nan_input_is_rejected(name):
-    with pytest.raises(TruncationError if name in TRUNCATION_CASES else ValueError):
+    with pytest.raises(TruncationError if name in TRUNCATION_CASES else ValueError, match=MESSAGES.get(name)):
         CASES[name]()
