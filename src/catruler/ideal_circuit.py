@@ -17,6 +17,7 @@ theta^2 alpha^2 << 1.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -29,7 +30,15 @@ def v_theta_from_length_power(v_delta: float, wavelength: float) -> float:
         raise ValueError("fluctuation power must be nonnegative and finite")
     if not (wavelength > 0 and math.isfinite(wavelength)):
         raise ValueError("wavelength must be positive and finite")
-    return (2.0 * math.pi / wavelength) ** 2 * v_delta
+    # (2 pi / wavelength)^2 alone may overflow, or be inf times a zero v_delta,
+    # where the result is finite; its root overflows only when the result does
+    root = 2.0 * math.pi * math.sqrt(v_delta) / wavelength
+    v_theta = root * root
+    if not math.isfinite(v_theta):
+        raise ValueError(
+            f"(2 pi / wavelength)^2 v_delta overflows at v_delta = {v_delta!r}, wavelength = {wavelength!r}"
+        )
+    return v_theta
 
 
 def _gate_phase(amplitude: float, theta, name: str) -> np.ndarray:
@@ -107,28 +116,15 @@ def snr_ideal(v_theta: float, alpha: float) -> float:
     """
     _require_v_theta(v_theta)
     nbar = _require_alpha(alpha) ** 2 / 2.0
-    # nbar^2 raises OverflowError past MAX_AMPLITUDE; below it the product may still reach inf
-    snr = v_theta * nbar**2 if nbar <= MAX_AMPLITUDE else math.inf
+    # nbar^2 is a normal double only between sqrt(tiny) and MAX_AMPLITUDE
+    # (past it, nbar**2 raises OverflowError); outside, (v_theta nbar) nbar,
+    # whose first factor lies between v_theta and the result, overflows or
+    # underflows only when the result does
+    if math.sqrt(sys.float_info.min) <= nbar <= MAX_AMPLITUDE:
+        snr = v_theta * nbar**2
+    else:
+        snr = v_theta * nbar * nbar
     if not math.isfinite(snr):
         raise ValueError(f"v_theta nbar^2 overflows at alpha = {alpha!r}")
     return snr
 
-
-def snr_monte_carlo(
-    alpha: float,
-    v_theta: float,
-    n_samples: int = 20000,
-    rng_seed: int = 0,
-) -> float:
-    """Monte Carlo estimate of snr_ideal from the exact circuit output.
-
-    Draws theta ~ N(0, v_theta) and averages the per-draw detection
-    ratio P(|1>)/P(|0>), keeping the exact coherent overlaps so the
-    finite-alpha correction is visible.
-    """
-    _require_v_theta(v_theta)
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
-    thetas = np.random.default_rng(rng_seed).normal(0.0, math.sqrt(v_theta), n_samples)
-    p_one, p_zero = detection_probabilities(alpha, thetas)
-    return float(np.mean(p_one / p_zero))

@@ -292,6 +292,12 @@ class TestSnrCommand:
         for row in rows:
             assert row[1:] == [0.0, 0.0, 0.0, 0.0]
 
+    def test_finite_product_past_the_square_limit(self, tmp_path):
+        # nbar^2 overflows at n_bar = 1e300, but v_theta nbar^2 does not
+        assert main(["--out", str(tmp_path), "--quiet", "snr",
+                     "--n-bar", "1e300", "--v-theta", "1e-300"]) == 0
+        _, _, rows = read_csv(tmp_path / "snr.csv")
+        assert rows == [[1e300, pytest.approx(1e300, rel=1e-12), 2.5e299, 4.0, 1.0]]
 
     # the last three pass the n-bar check, but alpha = sqrt(2 n_bar)
     # overflows, has a subnormal square, or overflows v_theta nbar^2

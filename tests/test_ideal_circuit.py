@@ -7,6 +7,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermgauss
 
 from catruler.ideal_circuit import (
     cat_mean_photon_number,
@@ -14,7 +15,6 @@ from catruler.ideal_circuit import (
     ideal_output,
     phase_gate_error,
     snr_ideal,
-    snr_monte_carlo,
     v_theta_from_length_power,
 )
 from catruler.squeezed_baseline import equal_power_params, snr_squeezed
@@ -145,28 +145,28 @@ class TestSnrIdeal:
     def test_direct_substitution(self):
         assert snr_ideal(1e-4, 10.0) == pytest.approx(0.25, abs=1e-15)
 
-    def test_monte_carlo_agreement(self):
-        alpha, v_theta = 20.0, 1e-8
-        mc = snr_monte_carlo(alpha, v_theta, n_samples=20000, rng_seed=0)
-        assert mc == pytest.approx(snr_ideal(v_theta, alpha), rel=0.05)
-
-    def test_monte_carlo_is_the_mean_of_per_draw_ratios(self):
-        # one batched evaluation equals the draw-by-draw average, bit for bit
-        alpha, v_theta, n, seed = 3.0, 1e-3, 200, 4
-        thetas = np.random.default_rng(seed).normal(0.0, math.sqrt(v_theta), n)
-        ratios = []
-        for theta in thetas:
-            p1, p0 = detection_probabilities(alpha, theta)
-            ratios.append(p1 / p0)
-        assert snr_monte_carlo(alpha, v_theta, n_samples=n, rng_seed=seed) == np.mean(ratios)
+    def test_quadrature_agreement(self):
+        # E[P(|1>) / P(|0>)] of the exact circuit over theta ~ N(0, v_theta),
+        # by 20-node Gauss-Hermite quadrature (40 and 80 nodes agree to
+        # rounding).  It is the mean of tan^2(nbar theta), whose series in
+        # s = v_theta nbar^2 reads s (1 + 2 s + 17/3 s^2) + 20.7 s^4 + ...
+        nodes, weights = hermgauss(20)
+        for alpha, v_theta in [(20.0, 1e-8), (10.0, 1e-6)]:
+            p_one, p_zero = detection_probabilities(alpha, math.sqrt(2.0 * v_theta) * nodes)
+            average = weights @ (p_one / p_zero) / math.sqrt(math.pi)
+            s = snr_ideal(v_theta, alpha)
+            assert average == pytest.approx(s * (1 + 2 * s + 17 / 3 * s**2), rel=25 * s**3)
 
     @pytest.mark.parametrize("v_theta", [-1.0, math.nan, math.inf])
-    def test_monte_carlo_rejects_bad_fluctuation_power(self, v_theta):
-        # the same check as snr_ideal, naming v_theta rather than theta or sqrt
-        with pytest.raises(ValueError, match="v_theta must be nonnegative and finite"):
-            snr_monte_carlo(2.0, v_theta)
+    def test_rejects_bad_fluctuation_power(self, v_theta):
         with pytest.raises(ValueError, match="v_theta must be nonnegative and finite"):
             snr_ideal(v_theta, 2.0)
+
+    def test_finite_product_past_the_square_limits(self):
+        # nbar = 1e300 squares past the float range, nbar = 5e-301 below it,
+        # yet v_theta nbar^2 is a finite double at both
+        assert snr_ideal(1e-300, math.sqrt(2e300)) == pytest.approx(1e300, rel=1e-12)
+        assert snr_ideal(1e300, 1e-150) == pytest.approx(2.5e-301, rel=1e-12, abs=0)
 
     def test_four_times_squeezed_benchmark_asymptotically(self):
         n_bar = 1e4
@@ -211,3 +211,10 @@ class TestPropagationSetting:
         assert v_theta_from_length_power(v_delta, wavelength) == pytest.approx(expected, rel=1e-12)
         with pytest.raises(ValueError):
             v_theta_from_length_power(-1.0, wavelength)
+
+    def test_length_power_conversion_at_the_float_limits(self):
+        # 2 pi / wavelength is inf at 5e-324, and its square overflows at
+        # 1e-200, but (2 pi / wavelength)^2 v_delta is finite at both
+        assert v_theta_from_length_power(0.0, 5e-324) == 0.0
+        expected = float((2 * mpmath.pi / mpmath.mpf(1e-200)) ** 2 * mpmath.mpf(1e-300))
+        assert v_theta_from_length_power(1e-300, 1e-200) == pytest.approx(expected, rel=1e-12)

@@ -6,19 +6,20 @@ ValueError instead of returning NaN or inf or raising OverflowError.
 The oracle's truncation and norm checks refuse the cases in
 TRUNCATION_CASES instead, with TruncationError."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from catruler import ideal_circuit
 from catruler.coherent_algebra import (
     CoherentSuperposition,
     beamsplitter,
     cat_norm_squared,
+    overlap,
     threshold_probability,
 )
-from catruler.errors import ApproximationRegimeWarning, TruncationError
+from catruler.errors import ApproximationRegimeWarning, CatRulerError, TruncationError
 from catruler.fock_oracle import (
     beamsplitter_fock,
     coherent_to_fock,
@@ -44,6 +45,7 @@ from catruler.physical_realization import (
 )
 from catruler.squeezed_baseline import (
     SqueezedBaselineParams,
+    equal_power_params,
     homodyne_samples,
     snr_monte_carlo,
     snr_squeezed,
@@ -75,6 +77,9 @@ CASES = {
     "ideal_output-nan-in-array": lambda: ideal_output(2.0, np.array([0.0, NAN, 0.1])),
     "v_theta_from_length_power": lambda: v_theta_from_length_power(NAN, 1.0),
     "v_theta_from_length_power-nan-wavelength": lambda: v_theta_from_length_power(1e-12, NAN),
+    # (2 pi / wavelength)^2 v_delta overflows; at 1e-160 (2 pi / wavelength)^2 alone does too
+    "v_theta_from_length_power-overflow": lambda: v_theta_from_length_power(1e10, 1e-150),
+    "v_theta_from_length_power-square-overflow": lambda: v_theta_from_length_power(1.0, 1e-160),
     "phase_gate_error": lambda: phase_gate_error(NAN, 0.01),
     "parity_distribution": lambda: parity_distribution(nan_vector()),
     "quadrature_cdf_fock": lambda: quadrature_cdf_fock(nan_vector(), 0.0),
@@ -140,7 +145,6 @@ CASES = {
     "snr_monte_carlo-probe-overflow": lambda: snr_monte_carlo(
         SqueezedBaselineParams(5.0, 0.5, 1e-4), 1e-300, 10
     ),
-    "ideal_circuit.snr_monte_carlo-no-samples": lambda: ideal_circuit.snr_monte_carlo(2.0, 1e-4, 0),
     "snr_squeezed-overflow": lambda: snr_squeezed(SqueezedBaselineParams(1e200, 0.5, 1e-4)),
     "snr_squeezed-product-overflow": lambda: snr_squeezed(SqueezedBaselineParams(10.0, 1e-300, 1e300)),
 }
@@ -168,3 +172,32 @@ MESSAGES = {
 def test_nan_input_is_rejected(name):
     with pytest.raises(TruncationError if name in TRUNCATION_CASES else ValueError, match=MESSAGES.get(name)):
         CASES[name]()
+
+
+# closed forms of two real inputs, each called at every pair of extreme
+# finite values: each call returns finite values or is refused
+EXTREMES = [0.0, 5e-324, 1e-300, 1e-160, 1e-20, 1.0, 40.0, 1e20, 1e150, 1e154, 1e160, 1e300, 1.7e308]
+CLOSED_FORMS = {
+    "v_theta_from_length_power": v_theta_from_length_power,
+    "snr_ideal": snr_ideal,
+    "phase_gate_error": phase_gate_error,
+    "fringe_spacing_physical": fringe_spacing_physical,
+    "snr_squeezed": lambda n_bar, v_theta: snr_squeezed(equal_power_params(n_bar, v_theta)),
+    "overlap": overlap,
+    "threshold_probability": lambda gamma, threshold: threshold_probability(
+        CoherentSuperposition.single(gamma), threshold
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+def test_extreme_finite_inputs_give_finite_values_or_are_refused(name):
+    unrefused = []
+    for a, b in itertools.product(EXTREMES, repeat=2):
+        try:
+            value = CLOSED_FORMS[name](a, b)
+        except (ValueError, CatRulerError):
+            continue
+        if not np.all(np.isfinite(value)):
+            unrefused.append((a, b, value))
+    assert unrefused == []
