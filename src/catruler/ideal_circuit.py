@@ -17,7 +17,6 @@ theta^2 alpha^2 << 1.
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 
@@ -116,14 +115,8 @@ def snr_ideal(v_theta: float, alpha: float) -> float:
     """
     _require_v_theta(v_theta)
     nbar = _require_alpha(alpha) ** 2 / 2.0
-    # nbar^2 is a normal double only between sqrt(tiny) and MAX_AMPLITUDE
-    # (past it, nbar**2 raises OverflowError); outside, (v_theta nbar) nbar,
-    # whose first factor lies between v_theta and the result, overflows or
-    # underflows only when the result does
-    if math.sqrt(sys.float_info.min) <= nbar <= MAX_AMPLITUDE:
-        snr = v_theta * nbar**2
-    else:
-        snr = v_theta * nbar * nbar
+    # v_theta nbar lies between v_theta and the result: no early overflow
+    snr = v_theta * nbar * nbar
     if not math.isfinite(snr):
         raise ValueError(f"v_theta nbar^2 overflows at alpha = {alpha!r}")
     return snr

@@ -297,10 +297,10 @@ class TestBeamsplitterFock:
         with pytest.raises(TruncationError, match="norm drift"):
             beamsplitter_fock(grid, 0.3)
 
-    # the recurrence's running values peak unscaled near 1.8e239, 1.8e208 and
-    # 1.8e146 at x = 1e-16, 1e-15 and 1e-13
+    # the recurrence's running values peak unscaled near 1.8e270, 1.8e239,
+    # 1.8e208 and 1.8e146 at x = 1e-17, 1e-16, 1e-15 and 1e-13
     @pytest.mark.parametrize(
-        "x", [0.0, 1e-16, 1e-15, 1e-13, 1e-3, 0.5, 3.0, 17.3, 80.0, 140.0, 500.0, 950.0, 1300.0]
+        "x", [0.0, 1e-17, 1e-16, 1e-15, 1e-13, 1e-3, 0.5, 3.0, 17.3, 80.0, 140.0, 500.0, 950.0, 1300.0]
     )
     def test_bessel_series_matches_jv(self, x):
         # the orders beamsplitter_fock asks of the recurrence

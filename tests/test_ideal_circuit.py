@@ -148,8 +148,10 @@ class TestSnrIdeal:
     def test_quadrature_agreement(self):
         # E[P(|1>) / P(|0>)] of the exact circuit over theta ~ N(0, v_theta),
         # by 20-node Gauss-Hermite quadrature (40 and 80 nodes agree to
-        # rounding).  It is the mean of tan^2(nbar theta), whose series in
-        # s = v_theta nbar^2 reads s (1 + 2 s + 17/3 s^2) + 20.7 s^4 + ...
+        # rounding).  The ratio is tan^2(nbar theta); its small-phase
+        # asymptotic series in s = v_theta nbar^2 reads
+        # s (1 + 2 s + 17/3 s^2) + 20.7 s^4 + ...  The Gaussian mean itself
+        # diverges at the poles of tan, which the quadrature nodes stay far from.
         nodes, weights = hermgauss(20)
         for alpha, v_theta in [(20.0, 1e-8), (10.0, 1e-6)]:
             p_one, p_zero = detection_probabilities(alpha, math.sqrt(2.0 * v_theta) * nodes)
