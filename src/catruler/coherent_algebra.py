@@ -116,10 +116,17 @@ def _log_overlap(tau, gamma):
     -(|tau|^2 + |gamma|^2)/2 + conj(tau) gamma without subtracting terms
     of size |tau|^2 whose rounding would swamp the result at large
     amplitudes.  The imaginary part is formed on its own, so the real
-    part of conj(tau) gamma, which it discards, cannot overflow.
+    part of conj(tau) gamma, which it discards, cannot overflow.  Both
+    parts are written into the array of tau - gamma.
     """
-    phase = tau.real * gamma.imag - tau.imag * gamma.real
-    return -0.5 * np.abs(tau - gamma) ** 2 + 1j * phase
+    log = np.asarray(tau - gamma)
+    distance = np.abs(log)
+    distance *= distance
+    distance *= -0.5
+    phase = tau.real * gamma.imag
+    phase -= tau.imag * gamma.real
+    log.real, log.imag = distance, phase
+    return log
 
 
 def overlap(tau: complex, gamma: complex) -> complex:
@@ -237,12 +244,14 @@ def _half_faddeeva(s: np.ndarray) -> np.ndarray:
     |s| up to 1e300 gives the asymptote -1 / (2 sqrt(pi) s) without
     overflow.
     """
-    r = np.reciprocal(_L - s)
+    r = np.subtract(_L, s)
+    np.reciprocal(r, out=r)
     # zeta^0 .. zeta^9 as products of lower powers, the power axis first
     # so that each product runs over the whole grid
     low = np.empty((10,) + s.shape, dtype=complex)
     low[0] = 1.0
-    zeta = np.multiply(_L + s, r, out=low[1])
+    zeta = np.add(_L, s, out=low[1])
+    zeta *= r
     np.multiply(zeta, zeta, out=low[2])
     np.multiply(low[1:3], low[2], out=low[3:5])
     np.multiply(low[1:5], low[4], out=low[5:9])
@@ -251,14 +260,16 @@ def _half_faddeeva(s: np.ndarray) -> np.ndarray:
     # ten-term sums are one real matrix product on the float view
     rows = _FADDEEVA_COEFFS.dot(low.reshape(10, -1).view(float)).view(complex)
     rows.shape = (4,) + s.shape
-    # Horner's rule in zeta^10 over the four sums, in place
-    step = low[5] * low[5]
-    series = rows[3] * step
+    # Horner's rule in zeta^10 over the four sums, in place in the last
+    # sum; zeta^10 and s r take the places of powers the product has used
+    step = np.multiply(low[5], low[5], out=low[0])
+    series = rows[3]
+    series *= step
     for row in rows[2:0:-1]:
         series += row
         series *= step
     series += rows[0]
-    series *= s * r
+    series *= np.multiply(s, r, out=low[1])
     series += _HALF_L
     series *= r
     return series
@@ -278,13 +289,17 @@ def _threshold_kernel_erf(amps: np.ndarray, threshold: float) -> tuple[np.ndarra
     """
     log_gram = _log_overlap(amps[..., :, None], amps[..., None, :])
     gram = np.exp(log_gram)
-    z = math.sqrt(2.0) * (threshold - (np.conj(amps)[..., :, None] + amps[..., None, :]) / 2.0)
-    lower = z.real < 0.0
-    s = -z
-    np.copyto(s, z, where=lower)
-    tail = np.exp(log_gram - z**2) * _half_faddeeva(s)
-    kernel = gram - tail
-    np.copyto(kernel, tail, where=lower)
+    z = np.conj(amps)[..., :, None] + amps[..., None, :]
+    z *= 0.5
+    np.subtract(threshold, z, out=z)
+    z *= math.sqrt(2.0)
+    upper = z.real >= 0.0
+    # s = -z where Re z >= 0; z^2 = s^2 to the bit, so z is not kept
+    s = np.negative(z, out=z, where=upper)
+    log_gram -= np.square(s)
+    tail = np.exp(log_gram, out=log_gram)
+    tail *= _half_faddeeva(s)
+    kernel = np.subtract(gram, tail, out=tail, where=upper)
     return gram, kernel
 
 

@@ -135,21 +135,28 @@ class FringeCurve:
     leakage: np.ndarray
 
     def __post_init__(self):
-        for name in ("theta", "p_plus", "p_minus", "leakage"):
-            arr = np.asarray(getattr(self, name), dtype=float).copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-            if arr.size != self.theta.size:
-                raise ValueError("all fringe-curve columns must have equal length")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} holds non-finite values")
-        if np.any(np.diff(self.theta) <= 0):
+        names = ("theta", "p_plus", "p_minus", "leakage")
+        columns = [np.asarray(getattr(self, name), dtype=float) for name in names]
+        n = columns[0].size
+        # the columns up to the first of another length, copied in one step
+        count = next((k for k, arr in enumerate(columns) if arr.size != n), len(names))
+        data = np.concatenate(columns[:count], axis=None).reshape(count, n)
+        finite = np.isfinite(data)
+        if not finite.all():
+            raise ValueError(f"{names[int(np.argmin(finite.all(axis=1)))]} holds non-finite values")
+        if count < len(names):
+            raise ValueError("all fringe-curve columns must have equal length")
+        data.setflags(write=False)
+        for name, row in zip(names, data):
+            object.__setattr__(self, name, row)
+        theta = data[0]
+        if (theta[1:] <= theta[:-1]).any():
             raise ValueError("theta samples must be strictly increasing")
         # the fringe columns stay in [0, 1] (up to the same slack) because these do
-        for name in ("p_plus", "p_minus"):
-            arr = getattr(self, name)
-            if not (-1e-9 <= arr.min() and arr.max() <= 1.0 + 1e-9):
-                raise ValueError(f"{name} leaves [0, 1]: range [{arr.min()!r}, {arr.max()!r}]")
+        probabilities = data[1:3]
+        for name, low, high in zip(names[1:3], probabilities.min(axis=1), probabilities.max(axis=1)):
+            if not (-1e-9 <= low and high <= 1.0 + 1e-9):
+                raise ValueError(f"{name} leaves [0, 1]: range [{low!r}, {high!r}]")
 
     def __len__(self) -> int:
         return self.theta.size
@@ -182,14 +189,19 @@ def _alpha_scalars(alpha: float) -> tuple:
             n_plus_sq, n_plus_sq**2, alpha / 2.0)
 
 
-def _per_alpha(alpha: np.ndarray) -> tuple[np.ndarray, ...]:
-    """_alpha_scalars(a) of an array of per-point alphas, Python numbers
-    computed with math once per distinct alpha and gathered to the
-    points, each value an (n,) array.  A point therefore gets the same
-    bits whatever else shares its grid."""
-    distinct, index = np.unique(alpha, return_inverse=True)
-    table = [_alpha_scalars(a) for a in distinct.tolist()]
-    return tuple(np.array(column)[index] for column in zip(*table))
+def _per_alpha(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha, rows) of an array of per-point alphas: rows[i] holds
+    _alpha_scalars of point i's alpha, as complex numbers, in one table
+    with a row of Python numbers computed with math per distinct alpha,
+    gathered to the points in one step.  When every point has the same
+    alpha, rows is that one row, which broadcasts over the points.  A
+    point therefore gets the same bits whatever else shares its grid."""
+    distinct = list(dict.fromkeys(alpha.tolist()))
+    rows = np.array([_alpha_scalars(a) for a in distinct], dtype=complex)
+    if len(distinct) > 1:
+        # the row of each point: the place of its alpha among the distinct ones
+        rows = rows.take(np.argmax(alpha[:, None] == rows[:, 0].real, axis=1), axis=0)
+    return alpha, rows
 
 
 def _cat_projections(table: tuple, thetas: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -203,19 +215,26 @@ def _cat_projections(table: tuple, thetas: np.ndarray) -> tuple[np.ndarray, ...]
     (n, 2, 4), and the measured-port Gram <m_k|m_l>, shape (n, 4, 4).
     All of them are closed-form in e^{i theta}.
     """
-    alpha, transmitted, reflected, n_plus, n_minus = table[:5]
+    alpha, rows = table
     e = np.exp(1j * thetas)
-    zero = np.zeros_like(e)
-    # one Gram of the measured-port amplitudes with alpha appended: its
-    # row 0 is <0|m_k> (m_0 = 0) and its last row <alpha|m_k>
-    measured = [zero, zero + reflected, transmitted * e, transmitted * e + reflected]
-    amps = np.stack(measured + [zero + alpha], axis=-1)
-    gram = np.exp(_log_overlap(amps[..., :, None], amps[..., None, :]))
-    output = np.stack([zero, zero + transmitted, reflected * e, transmitted + reflected * e], -1)
-    on_vacuum, on_alpha = gram[..., 0, :4], gram[..., 4, :4]
-    n_plus, n_minus = n_plus[..., None], n_minus[..., None]
-    cats = np.stack([n_plus * (on_vacuum + on_alpha), n_minus * (on_vacuum - on_alpha)], axis=-2)
-    return amps[..., :4], output, cats, gram[..., :4, :4]
+    # per point, the measured-port amplitudes m = 0, r, t e, t e + r with
+    # alpha appended, over the homodyne-port amplitudes 0, t, r e, r e + t
+    ports = np.zeros((len(thetas), 2, 5), dtype=complex)
+    ports[:, :, 1] = rows[:, 2:0:-1]
+    np.multiply(rows[:, 1:3], e[:, None], out=ports[:, :, 2])
+    np.add(ports[:, :, 2], ports[:, :, 1], out=ports[:, :, 3])
+    ports[:, 0, 4] = alpha
+    amps, measured = ports[:, 0], ports[:, 0, :4]
+    # <g|m_l> for g = m_0 .. m_3, alpha: the Gram of m, whose row 0 is
+    # <0|m_l>, and <alpha|m_l> in row 4
+    gram = _log_overlap(amps[:, :, None], measured[:, None, :])
+    np.exp(gram, out=gram)
+    on_vacuum, on_alpha = gram[:, 0], gram[:, 4]
+    cats = np.empty((len(thetas), 2, 4), dtype=complex)
+    np.add(on_vacuum, on_alpha, out=cats[:, 0])
+    np.subtract(on_vacuum, on_alpha, out=cats[:, 1])
+    cats *= rows[:, 3:5, None]
+    return measured, ports[:, 1, :4], cats, gram[:, :4]
 
 
 def cat_coefficients(p: RealizationParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -245,13 +264,13 @@ class _ConditionalBatch(NamedTuple):
 def _require(ok: np.ndarray, alpha: np.ndarray, thetas: np.ndarray, message: str) -> None:
     """Raise IntegrationError naming alpha and theta of the first point at
     which ok fails."""
-    ok = np.asarray(ok).reshape(len(thetas), -1).all(axis=1)
-    if not ok.all():
-        i = int(np.argmin(ok))
-        raise IntegrationError(
-            f"conditional output failed at alpha = {float(alpha[i])!r}, "
-            f"theta = {float(thetas[i])!r}: {message}"
-        )
+    if ok.all():
+        return
+    i = int(np.argmin(ok.reshape(len(thetas), -1).all(axis=1)))
+    raise IntegrationError(
+        f"conditional output failed at alpha = {float(alpha[i])!r}, "
+        f"theta = {float(thetas[i])!r}: {message}"
+    )
 
 
 def _conditional_batch(alpha, thetas: np.ndarray) -> _ConditionalBatch:
@@ -266,14 +285,16 @@ def _conditional_batch(alpha, thetas: np.ndarray) -> _ConditionalBatch:
     one-alpha call.
     """
     n = len(thetas)
-    alpha = np.broadcast_to(np.asarray(alpha, dtype=float), n)
+    alpha = np.asarray(alpha, dtype=float)
+    if alpha.shape != (n,):
+        alpha = np.broadcast_to(alpha, n)
     chunks = max(1, -(-n // SCAN_CHUNK_POINTS))
+    if chunks == 1:
+        return _conditional_chunk(alpha, thetas)
     parts = []
     for k in range(chunks):
         chunk = slice(n * k // chunks, n * (k + 1) // chunks)
         parts.append(_conditional_chunk(alpha[chunk], thetas[chunk]))
-    if len(parts) == 1:
-        return parts[0]
     return _ConditionalBatch(*(np.concatenate(column) for column in zip(*parts)))
 
 
@@ -299,35 +320,55 @@ def _conditional_chunk(alpha: np.ndarray, thetas: np.ndarray) -> _ConditionalBat
     conditional probability must lie in [0, 1].  Weights and joint
     probabilities are one contraction of raw with the homodyne-port Gram
     and threshold kernel.
+
+    The checks run in two groups, each tested in one step and named in
+    order only when it fails: the weights are checked before leakage and
+    joint / weight are formed from them.
     """
     table = _per_alpha(alpha)
     _, output, cats, measured_gram = _cat_projections(table, thetas)
     # both input cats carry the plus-cat normalization
-    n_plus_sq, n_plus_4, threshold = table[5:]
-    raw = n_plus_sq[..., None, None] * cats
-    gram, kernel = _threshold_kernel_erf(output, threshold[..., None, None])
+    n_plus_sq, n_plus_4, threshold = table[1][:, 5:].real.T
+    raw = n_plus_sq[:, None, None] * cats
+    gram, kernel = _threshold_kernel_erf(output, threshold[:, None, None])
     norm = n_plus_4 * (measured_gram * gram).sum(axis=(-2, -1))
-    _require(np.abs(norm - 1.0) <= WEIGHT_CLOSURE_TOL, alpha, thetas,
-             f"two-mode norm differs from 1 by more than {WEIGHT_CLOSURE_TOL}")
 
-    forms = np.einsum("...ok,...fkl,...ol->f...o", np.conj(raw), np.stack([gram, kernel], 1), raw)
+    forms = np.einsum("...ok,f...kl,...ol->f...o", np.conj(raw), np.array([gram, kernel]), raw)
     weights, joint = forms.real
     size = (np.abs(raw) ** 2).sum(axis=-1)
     # an imaginary residue is judged at max(1, sum_k |raw_k|^2) for a weight
     # and at max(weight, sum_k |raw_k|^2), the normalized state's, for joint
-    scale = np.maximum(size, [np.ones_like(size), weights])
-    ok = np.isfinite(forms) & (np.abs(forms.imag) <= IMAG_RESIDUE_LIMIT * scale)
-    _require(ok[0], alpha, thetas, "outcome weight is not finite or carries an imaginary residue")
-    _require(CANCELLATION_LIMIT * weights > size, alpha, thetas,
-             f"outcome weight is below 1/{CANCELLATION_LIMIT:g} of its cancelling terms")
+    scale = np.empty_like(forms.real)
+    np.maximum(size, 1.0, out=scale[0])
+    np.maximum(size, weights, out=scale[1])
+    scale *= IMAG_RESIDUE_LIMIT
+    # per point and outcome, each group holds: finite, imaginary residue
+    # within scale, then its own two checks (weights: cancellation and
+    # norm closure; joint: leakage and [0, 1] range)
+    weight_ok, joint_ok = good = np.empty((2, 4) + weights.shape, dtype=bool)
+    np.isfinite(forms, out=good[:, 0])
+    np.less_equal(np.abs(forms.imag), scale, out=good[:, 1])
+    np.greater(CANCELLATION_LIMIT * weights, size, out=weight_ok[2])
+    np.less_equal(np.abs(norm - 1.0)[:, None], WEIGHT_CLOSURE_TOL, out=weight_ok[3])
+    if not weight_ok.all():
+        _require(weight_ok[3], alpha, thetas,
+                 f"two-mode norm differs from 1 by more than {WEIGHT_CLOSURE_TOL}")
+        _require(weight_ok[:2].all(axis=0), alpha, thetas,
+                 "outcome weight is not finite or carries an imaginary residue")
+        _require(weight_ok[2], alpha, thetas,
+                 f"outcome weight is below 1/{CANCELLATION_LIMIT:g} of its cancelling terms")
     leakage = 1.0 - weights[:, 0] - weights[:, 1]
-    _require(leakage >= -NORM_CLAMP, alpha, thetas, "outcome weights exceed the two-mode norm")
-    _require(ok[1], alpha, thetas,
-             "threshold probability is not finite or carries an imaginary residue")
+    np.greater_equal(leakage[:, None], -NORM_CLAMP, out=joint_ok[2])
     conditional = joint / weights
-    _require((-NORM_CLAMP <= conditional) & (conditional <= 1.0 + 1e-9 + NORM_CLAMP),
-             alpha, thetas, "conditional threshold probability escaped [0, 1]")
-    return _ConditionalBatch(output, raw, weights, leakage, norm, np.clip(joint, 0.0, weights))
+    in_range = np.less_equal(-NORM_CLAMP, conditional, out=joint_ok[3])
+    in_range &= conditional <= 1.0 + 1e-9 + NORM_CLAMP
+    if not joint_ok.all():
+        _require(joint_ok[2], alpha, thetas, "outcome weights exceed the two-mode norm")
+        _require(joint_ok[:2].all(axis=0), alpha, thetas,
+                 "threshold probability is not finite or carries an imaginary residue")
+        _require(in_range, alpha, thetas, "conditional threshold probability escaped [0, 1]")
+    joint = np.maximum(joint, 0.0)
+    return _ConditionalBatch(output, raw, weights, leakage, norm, np.minimum(joint, weights, out=joint))
 
 
 def output_state(p: RealizationParams) -> ConditionalOutput:

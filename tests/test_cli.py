@@ -399,8 +399,9 @@ class TestOracleCommand:
         report = json.loads((tmp_path / "oracle_report.json").read_text())
         assert report["all_pass"] is False
 
-    def test_empty_case_list_is_usage_error(self, tmp_path):
+    def test_empty_case_list_is_usage_error(self, tmp_path, capsys):
         assert main(["--out", str(tmp_path), "--quiet", "oracle", "--cases", "0"]) == 2
+        assert capsys.readouterr().err == "usage error: --cases must be positive\n"
 
     @pytest.mark.parametrize("value", ["0.1", "0.4", "-inf", "inf", "nan", "20.5", "100"])
     def test_bad_max_alpha_is_usage_error(self, tmp_path, capsys, value):

@@ -81,6 +81,12 @@ class TestCoherentToFock:
         with pytest.raises(TruncationError):
             coherent_to_fock(6.0, 20)
 
+    def test_tail_beyond_the_truncation_raises(self):
+        # |gamma|^2 = 36 <= N = 40 passes the mean check, but the Poisson
+        # tail past N is 0.223: the state would lack 22 % of its mass
+        with pytest.raises(TruncationError, match="leaves tail mass 2.229e-01 beyond N = 40"):
+            coherent_to_fock(6.0, 40)
+
     @pytest.mark.parametrize("gamma", [40.0, 40.0j, 60.0 * complex(math.cos(1.0), math.sin(1.0))])
     def test_amplitude_past_the_vacuum_term_underflow(self, gamma):
         # c_0 = e^{-|gamma|^2/2} underflows, the coefficients near n = |gamma|^2 do not
@@ -205,6 +211,14 @@ class TestBeamsplitterFock:
         grid[4, 4] = 1.0  # total 8 quanta cannot fit one mode of size 6
         with pytest.raises(TruncationError):
             beamsplitter_fock(grid, math.pi / 4)
+
+    def test_one_case_message_has_no_case_prefix(self):
+        # only a call with several cases names the failing one
+        bad = np.full((3, 3), np.nan + 0j)
+        with pytest.raises(TruncationError, match="^beamsplitter input norm\\^2 nan is not finite"):
+            beamsplitter_fock(bad, 0.3)
+        with pytest.raises(TruncationError, match="^case 0: beamsplitter input norm\\^2 nan"):
+            _mixed([bad, bad], [0.3, 0.3])
 
     @staticmethod
     def spy_scale(monkeypatch):
