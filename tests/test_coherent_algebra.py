@@ -372,6 +372,27 @@ class TestThresholdProbability:
         with pytest.raises(CatRulerError):
             threshold_probability(CoherentSuperposition.single(1.0), 1.0, method="erf")
 
+    @pytest.mark.parametrize("fault", ["nan-entry", "antisymmetric-pair"])
+    def test_faulty_kernel_fails_the_form_check(self, monkeypatch, fault):
+        # a NaN entry would otherwise reach the range check, and a real
+        # antisymmetric perturbation, whose form is purely imaginary, would
+        # pass silently as 0.5231...
+        kernel_erf = coherent_algebra._threshold_kernel_erf
+
+        def faulty(amps, threshold):
+            gram, kernel = kernel_erf(amps, threshold)
+            if fault == "nan-entry":
+                kernel[0, 1] = complex("nan")
+            else:
+                kernel[0, 1] += 1e-6
+                kernel[1, 0] -= 1e-6
+            return gram, kernel
+
+        monkeypatch.setattr(coherent_algebra, "_threshold_kernel_erf", faulty)
+        s = CoherentSuperposition(((1, 0.3 + 2j), (0.5j, -1 - 1j)))
+        with pytest.raises(IntegrationError, match="not finite or carries an imaginary residue"):
+            threshold_probability(s, 0.2)
+
     @pytest.mark.parametrize("terms,threshold", [
         (((1, 1e200j), (1, 1e200)), 0.0), (((1, 1e154),), 0.0), (((1, 0.5),), 1e300),
         (((1, 1.7e308 + 1.7e308j),), 0.0),

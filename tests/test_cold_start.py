@@ -4,7 +4,8 @@ oracle run load one later (the package runs on numpy and the math module;
 scipy serves only the tests, through quad_reference and their own
 references), and every module of the package must import on its own.
 No README command may load numpy.random, which costs about 6 MiB of
-resident memory: the oracle draws its cases with random.Random.  Nor
+resident memory: the oracle draws its cases with random.Random, and no
+module of the package names numpy.random in its code at all.  Nor
 may one load numpy.fft (the Faddeeva coefficients are a literal table)
 or call a LAPACK routine of numpy.linalg (width-scaling fits its
 exponent in closed form): each pages in library code for no work.
@@ -15,6 +16,7 @@ holds the catruler this suite imports: src/ in the source tree, or
 site-packages when the suite runs against an installed wheel.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -137,6 +139,41 @@ def test_threshold_and_oracle_calls_load_no_scipy(probe):
 def test_readme_commands_load_no_numpy_random(probe):
     assert probe["exits"] == [0] * 6
     assert probe["numpy_random"] == []
+
+
+def numpy_random_uses(source: str) -> list[int]:
+    """Lines that import numpy.random or take .random of a name bound to
+    numpy; strings and comments are not code, so a docstring may name it."""
+    tree = ast.parse(source)
+    numpy_names = {"numpy"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            numpy_names |= {a.asname or a.name for a in node.names if a.name == "numpy"}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            hit = any(a.name.startswith("numpy.random") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = (node.module or "").startswith("numpy.random") or (
+                node.module == "numpy" and any(a.name == "random" for a in node.names)
+            )
+        else:
+            hit = (isinstance(node, ast.Attribute) and node.attr == "random"
+                   and isinstance(node.value, ast.Name) and node.value.id in numpy_names)
+        if hit:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_module_uses_numpy_random():
+    modules = sorted(Path(catruler.__file__).resolve().parent.glob("*.py"))
+    assert "squeezed_baseline.py" in {m.name for m in modules}
+    uses = {m.name: numpy_random_uses(m.read_text(encoding="utf-8")) for m in modules}
+    assert {name: lines for name, lines in uses.items() if lines} == {}
+    # the scan sees each form of the use, and not the word in a docstring
+    assert numpy_random_uses("import numpy as np\nnp.random.default_rng(0)\n") == [2]
+    assert numpy_random_uses("from numpy import random\nimport numpy.random\n") == [1, 2]
+    assert numpy_random_uses('def f():\n    """not numpy.random"""\n') == []
 
 
 def test_readme_commands_load_no_numpy_fft(probe):

@@ -1,7 +1,7 @@
 """Range guards fail on NaN and on overflow: every public entry point
 below rejects a NaN amplitude, angle, threshold, length or coefficient,
-an input whose formula overflows, a cat sign other than +-1, a sample
-count or truncation below 1, or fringe columns of unequal length, with
+an input whose formula overflows, a cat sign other than +-1, a
+truncation below 1, or fringe columns of unequal length, with
 ValueError instead of returning NaN or inf or raising OverflowError.
 The oracle's truncation and norm checks refuse the cases in
 TRUNCATION_CASES instead, with TruncationError."""
@@ -43,13 +43,7 @@ from catruler.physical_realization import (
     fringe_spacing_physical,
     scan_extracted_spacing,
 )
-from catruler.squeezed_baseline import (
-    SqueezedBaselineParams,
-    equal_power_params,
-    homodyne_samples,
-    snr_monte_carlo,
-    snr_squeezed,
-)
+from catruler.squeezed_baseline import SqueezedBaselineParams, equal_power_params, snr_squeezed
 
 NAN = math.nan
 
@@ -110,6 +104,7 @@ CASES = {
         theta=[0.0, 1.0], p_plus=[0.5], p_minus=[0.5, 0.5], leakage=[0.0, 0.0]
     ),
     "fringe_spacing_physical-overflow": lambda: fringe_spacing_physical(1e200, 1e-6),
+    "fringe_spacing_physical-nan-wavelength": lambda: fringe_spacing_physical(5.0, NAN),
     # alpha = 1e-170 is finite, but alpha^2 underflows; at 1e-100 it does not,
     # but the square of the mixing angle pi / (2 alpha^2) overflows
     "RealizationParams-underflow": lambda: RealizationParams(1e-170),
@@ -133,18 +128,6 @@ CASES = {
     "cat_norm_squared-nan": lambda: cat_norm_squared(NAN),
     "cat_norm_squared-overflow": lambda: cat_norm_squared(1e200),
     "cat_norm_squared-sign": lambda: cat_norm_squared(1.0, 2),
-    "homodyne_samples-nan": lambda: homodyne_samples(SqueezedBaselineParams(1.0, 0.5), NAN, 10, 0),
-    "homodyne_samples-inf": lambda: homodyne_samples(SqueezedBaselineParams(1.0, 0.5), math.inf, 10, 0),
-    "homodyne_samples-product-overflow": lambda: homodyne_samples(
-        SqueezedBaselineParams(1e154, 0.5), 1e300, 10, 0
-    ),
-    "homodyne_samples-no-samples": lambda: homodyne_samples(SqueezedBaselineParams(1.0, 0.5), 0.1, 0, 0),
-    "snr_monte_carlo-nan": lambda: snr_monte_carlo(SqueezedBaselineParams(5.0, 0.5, 1e-4), NAN, 10),
-    # one sample has no variance; a tiny probe overflows the calibration
-    "snr_monte_carlo-one-sample": lambda: snr_monte_carlo(SqueezedBaselineParams(5.0, 0.5, 1e-4), 0.1, 1),
-    "snr_monte_carlo-probe-overflow": lambda: snr_monte_carlo(
-        SqueezedBaselineParams(5.0, 0.5, 1e-4), 1e-300, 10
-    ),
     "snr_squeezed-overflow": lambda: snr_squeezed(SqueezedBaselineParams(1e200, 0.5, 1e-4)),
     "snr_squeezed-product-overflow": lambda: snr_squeezed(SqueezedBaselineParams(10.0, 1e-300, 1e300)),
 }
@@ -165,6 +148,8 @@ MESSAGES = {
     "beamsplitter_fock-nan-angle": "mix_angle must be finite",
     "quadrature_cdf_fock-nan-threshold": "threshold must be finite",
     "scan_extracted_spacing-nan-wavelength": "wavelength must be positive and finite",
+    "fringe_spacing_physical-nan-wavelength": "wavelength must be positive and finite",
+    "v_theta_from_length_power": "fluctuation power must be nonnegative and finite",
 }
 
 

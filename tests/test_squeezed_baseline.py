@@ -2,17 +2,24 @@
 
 import math
 
+import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermgauss
 
-from catruler.squeezed_baseline import (
-    SqueezedBaselineParams,
-    equal_power_params,
-    homodyne_samples,
-    snr_monte_carlo,
-    snr_squeezed,
-)
+from catruler.squeezed_baseline import SqueezedBaselineParams, equal_power_params, snr_squeezed
 
-N_SAMPLES = 1_000_000
+
+def output_moments(p: SqueezedBaselineParams, theta: float) -> tuple[float, float]:
+    """Mean and variance of the output model X_out = X_a theta/2 + X_b at a
+    fixed theta, X_a ~ N(2 beta, 1) and X_b ~ N(0, v_b_minus), on a product
+    of Gauss-Hermite rules (exact for these quadratics)."""
+    nodes, weights = hermgauss(4)
+    x_a = 2.0 * p.beta + math.sqrt(2.0) * nodes
+    x_b = math.sqrt(2.0 * p.v_b_minus) * nodes
+    x_out = np.add.outer(x_a * (theta / 2.0), x_b)
+    weight = np.outer(weights, weights) / math.pi
+    mean = float(np.sum(weight * x_out))
+    return mean, float(np.sum(weight * (x_out - mean) ** 2))
 
 
 class TestParams:
@@ -27,35 +34,6 @@ class TestParams:
             SqueezedBaselineParams(beta=1.0, v_b_minus=0.5, v_theta=-1e-6)
 
 
-class TestHomodyneSampling:
-    def test_zero_phase_unsqueezed_is_standard_normal(self):
-        p = SqueezedBaselineParams(beta=3.0, v_b_minus=1.0)
-        xs = homodyne_samples(p, 0.0, N_SAMPLES, rng_seed=10)
-        se_mean = 1.0 / math.sqrt(N_SAMPLES)
-        assert abs(xs.mean()) < 3 * se_mean
-        se_var = math.sqrt(2.0 / N_SAMPLES)
-        assert abs(xs.var() - 1.0) < 3 * se_var
-
-    def test_mean_tracks_beta_theta(self):
-        p = SqueezedBaselineParams(beta=10.0, v_b_minus=0.5)
-        theta = 0.01
-        xs = homodyne_samples(p, theta, N_SAMPLES, rng_seed=3)
-        sigma = math.sqrt(p.v_b_minus + theta**2 / 4)
-        se = sigma / math.sqrt(N_SAMPLES)
-        assert abs(xs.mean() - p.beta * theta) < 3 * se
-
-    def test_variance_at_null_phase(self):
-        p = SqueezedBaselineParams(beta=10.0, v_b_minus=0.04)
-        xs = homodyne_samples(p, 0.0, N_SAMPLES, rng_seed=4)
-        se_var = p.v_b_minus * math.sqrt(2.0 / N_SAMPLES)
-        assert abs(xs.var() - p.v_b_minus) < 3 * se_var
-
-    def test_deterministic_per_seed(self):
-        p = SqueezedBaselineParams(beta=5.0, v_b_minus=0.1)
-        assert homodyne_samples(p, 0.02, 1, rng_seed=7) == homodyne_samples(p, 0.02, 1, rng_seed=7)
-        assert homodyne_samples(p, 0.02, 1, rng_seed=7) != homodyne_samples(p, 0.02, 1, rng_seed=8)
-
-
 class TestSnrSqueezed:
     def test_unsqueezed_vacuum_baseline(self):
         p = SqueezedBaselineParams(beta=0.0, v_b_minus=1.0, v_theta=1e-4)
@@ -64,6 +42,24 @@ class TestSnrSqueezed:
     def test_direct_substitution(self):
         p = SqueezedBaselineParams(beta=10.0, v_b_minus=0.01, v_theta=1e-4)
         assert snr_squeezed(p) == pytest.approx(0.2525, rel=1e-12)
+
+    @pytest.mark.parametrize("beta,v_b,v_theta", [
+        (0.0, 1.0, 1e-4), (0.3, 0.2, 2e-3), (1.0, 0.5, 1e-4), (10.0, 0.01, 1e-4), (40.0, 1e-3, 1e-8),
+    ])
+    def test_exact_moments_of_the_output_model(self, beta, v_b, v_theta):
+        # the carrier from the model's mean response per unit theta and its
+        # noise at theta = 0, plus the closed form's vacuum term
+        p = SqueezedBaselineParams(beta=beta, v_b_minus=v_b, v_theta=v_theta)
+        theta = 0.1
+        beta_hat = output_moments(p, theta)[0] / theta
+        _, v_b_hat = output_moments(p, 0.0)
+        carrier = beta_hat**2 * v_theta / (4.0 * v_b_hat)
+        assert snr_squeezed(p) == pytest.approx(carrier + v_theta / (4.0 * v_b), rel=1e-12)
+        # the model's own theta-driven power, E[(X_a theta/2)^2] over
+        # theta ~ N(0, v_theta), puts 1/4 where the closed form puts 1
+        mean_at_one, var_at_one = output_moments(p, 1.0)
+        driven = (mean_at_one**2 + var_at_one - v_b_hat) * v_theta
+        assert driven == pytest.approx((4.0 * beta**2 + 1.0) * v_theta / 4.0, rel=1e-12)
 
 
 class TestEqualPower:
@@ -88,16 +84,3 @@ class TestEqualPower:
             equal_power_params(0.0)
         with pytest.raises(ValueError):
             equal_power_params(-3.0)
-
-
-class TestMonteCarloSnr:
-    @pytest.mark.parametrize("beta,v_b", [(5.0, 0.1), (10.0, 0.01)])
-    def test_matches_closed_form_within_five_percent(self, beta, v_b):
-        p = SqueezedBaselineParams(beta=beta, v_b_minus=v_b, v_theta=1e-4)
-        estimate = snr_monte_carlo(p, theta_probe=0.1, n_samples=N_SAMPLES, rng_seed=12)
-        assert estimate == pytest.approx(snr_squeezed(p), rel=0.05)
-
-    def test_zero_probe_rejected(self):
-        p = SqueezedBaselineParams(beta=5.0, v_b_minus=0.1, v_theta=1e-4)
-        with pytest.raises(ValueError):
-            snr_monte_carlo(p, theta_probe=0.0)
