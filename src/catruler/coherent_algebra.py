@@ -45,10 +45,6 @@ IMAG_RESIDUE_LIMIT = 1e-9
 NORM_CLAMP = 1e-12
 # Largest amplitude whose square is a finite double.
 MAX_AMPLITUDE = math.sqrt(sys.float_info.max)
-# |<tau|gamma>| = exp(-d^2 / 2) is 0 in double precision past
-# d = |tau - gamma| ~ 38.6, and far beyond that the exponent overflows;
-# overlaps of amplitudes farther apart than this are exactly 0.
-OVERLAP_CUTOFF = 40.0
 
 
 def _require_finite_complex(value: complex, name: str) -> complex:
@@ -56,6 +52,14 @@ def _require_finite_complex(value: complex, name: str) -> complex:
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
+
+
+def _require_in_range(amplitudes, threshold: float = 0.0) -> None:
+    """Reject |threshold| + max |g| above MAX_AMPLITUDE / 2, past which
+    |g_k - g_l|^2 and the threshold kernel's z^2 would overflow."""
+    # hypot, unlike abs of a complex, returns inf rather than raising
+    if abs(threshold) + max(math.hypot(g.real, g.imag) for g in amplitudes) > MAX_AMPLITUDE / 2:
+        raise ValueError("threshold and amplitudes must stay within MAX_AMPLITUDE / 2")
 
 
 def _require_alpha(alpha: float, name: str = "alpha") -> float:
@@ -130,22 +134,12 @@ def _log_overlap(tau, gamma):
 
 
 def overlap(tau: complex, gamma: complex) -> complex:
-    """Coherent-state overlap <tau|gamma>; |result| <= 1 always."""
+    """Coherent-state overlap <tau|gamma>; |result| <= 1 always.  Refuses
+    (ValueError) |tau| or |gamma| above MAX_AMPLITUDE / 2."""
     tau = _require_finite_complex(tau, "tau")
     gamma = _require_finite_complex(gamma, "gamma")
-    return complex(_overlap(tau, gamma))
-
-
-def _overlap(tau, gamma):
-    """<tau|gamma> elementwise over broadcast amplitude arrays, exactly 0
-    for pairs farther apart than OVERLAP_CUTOFF."""
-    # halved (exactly) so that the difference of two huge amplitudes stays finite
-    far = np.abs(tau / 2 - gamma / 2) > OVERLAP_CUTOFF / 2
-    # the exponent of a far pair, or of a pair <g|g> = 1 with |g|^2 past
-    # the double range, can overflow: both are evaluated at tau = gamma = 0
-    skip = far | ((tau == gamma) & (np.abs(tau) > MAX_AMPLITUDE))
-    value = np.exp(_log_overlap(np.where(skip, 0, tau), np.where(skip, 0, gamma)))
-    return np.where(far, 0j, value)
+    _require_in_range((tau, gamma))
+    return complex(np.exp(_log_overlap(tau, gamma)))
 
 
 def cat_norm_squared(alpha: float, sign: int = 1) -> float:
@@ -187,9 +181,11 @@ def _clamped_norm(coeffs: np.ndarray, gram: np.ndarray) -> float:
 
 
 def norm_squared(s: CoherentSuperposition) -> float:
-    """<s|s> via the Gram matrix; tiny negatives clamp to zero."""
+    """<s|s> via the Gram matrix; tiny negatives clamp to zero.  Refuses
+    (ValueError) an amplitude |g| above MAX_AMPLITUDE / 2."""
+    _require_in_range(g for _, g in s.terms)
     amps = s.amplitudes
-    return _clamped_norm(s.coefficients, _overlap(amps[:, None], amps[None, :]))
+    return _clamped_norm(s.coefficients, np.exp(_log_overlap(amps[:, None], amps[None, :])))
 
 
 def beamsplitter(gamma_a: complex, gamma_b: complex, mix_angle: float) -> tuple[complex, complex]:
@@ -313,7 +309,8 @@ def threshold_probability(
     Returns int_{-inf}^{T} |sum_k c_k psi_{g_k}(x)|^2 dx, in the
     module's quadrature units (<x> = Re g, vacuum variance 1/4).  For a
     normalized state this is a probability; for an unnormalized one it
-    carries the state's squared norm.
+    carries the state's squared norm.  Refuses (ValueError) a threshold
+    that is not finite, and |T| + max |g| above MAX_AMPLITUDE / 2.
 
     The value is the exact closed form of _threshold_kernel_erf (the
     Faddeeva function), bounded by the squared norm from the same
@@ -325,10 +322,7 @@ def threshold_probability(
     """
     if not math.isfinite(threshold):
         raise ValueError("threshold must be finite")
-    # below this bound the kernel's z^2 and |g_k - g_l|^2 are finite
-    # (hypot, unlike abs of a complex, returns inf rather than raising)
-    if abs(threshold) + max(math.hypot(g.real, g.imag) for _, g in s.terms) > MAX_AMPLITUDE / 2:
-        raise ValueError("threshold and amplitudes must stay within MAX_AMPLITUDE / 2")
+    _require_in_range((g for _, g in s.terms), threshold)
     if method != "erf":
         raise ValueError(f"unknown method {method!r}; the only method is 'erf'")
     coeffs = s.coefficients

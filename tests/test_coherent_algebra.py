@@ -43,6 +43,11 @@ TIGHT = 1e-12
 SELF_CONSISTENCY_TOL = 1e-8
 
 
+def equal_weights(*amplitudes) -> CoherentSuperposition:
+    """sum_k |g_k> with unit coefficients."""
+    return CoherentSuperposition(tuple((1, g) for g in amplitudes))
+
+
 def fock_series(gamma, n_max=60):
     """Independent number-basis expansion of |gamma> (test-local oracle)."""
     coeffs = np.empty(n_max + 1, dtype=complex)
@@ -86,13 +91,6 @@ class TestOverlap:
             if t != g:
                 assert mag < 1.0
 
-    @pytest.mark.parametrize("tau,gamma", [
-        (1e154, -1e154), (1e154j, 1e155), (1.7e308, -1.7e308), (1e200j, 1e200),
-    ])
-    def test_far_apart_large_amplitudes_give_exact_zero(self, tau, gamma):
-        # |tau - gamma|^2 or conj(tau) gamma overflows here; the overlap is 0
-        assert overlap(tau, gamma) == 0j
-
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             overlap(float("nan"), 1.0)
@@ -105,18 +103,11 @@ class TestNormSquared:
         for gamma in (0.0, 2.0, 1 - 2j):
             assert norm_squared(CoherentSuperposition.single(gamma)) == pytest.approx(1.0, abs=TIGHT)
 
-    def test_far_apart_large_amplitudes(self):
-        # the Gram matrix takes overlap's distance cut-off: the cross terms
-        # are 0 and each diagonal term is 1, though |g|^2 (and for the
-        # second pair tau - gamma) overflows
-        for terms in (((1, 1e200j), (1, 1e200)), ((1, 1.7e308), (1, -1.7e308))):
-            assert norm_squared(CoherentSuperposition(terms)) == 2.0
-
     def test_near_huge_amplitudes_keep_the_overlap_phase(self):
-        # the real part of conj(tau) gamma, which the overlap discards, exceeds
-        # the double range
-        near = CoherentSuperposition(((1, 1e200), (1, 1e200 + 5j)))
-        cross = 2.0 * math.exp(-12.5) * math.cos(1e200 * 5)  # 2 Re <tau|gamma>
+        # |tau|^2 = 1e306 would swamp the exponent -|tau - gamma|^2 / 2 if
+        # it were formed as -(|tau|^2 + |gamma|^2) / 2 + Re conj(tau) gamma
+        near = CoherentSuperposition(((1, 1e153), (1, 1e153 + 5j)))
+        cross = 2.0 * math.exp(-12.5) * math.cos(1e153 * 5)  # 2 Re <tau|gamma>
         assert norm_squared(near) == pytest.approx(2.0 + cross, rel=1e-12)
 
     def test_unnormalized_cat_matches_fock_series(self):
@@ -393,20 +384,38 @@ class TestThresholdProbability:
         with pytest.raises(IntegrationError, match="not finite or carries an imaginary residue"):
             threshold_probability(s, 0.2)
 
-    @pytest.mark.parametrize("terms,threshold", [
-        (((1, 1e200j), (1, 1e200)), 0.0), (((1, 1e154),), 0.0), (((1, 0.5),), 1e300),
-        (((1, 1.7e308 + 1.7e308j),), 0.0),
-    ])
-    def test_rejects_amplitudes_past_half_the_square_root_range(self, terms, threshold):
-        with pytest.raises(ValueError, match="MAX_AMPLITUDE"):
-            threshold_probability(CoherentSuperposition(terms), threshold)
+    # the one range rule of the per-state closed forms, |T| + max |g| <=
+    # MAX_AMPLITUDE / 2 (T = 0 for overlap and norm_squared)
+    @pytest.mark.parametrize("form,args", [
+        (threshold_probability, (equal_weights(1e200j, 1e200), 0.0)),
+        (threshold_probability, (equal_weights(1e154), 0.0)),
+        (threshold_probability, (equal_weights(0.5), 1e300)),
+        (threshold_probability, (equal_weights(1.7e308 + 1.7e308j), 0.0)),
+        (norm_squared, (equal_weights(1e200j, 1e200),)),
+        (norm_squared, (equal_weights(1.7e308, -1.7e308),)),
+        (norm_squared, (equal_weights(1e200, 1e200 + 5j),)),
+        (norm_squared, (equal_weights(0.0, 1e154),)),
+        (overlap, (1e154, -1e154)),
+        (overlap, (1e154j, 1e155)),
+        (overlap, (1.7e308, -1.7e308)),
+        (overlap, (1e200j, 1e200)),
+        (overlap, (0.0, 1e154)),
+    ], ids=lambda v: v.__name__ if callable(v) else None)
+    def test_rejects_amplitudes_past_half_the_square_root_range(self, form, args):
+        with pytest.raises(ValueError, match="^threshold and amplitudes must stay within MAX_AMPLITUDE / 2$"):
+            form(*args)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_amplitudes_at_half_the_square_root_range(self):
         half = MAX_AMPLITUDE / 2
         assert threshold_probability(CoherentSuperposition.single(half), 0.0) == 0.0
         assert threshold_probability(CoherentSuperposition.single(-half), 0.0) == 1.0
         s = CoherentSuperposition(((1, half), (1, -1j * half)))
         assert threshold_probability(s, 0.0) == 0.5
+        # |h - (-h)|^2 = MAX_AMPLITUDE^2 is still finite
+        assert overlap(half, -half) == 0
+        assert overlap(half, half) == 1
+        assert norm_squared(equal_weights(half, -half)) == 2.0
 
     def test_result_bounded_by_norm(self):
         s = CoherentSuperposition(((1.0, 0.0), (1.0, 2.0)))  # norm^2 = 2 + 2e^-2

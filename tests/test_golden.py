@@ -15,6 +15,10 @@ repeats the commands in-process through cli.main and compares:
   each may drift by less than its tolerance, but its pass flag may not
   change.
 
+On the platform that recorded the files (platform.json: the Python and
+numpy versions and the machine) each file must also equal its golden
+text byte for byte.
+
 A change that moves an output regenerates the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -24,10 +28,12 @@ and lists the drift that `git diff tests/golden` shows.
 
 import json
 import math
+import platform
 import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from catruler.cli import main
@@ -35,6 +41,7 @@ from readme_commands import readme_argv, readme_lines
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MANIFEST = GOLDEN / "commands.json"
+PLATFORM = GOLDEN / "platform.json"
 # the fringe CSVs keep every THIN-th data row (and the last)
 THIN = 4
 # one unit in the 12th significant digit
@@ -140,7 +147,14 @@ def mismatches(name: str, text: str, golden: str) -> list[str]:
 
 
 def golden_names() -> list[str]:
-    return sorted(p.name for p in GOLDEN.glob("*") if p != MANIFEST)
+    return sorted(p.name for p in GOLDEN.glob("*") if p not in (MANIFEST, PLATFORM))
+
+
+def running_platform() -> dict[str, str]:
+    """What may round a last bit differently: the Python and numpy
+    versions and the machine."""
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "machine": platform.machine()}
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +168,7 @@ def test_manifest_holds_the_readme_commands(runs):
     assert [r["exit"] for r in runs] == [r["exit"] for r in recorded] == [0] * 6
     assert [sorted(r["files"]) for r in runs] == [r["files"] for r in recorded]
     assert golden_names() == sorted(name for r in recorded for name in r["files"])
+    assert sorted(json.loads(PLATFORM.read_text())) == sorted(running_platform())
 
 
 def test_outputs_match_the_golden_files(runs):
@@ -162,6 +177,15 @@ def test_outputs_match_the_golden_files(runs):
         for run in runs for name, text in run["files"].items()
     }
     assert {name: m for name, m in found.items() if m} == {}
+
+
+def test_outputs_equal_the_golden_bytes_on_the_recording_platform(runs):
+    recorded = json.loads(PLATFORM.read_text())
+    if running_platform() != recorded:
+        pytest.skip(f"recorded on {recorded}, running on {running_platform()}")
+    differ = [name for run in runs for name, text in run["files"].items()
+              if text != (GOLDEN / name).read_text()]
+    assert differ == []
 
 
 NUMBER = re.compile(r"(\d+(?:\.\d+)?)(?:e[-+]?\d+)?")
@@ -219,6 +243,7 @@ def regenerate() -> None:
     recorded = [{"command": r["command"], "exit": r["exit"], "files": sorted(r["files"])}
                 for r in runs]
     MANIFEST.write_text(json.dumps(recorded, indent=2) + "\n", encoding="utf-8")
+    PLATFORM.write_text(json.dumps(running_platform(), indent=2) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ from catruler.coherent_algebra import (
     CoherentSuperposition,
     beamsplitter,
     cat_norm_squared,
+    norm_squared,
     overlap,
     threshold_probability,
 )
@@ -169,6 +170,7 @@ CLOSED_FORMS = {
     "fringe_spacing_physical": fringe_spacing_physical,
     "snr_squeezed": lambda n_bar, v_theta: snr_squeezed(equal_power_params(n_bar, v_theta)),
     "overlap": overlap,
+    "norm_squared": lambda tau, gamma: norm_squared(CoherentSuperposition(((1, tau), (1, gamma)))),
     "threshold_probability": lambda gamma, threshold: threshold_probability(
         CoherentSuperposition.single(gamma), threshold
     ),
