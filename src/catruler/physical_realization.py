@@ -137,15 +137,13 @@ class FringeCurve:
     def __post_init__(self):
         names = ("theta", "p_plus", "p_minus", "leakage")
         columns = [np.asarray(getattr(self, name), dtype=float) for name in names]
-        n = columns[0].size
-        # the columns up to the first of another length, copied in one step
-        count = next((k for k, arr in enumerate(columns) if arr.size != n), len(names))
-        data = np.concatenate(columns[:count], axis=None).reshape(count, n)
+        if len({arr.size for arr in columns}) > 1:
+            raise ValueError("all fringe-curve columns must have equal length")
+        # the four columns, copied in one step
+        data = np.concatenate(columns, axis=None).reshape(len(names), -1)
         finite = np.isfinite(data)
         if not finite.all():
             raise ValueError(f"{names[int(np.argmin(finite.all(axis=1)))]} holds non-finite values")
-        if count < len(names):
-            raise ValueError("all fringe-curve columns must have equal length")
         data.setflags(write=False)
         for name, row in zip(names, data):
             object.__setattr__(self, name, row)
@@ -320,10 +318,6 @@ def _conditional_chunk(alpha: np.ndarray, thetas: np.ndarray) -> _ConditionalBat
     conditional probability must lie in [0, 1].  Weights and joint
     probabilities are one contraction of raw with the homodyne-port Gram
     and threshold kernel.
-
-    The checks run in two groups, each tested in one step and named in
-    order only when it fails: the weights are checked before leakage and
-    joint / weight are formed from them.
     """
     table = _per_alpha(alpha)
     _, output, cats, measured_gram = _cat_projections(table, thetas)
@@ -338,35 +332,20 @@ def _conditional_chunk(alpha: np.ndarray, thetas: np.ndarray) -> _ConditionalBat
     size = (np.abs(raw) ** 2).sum(axis=-1)
     # an imaginary residue is judged at max(1, sum_k |raw_k|^2) for a weight
     # and at max(weight, sum_k |raw_k|^2), the normalized state's, for joint
-    scale = np.empty_like(forms.real)
-    np.maximum(size, 1.0, out=scale[0])
-    np.maximum(size, weights, out=scale[1])
-    scale *= IMAG_RESIDUE_LIMIT
-    # per point and outcome, each group holds: finite, imaginary residue
-    # within scale, then its own two checks (weights: cancellation and
-    # norm closure; joint: leakage and [0, 1] range)
-    weight_ok, joint_ok = good = np.empty((2, 4) + weights.shape, dtype=bool)
-    np.isfinite(forms, out=good[:, 0])
-    np.less_equal(np.abs(forms.imag), scale, out=good[:, 1])
-    np.greater(CANCELLATION_LIMIT * weights, size, out=weight_ok[2])
-    np.less_equal(np.abs(norm - 1.0)[:, None], WEIGHT_CLOSURE_TOL, out=weight_ok[3])
-    if not weight_ok.all():
-        _require(weight_ok[3], alpha, thetas,
-                 f"two-mode norm differs from 1 by more than {WEIGHT_CLOSURE_TOL}")
-        _require(weight_ok[:2].all(axis=0), alpha, thetas,
-                 "outcome weight is not finite or carries an imaginary residue")
-        _require(weight_ok[2], alpha, thetas,
-                 f"outcome weight is below 1/{CANCELLATION_LIMIT:g} of its cancelling terms")
+    scale = np.maximum(size, [np.ones_like(size), weights])
+    ok = np.isfinite(forms) & (np.abs(forms.imag) <= IMAG_RESIDUE_LIMIT * scale)
+    _require(np.abs(norm - 1.0) <= WEIGHT_CLOSURE_TOL, alpha, thetas,
+             f"two-mode norm differs from 1 by more than {WEIGHT_CLOSURE_TOL}")
+    _require(ok[0], alpha, thetas, "outcome weight is not finite or carries an imaginary residue")
+    _require(CANCELLATION_LIMIT * weights > size, alpha, thetas,
+             f"outcome weight is below 1/{CANCELLATION_LIMIT:g} of its cancelling terms")
     leakage = 1.0 - weights[:, 0] - weights[:, 1]
-    np.greater_equal(leakage[:, None], -NORM_CLAMP, out=joint_ok[2])
+    _require(leakage >= -NORM_CLAMP, alpha, thetas, "outcome weights exceed the two-mode norm")
+    _require(ok[1], alpha, thetas,
+             "threshold probability is not finite or carries an imaginary residue")
     conditional = joint / weights
-    in_range = np.less_equal(-NORM_CLAMP, conditional, out=joint_ok[3])
-    in_range &= conditional <= 1.0 + 1e-9 + NORM_CLAMP
-    if not joint_ok.all():
-        _require(joint_ok[2], alpha, thetas, "outcome weights exceed the two-mode norm")
-        _require(joint_ok[:2].all(axis=0), alpha, thetas,
-                 "threshold probability is not finite or carries an imaginary residue")
-        _require(in_range, alpha, thetas, "conditional threshold probability escaped [0, 1]")
+    in_range = (-NORM_CLAMP <= conditional) & (conditional <= 1.0 + 1e-9 + NORM_CLAMP)
+    _require(in_range, alpha, thetas, "conditional threshold probability escaped [0, 1]")
     joint = np.maximum(joint, 0.0)
     return _ConditionalBatch(output, raw, weights, leakage, norm, np.minimum(joint, weights, out=joint))
 

@@ -1,21 +1,28 @@
 """Guard census: does some Tier-1 test need each guard of the package?
 
-A guard site is either an `if` (or `elif`) of the catruler package whose
-body starts with a `raise`, or a call of `_require(<condition>, ...)`,
-the scan kernel's array guard, which raises unless every element of its
-first argument holds.  The census copies src/ to a temporary directory
-and, one site at a time, rewrites the copy's condition, as
-`False and (<condition>)` in an `if` and as `np.True_` in a `_require`
-call, which disables the guard and nothing else.  For each such mutant
-it runs the Tier-1 suite against the copy with `-x -p no:cacheprovider`,
-the test files that import the mutated module first.  A mutant that
-passes the suite is a survivor: no test notices that its guard is gone.
+A guard site of the catruler package is one of three kinds:
+
+- an `if` (or `elif`) whose body starts with a `raise`;
+- a call of `_require(<condition>, ...)`, the scan kernel's array guard,
+  which raises unless every element of its first argument holds;
+- a clamp: a two-argument call of `max`, `min`, `np.maximum` or
+  `np.minimum`, an `out=` keyword allowed.
+
+The census copies src/ to a temporary directory and, one site at a
+time, disables the copy's site and nothing else: the condition of an
+`if` becomes `False and (<condition>)`, that of a `_require` call
+`np.True_`, and a clamp becomes its first argument.  For each such
+mutant it runs the Tier-1 suite against the copy with
+`-x -p no:cacheprovider`, the test files that import the mutated module
+first.  A mutant that passes the suite is a survivor: no test notices
+that its guard is gone.
 Run from the repository root:
 
     PYTHONPATH=src python tests/guard_census.py
 
-It prints each survivor as `path:line: if <condition>` or
-`path:line: _require(<condition>, ...)`, then the count and the wall
+It prints each survivor as `path:line: if <condition>`,
+`path:line: _require(<condition>, ...)` or
+`path:line: <clamp> -> <first argument>`, then the count and the wall
 time, and exits 1 if any site survived.  It writes nothing under src/ or
 tests/: the suite runs from the temporary directory, without bytecode
 files or a pytest cache.
@@ -41,45 +48,61 @@ TIER1 = ["-q", "--continue-on-collection-errors", "-x", "-p", "no:cacheprovider"
 # the array guard of the scan kernel, and the condition that disables it
 REQUIRE = "_require"
 ALWAYS = "np.True_"
+# the clamps, each disabled by its first argument
+CLAMP = "clamp"
+CLAMPS = {"max", "min", "np.maximum", "np.minimum"}
 
 
 def guard_sites(source: str) -> list[tuple[str, ast.expr]]:
-    """(kind, condition) of each guard site in source order: kind "if"
-    for an `if` whose body starts with a raise, REQUIRE for the first
-    argument of a REQUIRE call."""
+    """(kind, node) of each guard site in source order: kind "if" with
+    the condition of an `if` whose body starts with a raise, REQUIRE with
+    the first argument of a REQUIRE call, CLAMP with the call of a clamp."""
     sites = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.If) and isinstance(node.body[0], ast.Raise):
             sites.append(("if", node.test))
-        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-              and node.func.id == REQUIRE and node.args):
-            sites.append((REQUIRE, node.args[0]))
+        elif isinstance(node, ast.Call) and node.args:
+            name = ast.unparse(node.func)
+            if name == REQUIRE:
+                sites.append((REQUIRE, node.args[0]))
+            elif (name in CLAMPS and len(node.args) == 2
+                  and all(keyword.arg == "out" for keyword in node.keywords)):
+                sites.append((CLAMP, node))
     return sorted(sites, key=lambda site: (site[1].lineno, site[1].col_offset))
 
 
-def disabled(source: str, kind: str, condition: ast.expr) -> str:
-    """source with the condition of a site made `False and (<condition>)`
-    in an `if`, or ALWAYS in a REQUIRE call.
+def disabled(source: str, kind: str, node: ast.expr) -> str:
+    """source with a site disabled: the condition node made
+    `False and (<condition>)` in an `if`, or ALWAYS in a REQUIRE call,
+    and a CLAMP call made `(<first argument>)`.
 
     ast offsets count UTF-8 bytes, so the splice is made on bytes."""
     lines = source.encode("utf-8").splitlines(keepends=True)
     starts = [0]
     for line in lines:
         starts.append(starts[-1] + len(line))
-    begin = starts[condition.lineno - 1] + condition.col_offset
-    end = starts[condition.end_lineno - 1] + condition.end_col_offset
     data = b"".join(lines)
+
+    def span(node: ast.expr) -> slice:
+        return slice(starts[node.lineno - 1] + node.col_offset,
+                     starts[node.end_lineno - 1] + node.end_col_offset)
+
+    site = span(node)
     if kind == "if":
-        spliced = b"False and (" + data[begin:end] + b")"
-    else:
+        spliced = b"False and (" + data[site] + b")"
+    elif kind == REQUIRE:
         spliced = ALWAYS.encode("utf-8")
-    return (data[:begin] + spliced + data[end:]).decode("utf-8")
+    else:
+        spliced = b"(" + data[span(node.args[0])] + b")"
+    return (data[:site.start] + spliced + data[site.stop:]).decode("utf-8")
 
 
-def label(kind: str, condition: ast.expr) -> str:
+def label(kind: str, node: ast.expr) -> str:
     if kind == "if":
-        return f"if {ast.unparse(condition)}"
-    return f"{kind}({ast.unparse(condition)}, ...)"
+        return f"if {ast.unparse(node)}"
+    if kind == REQUIRE:
+        return f"{kind}({ast.unparse(node)}, ...)"
+    return f"{ast.unparse(node)} -> {ast.unparse(node.args[0])}"
 
 
 def importers(module: str) -> set[Path]:
@@ -123,11 +146,11 @@ def main() -> int:
             target = src / "catruler" / path.name
             first = importers(path.stem)
             order = sorted(first) + [t for t in all_tests if t not in first]
-            for kind, condition in guard_sites(source):
+            for kind, node in guard_sites(source):
                 count += 1
-                target.write_text(disabled(source, kind, condition), encoding="utf-8")
+                target.write_text(disabled(source, kind, node), encoding="utf-8")
                 if run_suite(src, order, scratch):
-                    survivors.append(f"{path.relative_to(ROOT)}:{condition.lineno}: {label(kind, condition)}")
+                    survivors.append(f"{path.relative_to(ROOT)}:{node.lineno}: {label(kind, node)}")
                     print(survivors[-1], flush=True)
             target.write_text(source, encoding="utf-8")
     print(f"{len(survivors)} of {count} guard sites survived, "

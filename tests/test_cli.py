@@ -487,6 +487,9 @@ class TestPhaseErrorCommand:
         ["--alpha", "1", "--theta-max", "inf"],
         # finite, but (theta_max * alpha)^2 overflows
         ["--alpha", "1", "--theta-max", "1e308", "--theta-points", "3"],
+        # theta_max and each alpha have finite squares, but the largest
+        # alpha's (theta_max * alpha)^2 overflows
+        ["--alpha", "1,1e10", "--theta-max", "1e150", "--theta-points", "3"],
     ])
     def test_non_finite_input_is_usage_error(self, tmp_path, capsys, flags):
         out = tmp_path / "out"

@@ -138,6 +138,12 @@ class TestNormSquared:
         with pytest.raises(NormalizationError, match="negative beyond tolerance"):
             _clamped_norm(np.array([1.0, 1.0], dtype=complex), kernel)
 
+    def test_small_negative_quadratic_form_clamps_to_zero(self):
+        # an indefinite kernel whose form, 1 - (1 + 1e-13), is negative
+        # within NORM_CLAMP: the squared norm reads exactly 0
+        kernel = np.diag([1.0, -1.0 - 1e-13]).astype(complex)
+        assert _clamped_norm(np.array([1.0, 1.0], dtype=complex), kernel) == 0.0
+
     def test_non_finite_quadratic_form_raises(self):
         kernel = np.array([[1.0, complex("nan")], [complex("nan"), 1.0]])
         with pytest.raises(NormalizationError):
@@ -288,6 +294,22 @@ class TestThresholdProbability:
         monkeypatch.setattr(coherent_algebra, "_threshold_kernel_erf", doubled)
         with pytest.raises(IntegrationError, match="escaped"):
             threshold_probability(CoherentSuperposition.single(0.0), 3.0)
+
+    @pytest.mark.parametrize("factor", [-1e-13, 1.0 + 1e-9 + 5e-13])
+    def test_probability_is_clamped_into_its_bound(self, monkeypatch, factor):
+        # the kernel of a threshold past every amplitude (the Gram matrix)
+        # scaled just past either end of [0, n2 (1 + 1e-9)], within the
+        # range check's NORM_CLAMP slack: the probability reads that end
+        exact = coherent_algebra._threshold_kernel_erf
+
+        def scaled_gram(amplitudes, threshold):
+            gram, _ = exact(amplitudes, threshold)
+            return gram, factor * gram
+
+        s = equal_weights(0.0, 1.0 + 0.5j).normalized()
+        bound = norm_squared(s) * (1.0 + 1e-9)
+        monkeypatch.setattr(coherent_algebra, "_threshold_kernel_erf", scaled_gram)
+        assert threshold_probability(s, 0.0) == (0.0 if factor < 0 else bound)
 
     def test_unknown_method_rejected(self):
         # the adaptive-quadrature reference lives with the tests, not behind "quad"

@@ -10,7 +10,9 @@ repeats the commands in-process through cli.main and compares:
   strings, booleans and integers exactly;
 - every other number to one unit in its 12th significant digit (the
   precision of NUMBER_FORMAT), so that a platform whose libraries round
-  a last bit the other way still passes;
+  a last bit the other way still passes.  The numbers are compared as
+  the decimals they are printed as, so no binary rounding moves the
+  bound;
 - the check values of oracle_report.json to their recorded tolerances:
   each may drift by less than its tolerance, but its pass flag may not
   change.
@@ -27,10 +29,10 @@ and lists the drift that `git diff tests/golden` shows.
 """
 
 import json
-import math
 import platform
 import re
 import tempfile
+from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 import numpy as np
@@ -75,21 +77,24 @@ def run_commands(out: Path) -> list[dict]:
     return runs
 
 
-def close(value: float, golden: float) -> bool:
+def close(value: Decimal, golden: Decimal) -> bool:
     """value within one unit of the 12th significant digit of the larger."""
     if value == golden:
         return True
-    scale = max(abs(value), abs(golden))
-    if not math.isfinite(scale):
+    if not (value.is_finite() and golden.is_finite()):
         return False
-    unit = 10.0 ** (math.floor(math.log10(scale)) - (DIGITS - 1))
-    return abs(value - golden) <= unit * (1 + 1e-9)
+    return abs(value - golden) <= unit_of(max(abs(value), abs(golden)))
 
 
-def numbers(line: str) -> list[float] | None:
+def unit_of(number: Decimal) -> Decimal:
+    """One unit in the 12th significant digit of number."""
+    return Decimal(1).scaleb(number.adjusted() - (DIGITS - 1))
+
+
+def numbers(line: str) -> list[Decimal] | None:
     try:
-        return [float(v) for v in line.split(",")]
-    except ValueError:
+        return [Decimal(v) for v in line.split(",")]
+    except InvalidOperation:
         return None
 
 
@@ -133,7 +138,7 @@ def json_mismatches(value, golden, path="") -> list[str]:
             return [f"{path}: {value!r}, golden {golden!r}"]
         return [m for i, (v, g) in enumerate(zip(value, golden))
                 for m in json_mismatches(v, g, f"{path}/{i}")]
-    if isinstance(golden, float) and type(value) is float:
+    if isinstance(golden, Decimal) and isinstance(value, Decimal):
         return [] if close(value, golden) else [f"{path}: {value!r}, golden {golden!r}"]
     if type(value) is not type(golden) or value != golden:
         return [f"{path}: {value!r}, golden {golden!r}"]
@@ -142,7 +147,8 @@ def json_mismatches(value, golden, path="") -> list[str]:
 
 def mismatches(name: str, text: str, golden: str) -> list[str]:
     if name.endswith(".json"):
-        return json_mismatches(json.loads(text), json.loads(golden))
+        return json_mismatches(json.loads(text, parse_float=Decimal),
+                               json.loads(golden, parse_float=Decimal))
     return csv_mismatches(text, golden)
 
 
@@ -203,12 +209,31 @@ def edited_digit(match: re.Match) -> int:
     return match.end(1) - 1
 
 
+# a JSON line that holds one number, after its key if it has one
+JSON_NUMBER = re.compile(r'^ *(?:"([^"]*)": )?(-?[\d.]+(?:e[-+]?\d+)?),?$', re.M)
+
+
+def close_spans(name: str, golden: str) -> list[tuple[int, int]]:
+    """(start, end) of each number that the comparison holds to close:
+    each data field of a CSV, and each float of a JSON file except the
+    oracle's check values."""
+    if name.endswith(".json"):
+        return [m.span(2) for m in JSON_NUMBER.finditer(golden)
+                if m.group(1) != "value" and not m.group(2).lstrip("-").isdigit()]
+    lines = golden.splitlines(keepends=True)
+    header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    data = sum(map(len, lines[:header + 1]))
+    return [(m.start() + data, m.end() + data) for m in re.finditer(r"[^,\n]+", golden[data:])]
+
+
 @pytest.mark.parametrize("name", golden_names())
 def test_a_one_digit_edit_is_caught(name):
     """Each number the comparison holds to 12 digits or exactly (the
     first 30 and last 10 of the file) fails it when its last compared
-    digit moves by 5; an oracle check value fails it once it drifts past
-    its tolerance, and not before."""
+    digit moves by 5; each held to 12 digits (again the first 30 and last
+    10) passes it when its 12th significant digit moves by 1 either way
+    and fails it when that digit moves by 2; an oracle check value fails
+    it once it drifts past its tolerance, and not before."""
     golden = (GOLDEN / name).read_text()
     edits, offset = [], 0
     for line in golden.splitlines(keepends=True):
@@ -219,6 +244,21 @@ def test_a_one_digit_edit_is_caught(name):
     for at in edits[:30] + edits[-10:]:
         edited = golden[:at] + str((int(golden[at]) + 5) % 10) + golden[at + 1:]
         assert mismatches(name, edited, golden), (name, golden[at - 20:at + 5])
+    spans = close_spans(name, golden)
+    moved = 0
+    for begin, end in spans[:30] + spans[-10:]:
+        number = Decimal(golden[begin:end])
+        unit = unit_of(number)
+        # zero has no 12th digit, and a move up across a power of ten is
+        # judged at the unit of the larger number, ten times this one
+        if number == 0 or unit_of(abs(number) + 2 * unit) != unit:
+            continue
+        moved += 1
+        for step in (1, -1, 2, -2):
+            edited = golden[:begin] + f"{number + step * unit:e}" + golden[end:]
+            assert bool(mismatches(name, edited, golden)) == (abs(step) == 2), (
+                name, golden[begin:end], step)
+    assert moved
     if name == "oracle_report.json":
         report = json.loads(golden)
         for check in report["checks"].values():

@@ -422,6 +422,13 @@ class TestFringeScan:
         with pytest.raises(ValueError, match="non-finite"):
             FringeCurve(**columns)
 
+    def test_unequal_lengths_are_reported_before_values(self):
+        # 16 values in all, which would pass for four columns of four, and
+        # a NaN, which the length check reports first
+        with pytest.raises(ValueError, match="all fringe-curve columns must have equal length"):
+            FringeCurve(theta=[0.0, 1.0, 2.0], p_plus=[0.5] * 3, p_minus=[0.5] * 3,
+                        leakage=[math.nan] * 7)
+
 
 class TestWidths:
     def test_width_ratio_follows_inverse_square_law(self):
@@ -583,6 +590,50 @@ class TestBatchedKernel:
         monkeypatch.setattr(pr, "_cat_norms", faulty)
         with pytest.raises(IntegrationError, match=rf"alpha = 10\.0, theta = -0\.05: {message}"):
             fringe_scans([5.0, 10.0, 20.0], self.SPANS, 5)
+
+    @pytest.mark.parametrize("plus, minus, message", [
+        # a NaN plus-cat normalization breaks the two-mode norm and the weights
+        (math.nan, 1.0, "two-mode norm differs"),
+        # a minus weight 2.25 times too large makes leakage negative, and the
+        # NaN threshold kernel breaks the joint, at the same points
+        (1.0, 1.5, "outcome weights exceed the two-mode norm"),
+    ])
+    def test_the_earlier_of_two_failed_checks_is_named(self, monkeypatch, plus, minus, message):
+        from catruler import physical_realization as pr
+
+        cat_norms, kernel_erf = pr._cat_norms, pr._threshold_kernel_erf
+
+        def faulty(alpha):
+            n_plus, n_minus = cat_norms(alpha)
+            return (plus * n_plus, minus * n_minus) if alpha == 10.0 else (n_plus, n_minus)
+
+        def nan_at_alpha_ten(amps, threshold):
+            gram, kernel = kernel_erf(amps, threshold)
+            kernel[5:10] = math.nan
+            return gram, kernel
+
+        monkeypatch.setattr(pr, "_cat_norms", faulty)
+        monkeypatch.setattr(pr, "_threshold_kernel_erf", nan_at_alpha_ten)
+        with pytest.raises(IntegrationError, match=rf"alpha = 10\.0, theta = -0\.05: {message}"):
+            fringe_scans([5.0, 10.0, 20.0], self.SPANS, 5)
+
+    @pytest.mark.parametrize("factor", [-1e-13, 1.0 + 5e-10])
+    def test_joint_is_clamped_into_the_weight(self, monkeypatch, factor):
+        # the kernel of a threshold past every amplitude (the Gram matrix)
+        # scaled just past either end of [0, 1], within the range check's
+        # slack: every conditional probability reads that end exactly
+        from catruler import physical_realization as pr
+
+        kernel_erf = pr._threshold_kernel_erf
+
+        def scaled_gram(amps, threshold):
+            gram, _ = kernel_erf(amps, threshold)
+            return gram, factor * gram
+
+        monkeypatch.setattr(pr, "_threshold_kernel_erf", scaled_gram)
+        curve = fringe_scan(5.0, -0.3, 0.3, 25)
+        end = 0.0 if factor < 0 else 1.0
+        assert np.all(curve.p_plus == end) and np.all(curve.p_minus == end)
 
     def test_conditional_above_one_names_alpha_and_theta(self, monkeypatch):
         # the threshold kernel (not the Gram) 1.5 times too large at alpha

@@ -151,6 +151,7 @@ MESSAGES = {
     "scan_extracted_spacing-nan-wavelength": "wavelength must be positive and finite",
     "fringe_spacing_physical-nan-wavelength": "wavelength must be positive and finite",
     "v_theta_from_length_power": "fluctuation power must be nonnegative and finite",
+    "FringeCurve-unequal-columns": "all fringe-curve columns must have equal length",
 }
 
 
