@@ -155,21 +155,21 @@ def cat_norm_squared(alpha: float, sign: int = 1) -> float:
     return 2.0 + 2.0 * math.exp(-(alpha**2) / 2.0)
 
 
-def _state_form(coeffs: np.ndarray, kernel: np.ndarray, scale: float) -> tuple[complex, bool]:
-    """Hermitian form conj(c) . K . c of one state, on Python scalars, as a
-    complex, and whether it is finite with an imaginary residue of at most
-    IMAG_RESIDUE_LIMIT * scale, where scale = max(unit, sum |c_k|^2) for
-    the squared norm unit that reads as 1."""
+def _state_form(coeffs: np.ndarray, kernel: np.ndarray) -> tuple[complex, float, bool]:
+    """Hermitian form conj(c) . K . c of one state as a Python complex, its
+    scale sum |c_k|^2, and whether it is finite with an imaginary residue of
+    at most IMAG_RESIDUE_LIMIT * scale: each |K_kl| <= 1, an inner product of
+    normalized wave functions, so the form rounds by ulps of the scale."""
     value = complex(np.vdot(coeffs, kernel @ coeffs))
+    scale = float(np.vdot(coeffs, coeffs).real)
     finite = math.isfinite(value.real) and math.isfinite(value.imag)
-    return value, finite and abs(value.imag) <= IMAG_RESIDUE_LIMIT * scale
+    return value, scale, finite and abs(value.imag) <= IMAG_RESIDUE_LIMIT * scale
 
 
 def _clamped_norm(coeffs: np.ndarray, gram: np.ndarray) -> float:
     """Squared norm from a Gram matrix, rejecting a non-finite or complex
     value; tiny negatives clamp to zero."""
-    scale = max(1.0, float(np.vdot(coeffs, coeffs).real))
-    value, ok = _state_form(coeffs, gram, scale)
+    value, scale, ok = _state_form(coeffs, gram)
     if not ok:
         raise NormalizationError(
             f"norm^2 = {value!r} is not finite or carries an imaginary "
@@ -328,9 +328,7 @@ def threshold_probability(
     coeffs = s.coefficients
     gram, kernel = _threshold_kernel_erf(s.amplitudes, threshold)
     n2 = _clamped_norm(coeffs, gram)
-    # the residue is judged at the scale of the normalized state
-    scale = max(n2, float(np.vdot(coeffs, coeffs).real))
-    value, ok = _state_form(coeffs, kernel, scale)
+    value, _, ok = _state_form(coeffs, kernel)
     if not ok:
         raise IntegrationError("threshold probability is not finite or carries an imaginary residue")
     value = value.real

@@ -253,8 +253,8 @@ def _packed(index: int, grid: np.ndarray, mix_angle: float) -> tuple[int | None,
     before = float(tails[0])
     if not math.isfinite(before):
         raise TruncationError(f"beamsplitter input norm^2 {before!r} is not finite")
-    # tails falls with T
-    top = max(int(np.count_nonzero(tails > BLOCK_DROP_MASS * before)) - 1, 0)
+    # tails falls with T from tails[0] = before, so top is 0 for a zero grid
+    top = int(np.count_nonzero(tails[1:] > BLOCK_DROP_MASS * before))
     kept = int(ends[top])
     start = start[:kept].copy()  # copies free the whole-grid arrays
     if quarter % 4:
@@ -284,7 +284,7 @@ def _unpacked(case: _Packed, out: np.ndarray) -> np.ndarray:
     """The grid of one case's packed output, after its norm-drift and
     cutoff-mass checks."""
     after = float(np.sum(np.square(out.view(float))))
-    tolerance = UNITARY_NORM_TOL * max(1.0, case.before)
+    tolerance = UNITARY_NORM_TOL * case.before
     # written so that NaN fails
     if not abs(after - case.before) <= tolerance:
         raise TruncationError(
@@ -474,13 +474,14 @@ def quadrature_cdf_fock(state: np.ndarray, threshold: float) -> float:
     c^dag I c = a^T I a + b^T I b for c = a + i b, and the two halves of
     each off-diagonal pair add up: a^T I a = sum_n a_n^2 I_nn +
     sum_{m != n} (a phi')_m (a phi)_n / (n - m), one product with the
-    reciprocal differences 1 / (n - m) per part.
+    reciprocal differences 1 / (n - m) per part.  The sum is reported
+    unclamped; beyond sqrt(N + 1/2) + 8 it is 0 on the left, norm^2 on the right.
     """
     return _quadrature_cdfs([state], threshold)[0]
 
 
 def _quadrature_cdfs(states: list[np.ndarray], threshold: float) -> list[float]:
-    """quadrature_cdf_fock of each of several normalized vectors of one
+    """quadrature_cdf_fock, unclamped, of several normalized vectors of one
     size, from one table of Hermite functions and reciprocal differences."""
     if not math.isfinite(threshold):
         raise ValueError("threshold must be finite")
@@ -493,7 +494,7 @@ def _quadrature_cdfs(states: list[np.ndarray], threshold: float) -> list[float]:
     if threshold <= -edge:
         return [0.0] * len(states)
     if threshold >= edge:
-        return [min(n2, 1.0 + 1e-9) for n2 in norms]
+        return norms
     xi = math.sqrt(2.0) * threshold
     n = np.arange(size, dtype=float)
     phi = _hermite_functions(size + 1, xi)  # phi_0 .. phi_{N+1}
@@ -513,7 +514,7 @@ def _quadrature_cdfs(states: list[np.ndarray], threshold: float) -> list[float]:
         )
         if not math.isfinite(probability):
             raise ValueError(f"quadrature CDF {probability!r} is not finite")
-        probabilities.append(min(max(probability, 0.0), 1.0 + 1e-9))
+        probabilities.append(probability)
     return probabilities
 
 

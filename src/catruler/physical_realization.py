@@ -139,6 +139,8 @@ class FringeCurve:
         columns = [np.asarray(getattr(self, name), dtype=float) for name in names]
         if len({arr.size for arr in columns}) > 1:
             raise ValueError("all fringe-curve columns must have equal length")
+        if columns[0].size == 0:
+            raise ValueError("fringe-curve columns must not be empty")
         # the four columns, copied in one step
         data = np.concatenate(columns, axis=None).reshape(len(names), -1)
         finite = np.isfinite(data)
@@ -330,10 +332,7 @@ def _conditional_chunk(alpha: np.ndarray, thetas: np.ndarray) -> _ConditionalBat
     forms = np.einsum("...ok,f...kl,...ol->f...o", np.conj(raw), np.array([gram, kernel]), raw)
     weights, joint = forms.real
     size = (np.abs(raw) ** 2).sum(axis=-1)
-    # an imaginary residue is judged at max(1, sum_k |raw_k|^2) for a weight
-    # and at max(weight, sum_k |raw_k|^2), the normalized state's, for joint
-    scale = np.maximum(size, [np.ones_like(size), weights])
-    ok = np.isfinite(forms) & (np.abs(forms.imag) <= IMAG_RESIDUE_LIMIT * scale)
+    ok = np.isfinite(forms) & (np.abs(forms.imag) <= IMAG_RESIDUE_LIMIT * size)
     _require(np.abs(norm - 1.0) <= WEIGHT_CLOSURE_TOL, alpha, thetas,
              f"two-mode norm differs from 1 by more than {WEIGHT_CLOSURE_TOL}")
     _require(ok[0], alpha, thetas, "outcome weight is not finite or carries an imaginary residue")

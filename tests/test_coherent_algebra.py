@@ -131,6 +131,16 @@ class TestNormSquared:
         with pytest.raises(NormalizationError):
             _clamped_norm(np.array([1.0, 1.0], dtype=complex), kernel)
 
+    def test_residue_is_judged_at_the_coefficient_scale(self):
+        # 1e-5j on the diagonal of a Gram matrix leaves an imaginary residue
+        # of 1e-5 sum |c_k|^2 = 2e-11: far above 1e-9 of that sum, the
+        # rounding bound of a form whose entries are at most 1, though
+        # below 1e-9 itself
+        amps = [0.3, 1.0 + 1.0j]
+        gram = np.array([[overlap(a, b) for b in amps] for a in amps])
+        with pytest.raises(NormalizationError, match="imaginary residue"):
+            _clamped_norm(np.array([1e-3, 1e-3j]), gram + 1e-5j * np.eye(2))
+
     def test_negative_quadratic_form_raises(self):
         # an indefinite kernel stands in for a Gram matrix that lost its
         # positivity: c^dag K c = 2 - 4, which would clamp to 0
@@ -385,24 +395,32 @@ class TestThresholdProbability:
         with pytest.raises(CatRulerError):
             threshold_probability(CoherentSuperposition.single(1.0), 1.0, method="erf")
 
-    @pytest.mark.parametrize("fault", ["nan-entry", "antisymmetric-pair"])
-    def test_faulty_kernel_fails_the_form_check(self, monkeypatch, fault):
+    @pytest.mark.parametrize("fault, terms", [
+        pytest.param("nan-entry", ((1, 0.3 + 2j), (0.5j, -1 - 1j)), id="nan-entry"),
+        pytest.param("antisymmetric-pair", ((1, 0.3 + 2j), (0.5j, -1 - 1j)), id="antisymmetric-pair"),
+        pytest.param("imaginary-diagonal", ((1, 0.5), (1, 0.5 + 1e-4j)), id="imaginary-diagonal"),
+    ])
+    def test_faulty_kernel_fails_the_form_check(self, monkeypatch, fault, terms):
         # a NaN entry would otherwise reach the range check, and a real
         # antisymmetric perturbation, whose form is purely imaginary, would
-        # pass silently as 0.5231...
+        # pass silently as 0.5231...  1.5e-9j on the diagonal leaves a
+        # residue of 1.5e-9 sum |c_k|^2, above the limit at that scale but
+        # not at the squared norm of these near-parallel terms, about twice it
         kernel_erf = coherent_algebra._threshold_kernel_erf
 
         def faulty(amps, threshold):
             gram, kernel = kernel_erf(amps, threshold)
             if fault == "nan-entry":
                 kernel[0, 1] = complex("nan")
-            else:
+            elif fault == "antisymmetric-pair":
                 kernel[0, 1] += 1e-6
                 kernel[1, 0] -= 1e-6
+            else:
+                kernel += 1.5e-9j * np.eye(len(amps))
             return gram, kernel
 
         monkeypatch.setattr(coherent_algebra, "_threshold_kernel_erf", faulty)
-        s = CoherentSuperposition(((1, 0.3 + 2j), (0.5j, -1 - 1j)))
+        s = CoherentSuperposition(terms)
         with pytest.raises(IntegrationError, match="not finite or carries an imaginary residue"):
             threshold_probability(s, 0.2)
 

@@ -311,6 +311,16 @@ class TestBeamsplitterFock:
         with pytest.raises(TruncationError, match="norm drift"):
             beamsplitter_fock(grid, 0.3)
 
+    def test_norm_drift_is_judged_at_the_grid_norm(self, monkeypatch):
+        # series coefficients 1e-6 too large scale a grid of norm^2 1e-12
+        # by about 2e-18: far above 1e-8 of its own norm^2, though below
+        # 1e-8 itself
+        exact = fock_oracle._bessel_series
+        monkeypatch.setattr(fock_oracle, "_bessel_series", lambda x: (1.0 + 1e-6) * exact(x))
+        grid = 1e-6 * np.outer(coherent_to_fock(1.5, 30), coherent_to_fock(1.0, 30))
+        with pytest.raises(TruncationError, match="norm drift"):
+            beamsplitter_fock(grid, 0.3)
+
     # the recurrence's running values peak unscaled near 1.8e270, 1.8e239,
     # 1.8e208 and 1.8e146 at x = 1e-17, 1e-16, 1e-15 and 1e-13
     @pytest.mark.parametrize(
@@ -385,7 +395,11 @@ class TestQuadratureCdf:
 
     @pytest.mark.parametrize("threshold", [1e50, 1e200])
     def test_far_right_threshold_is_the_norm(self, threshold):
-        assert quadrature_cdf_fock(coherent_to_fock(1.0), threshold) == pytest.approx(1.0, abs=1e-9)
+        # norm^2 = 1 + 5e-7 is within STATE_NORM_TOL of 1, and is reported as it is
+        for scale in (1.0, math.sqrt(1.0 + 5e-7)):
+            state = scale * coherent_to_fock(1.0)
+            n2 = float(np.vdot(state, state).real)
+            assert quadrature_cdf_fock(state, threshold) == pytest.approx(n2, rel=1e-15), scale
 
     @pytest.mark.parametrize("truncation", [0, 7, 60])
     def test_matches_direct_integration(self, truncation):
@@ -654,6 +668,19 @@ class TestSharedSeries:
         mixed = _mixed([good, other], [0.3] * 2)
         assert len(seen) == 1
         assert all(np.array_equal(out, want) for out, want in zip(mixed, one_grid))
+
+    def test_zero_grid_mixes_to_the_zero_grid(self, monkeypatch):
+        # a zero grid keeps block 0 alone, whose rung at 0.6 is that of a
+        # grid on |0, 1>, blocks 0 and 1, at 0.3: the two share a series
+        zero = np.zeros((7, 7), dtype=complex)
+        other = np.zeros((7, 7), dtype=complex)
+        other[0, 1] = 1.0
+        assert np.array_equal(beamsplitter_fock(zero, 0.6), zero)
+        alone = beamsplitter_fock(other, 0.3)
+        seen = spy_series(monkeypatch)
+        mixed = _mixed([zero, other], [0.6, 0.3])
+        assert len(seen) == 1
+        assert np.array_equal(mixed[0], zero) and np.array_equal(mixed[1], alone)
 
     def test_first_failing_case_in_input_order_raises(self):
         # case 0 fails after its series (mass at the cutoff), case 1 before

@@ -635,6 +635,26 @@ class TestBatchedKernel:
         end = 0.0 if factor < 0 else 1.0
         assert np.all(curve.p_plus == end) and np.all(curve.p_minus == end)
 
+    def test_weight_residue_is_judged_at_the_state_scale(self, monkeypatch):
+        # 1.5e-9j on the diagonal of the homodyne Gram leaves each outcome
+        # weight an imaginary residue of 1.5e-9 sum_k |raw_k|^2, and that sum
+        # is 0.37 to 0.48 here: above the limit at its own scale, below it at
+        # 1.  The residue also moves the two-mode norm by about 1.5e-9, so
+        # the closure tolerance is widened to let the weight check speak
+        from catruler import physical_realization as pr
+
+        kernel_erf = pr._threshold_kernel_erf
+
+        def residue_gram(amps, threshold):
+            gram, kernel = kernel_erf(amps, threshold)
+            return gram + 1.5e-9j * np.eye(4), kernel
+
+        monkeypatch.setattr(pr, "_threshold_kernel_erf", residue_gram)
+        monkeypatch.setattr(pr, "WEIGHT_CLOSURE_TOL", 1e-6)
+        with pytest.raises(IntegrationError, match="outcome weight is not finite or carries an "
+                           "imaginary residue"):
+            pr._conditional_batch(5.0, np.linspace(-0.3, 0.3, 25))
+
     def test_conditional_above_one_names_alpha_and_theta(self, monkeypatch):
         # the threshold kernel (not the Gram) 1.5 times too large at alpha
         # 10's third point, theta = 0, where P+ is 0.994

@@ -1,8 +1,9 @@
 """Range guards fail on NaN and on overflow: every public entry point
 below rejects a NaN amplitude, angle, threshold, length or coefficient,
 an input whose formula overflows, a cat sign other than +-1, a
-truncation below 1, or fringe columns of unequal length, with
-ValueError instead of returning NaN or inf or raising OverflowError.
+truncation below 1, or fringe columns that are empty or of unequal
+length, with ValueError instead of returning NaN or inf or raising
+OverflowError.
 The oracle's truncation and norm checks refuse the cases in
 TRUNCATION_CASES instead, with TruncationError."""
 
@@ -104,6 +105,8 @@ CASES = {
     "FringeCurve-unequal-columns": lambda: FringeCurve(
         theta=[0.0, 1.0], p_plus=[0.5], p_minus=[0.5, 0.5], leakage=[0.0, 0.0]
     ),
+    # empty columns would otherwise reach the range check's min and max
+    "FringeCurve-empty-columns": lambda: FringeCurve(theta=[], p_plus=[], p_minus=[], leakage=[]),
     "fringe_spacing_physical-overflow": lambda: fringe_spacing_physical(1e200, 1e-6),
     "fringe_spacing_physical-nan-wavelength": lambda: fringe_spacing_physical(5.0, NAN),
     # alpha = 1e-170 is finite, but alpha^2 underflows; at 1e-100 it does not,
@@ -152,6 +155,7 @@ MESSAGES = {
     "fringe_spacing_physical-nan-wavelength": "wavelength must be positive and finite",
     "v_theta_from_length_power": "fluctuation power must be nonnegative and finite",
     "FringeCurve-unequal-columns": "all fringe-curve columns must have equal length",
+    "FringeCurve-empty-columns": "fringe-curve columns must not be empty",
 }
 
 
