@@ -152,11 +152,11 @@ class FringeCurve:
         theta = data[0]
         if (theta[1:] <= theta[:-1]).any():
             raise ValueError("theta samples must be strictly increasing")
-        # the fringe columns stay in [0, 1] (up to the same slack) because these do
+        # exact: a joint clamped into [0, weight] puts joint / weight, and the fringe, in [0, 1]
         probabilities = data[1:3]
         for name, low, high in zip(names[1:3], probabilities.min(axis=1), probabilities.max(axis=1)):
-            if not (-1e-9 <= low and high <= 1.0 + 1e-9):
-                raise ValueError(f"{name} leaves [0, 1]: range [{low!r}, {high!r}]")
+            if not (0.0 <= low and high <= 1.0):
+                raise ValueError(f"{name} leaves [0, 1]: range [{float(low)!r}, {float(high)!r}]")
 
     def __len__(self) -> int:
         return self.theta.size
@@ -316,10 +316,10 @@ def _conditional_chunk(alpha: np.ndarray, thetas: np.ndarray) -> _ConditionalBat
     beamsplitter; leakage is what the two outcomes leave of 1, and must
     not be negative.  Each outcome weight must exceed 1/CANCELLATION_LIMIT
     of sum_k |raw_k|^2, the size of the terms it cancels from (a weight of
-    rounding size would make joint / weight garbage), and each
-    conditional probability must lie in [0, 1].  Weights and joint
-    probabilities are one contraction of raw with the homodyne-port Gram
-    and threshold kernel.
+    rounding size would make joint / weight garbage), and each joint
+    probability must lie in [0, weight] within NORM_CLAMP of that sum, and
+    is clamped there.  Weights and joint probabilities are one contraction
+    of raw with the homodyne-port Gram and threshold kernel.
     """
     table = _per_alpha(alpha)
     _, output, cats, measured_gram = _cat_projections(table, thetas)
@@ -342,9 +342,9 @@ def _conditional_chunk(alpha: np.ndarray, thetas: np.ndarray) -> _ConditionalBat
     _require(leakage >= -NORM_CLAMP, alpha, thetas, "outcome weights exceed the two-mode norm")
     _require(ok[1], alpha, thetas,
              "threshold probability is not finite or carries an imaginary residue")
-    conditional = joint / weights
-    in_range = (-NORM_CLAMP <= conditional) & (conditional <= 1.0 + 1e-9 + NORM_CLAMP)
-    _require(in_range, alpha, thetas, "conditional threshold probability escaped [0, 1]")
+    slack = NORM_CLAMP * size
+    _require((-slack <= joint) & (joint <= weights + slack), alpha, thetas,
+             "conditional threshold probability escaped [0, 1]")
     joint = np.maximum(joint, 0.0)
     return _ConditionalBatch(output, raw, weights, leakage, norm, np.minimum(joint, weights, out=joint))
 
@@ -388,20 +388,20 @@ def fringe_scans(
     """Uniformly sampled fringe curves, one per alpha over its span
     (theta_min, theta_max), n_points each.
 
-    Every alpha and span is checked first; then the concatenated grids
-    are one batched closed-form evaluation (_conditional_batch), and a
-    failed check raises IntegrationError naming alpha and theta of the
+    Every alpha, then its span, is checked first; then the concatenated
+    grids are one batched closed-form evaluation (_conditional_batch), and
+    a failed check raises IntegrationError naming alpha and theta of the
     first offending point.
     """
     if n_points < 2:
         raise ValueError(f"n_points must be at least 2, got {n_points!r}")
     for alpha, (theta_min, theta_max) in zip(alphas, spans, strict=True):
+        RealizationParams(alpha=alpha)  # validates alpha and warns outside the weak-mixing regime
         # a non-finite bound makes the width non-finite too
         if not math.isfinite(theta_max - theta_min):
             raise ValueError(f"theta span {theta_min!r}:{theta_max!r} must have a finite width")
         if not theta_min < theta_max:
             raise ValueError("theta_min must be below theta_max")
-        RealizationParams(alpha=alpha)  # validates alpha and warns outside the weak-mixing regime
     thetas = np.concatenate([np.linspace(lo, hi, n_points) for lo, hi in spans])
     batch = _conditional_batch(np.repeat(np.asarray(alphas, dtype=float), n_points), thetas)
     p_plus, p_minus = batch.conditional.T

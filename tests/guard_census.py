@@ -1,31 +1,34 @@
 """Guard census: does some Tier-1 test need each guard of the package?
 
-A guard site of the catruler package is one of three kinds:
+A guard site of the catruler package is one of four kinds:
 
 - an `if` (or `elif`) whose body starts with a `raise`;
 - a call of `_require(<condition>, ...)`, the scan kernel's array guard,
   which raises unless every element of its first argument holds;
 - a clamp: a two-argument call of `max`, `min`, `np.maximum` or
-  `np.minimum`, an `out=` keyword allowed.
+  `np.minimum`, an `out=` keyword allowed;
+- a slack term: a use of one of the module-level tolerance constants in
+  TOLERANCES (not its definition, and not inside an f-string message),
+  or a float literal between 0 and 1 inside a comparison.
 
 The census copies src/ to a temporary directory and, one site at a
 time, disables the copy's site and nothing else: the condition of an
 `if` becomes `False and (<condition>)`, that of a `_require` call
-`np.True_`, and a clamp becomes its first argument.  For each such
-mutant it runs the Tier-1 suite against the copy with
-`-x -p no:cacheprovider`, the test files that import the mutated module
-first.  A mutant that passes the suite is a survivor: no test notices
-that its guard is gone.
+`np.True_`, a clamp becomes its first argument, and a slack term
+becomes `0.0`.  For each such mutant it runs the Tier-1 suite against
+the copy with `-x -p no:cacheprovider`, the test files that import the
+mutated module first.  A mutant that passes the suite is a survivor: no
+test notices that its guard is gone.
 Run from the repository root:
 
     PYTHONPATH=src python tests/guard_census.py
 
-It prints each survivor as `path:line: if <condition>`,
-`path:line: _require(<condition>, ...)` or
-`path:line: <clamp> -> <first argument>`, then the count and the wall
-time, and exits 1 if any site survived.  It writes nothing under src/ or
-tests/: the suite runs from the temporary directory, without bytecode
-files or a pytest cache.
+It prints each survivor as `path:line:column: ` followed by
+`if <condition>`, `_require(<condition>, ...)`,
+`<clamp> -> <first argument>` or `<slack> -> 0.0`, then the count and
+the wall time, and exits 1 if any site survived.  It writes nothing
+under src/ or tests/: the suite runs from the temporary directory,
+without bytecode files or a pytest cache.
 """
 
 from __future__ import annotations
@@ -51,15 +54,32 @@ ALWAYS = "np.True_"
 # the clamps, each disabled by its first argument
 CLAMP = "clamp"
 CLAMPS = {"max", "min", "np.maximum", "np.minimum"}
+# the slack terms, each disabled by zero
+SLACK = "slack"
+ZERO = "0.0"
+TOLERANCES = {"NORM_CLAMP", "IMAG_RESIDUE_LIMIT", "WEIGHT_CLOSURE_TOL", "TAIL_TOL",
+              "UNITARY_NORM_TOL", "STATE_NORM_TOL", "BLOCK_DROP_MASS"}
 
 
 def guard_sites(source: str) -> list[tuple[str, ast.expr]]:
     """(kind, node) of each guard site in source order: kind "if" with
     the condition of an `if` whose body starts with a raise, REQUIRE with
-    the first argument of a REQUIRE call, CLAMP with the call of a clamp."""
+    the first argument of a REQUIRE call, CLAMP with the call of a clamp,
+    SLACK with the name or literal of a slack term."""
+    tree = ast.parse(source)
+    messages = {id(sub) for node in ast.walk(tree) if isinstance(node, ast.JoinedStr)
+                for sub in ast.walk(node)}
+    compared = {id(sub) for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                for sub in ast.walk(node)}
     sites = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.If) and isinstance(node.body[0], ast.Raise):
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Name) and node.id in TOLERANCES
+                and isinstance(node.ctx, ast.Load) and id(node) not in messages):
+            sites.append((SLACK, node))
+        elif (isinstance(node, ast.Constant) and type(node.value) is float
+              and 0.0 < node.value < 1.0 and id(node) in compared):
+            sites.append((SLACK, node))
+        elif isinstance(node, ast.If) and isinstance(node.body[0], ast.Raise):
             sites.append(("if", node.test))
         elif isinstance(node, ast.Call) and node.args:
             name = ast.unparse(node.func)
@@ -74,7 +94,7 @@ def guard_sites(source: str) -> list[tuple[str, ast.expr]]:
 def disabled(source: str, kind: str, node: ast.expr) -> str:
     """source with a site disabled: the condition node made
     `False and (<condition>)` in an `if`, or ALWAYS in a REQUIRE call,
-    and a CLAMP call made `(<first argument>)`.
+    a CLAMP call made `(<first argument>)`, and a SLACK term ZERO.
 
     ast offsets count UTF-8 bytes, so the splice is made on bytes."""
     lines = source.encode("utf-8").splitlines(keepends=True)
@@ -92,6 +112,8 @@ def disabled(source: str, kind: str, node: ast.expr) -> str:
         spliced = b"False and (" + data[site] + b")"
     elif kind == REQUIRE:
         spliced = ALWAYS.encode("utf-8")
+    elif kind == SLACK:
+        spliced = ZERO.encode("utf-8")
     else:
         spliced = b"(" + data[span(node.args[0])] + b")"
     return (data[:site.start] + spliced + data[site.stop:]).decode("utf-8")
@@ -102,6 +124,8 @@ def label(kind: str, node: ast.expr) -> str:
         return f"if {ast.unparse(node)}"
     if kind == REQUIRE:
         return f"{kind}({ast.unparse(node)}, ...)"
+    if kind == SLACK:
+        return f"{ast.unparse(node)} -> {ZERO}"
     return f"{ast.unparse(node)} -> {ast.unparse(node.args[0])}"
 
 
@@ -150,7 +174,8 @@ def main() -> int:
                 count += 1
                 target.write_text(disabled(source, kind, node), encoding="utf-8")
                 if run_suite(src, order, scratch):
-                    survivors.append(f"{path.relative_to(ROOT)}:{node.lineno}: {label(kind, node)}")
+                    survivors.append(f"{path.relative_to(ROOT)}:{node.lineno}:{node.col_offset + 1}: "
+                                     f"{label(kind, node)}")
                     print(survivors[-1], flush=True)
             target.write_text(source, encoding="utf-8")
     print(f"{len(survivors)} of {count} guard sites survived, "

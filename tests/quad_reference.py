@@ -74,13 +74,13 @@ def _threshold_quad(s_state: CoherentSuperposition, threshold: float) -> float:
 
 def threshold_probability(s: CoherentSuperposition, threshold: float) -> float:
     """int_{-inf}^{T} |sum_k c_k psi_{g_k}(x)|^2 dx by adaptive quadrature,
-    clamped to [0, norm^2 (1 + 1e-9)] like the package's closed form; a
-    value outside that range by more than NORM_CLAMP, NaN included,
-    raises IntegrationError."""
+    clamped to [0, norm^2 (1 + QUAD_RTOL)], the closed form's range widened
+    by the quadrature's own tolerance; a value outside that range by more
+    than NORM_CLAMP, NaN included, raises IntegrationError."""
     if not math.isfinite(threshold):
         raise ValueError("threshold must be finite")
     n2, value = norm_squared(s), _threshold_quad(s, threshold)
-    bound = n2 * (1.0 + 1e-9)
+    bound = n2 * (1.0 + QUAD_RTOL)
     # written so that NaN fails it
     if not -NORM_CLAMP <= value <= bound + NORM_CLAMP:
         raise IntegrationError(

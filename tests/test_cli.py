@@ -186,6 +186,10 @@ class TestWidthScaling:
         # alpha^2 underflows to 0
         ["fringe", "--alpha", "1e-170", "--points", "5", "--theta-span=-1:1"],
         ["width-scaling", "--alpha", "1e-170,5"],
+        # alpha^2 is normal, but the auto span 2 pi / alpha^2 overflows
+        ["fringe", "--alpha", "1.6e-154"],
+        ["width-scaling", "--alpha", "1.6e-154,5"],
+        ["ruler", "--alpha", "1.6e-154", "--wavelength", "1e-6"],
     ])
     def test_tiny_alpha_is_a_one_line_usage_error(self, tmp_path, capsys, command):
         out = tmp_path / "out"

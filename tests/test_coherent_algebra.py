@@ -9,6 +9,7 @@ function, and the FFT derivation of the Faddeeva coefficient table
 
 import importlib.util
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -305,21 +306,46 @@ class TestThresholdProbability:
         with pytest.raises(IntegrationError, match="escaped"):
             threshold_probability(CoherentSuperposition.single(0.0), 3.0)
 
-    @pytest.mark.parametrize("factor", [-1e-13, 1.0 + 1e-9 + 5e-13])
-    def test_probability_is_clamped_into_its_bound(self, monkeypatch, factor):
-        # the kernel of a threshold past every amplitude (the Gram matrix)
-        # scaled just past either end of [0, n2 (1 + 1e-9)], within the
-        # range check's NORM_CLAMP slack: the probability reads that end
+    @staticmethod
+    def scaled_gram(monkeypatch, factor):
+        """Make the threshold kernel the Gram matrix (the kernel of a
+        threshold past every amplitude) times factor."""
         exact = coherent_algebra._threshold_kernel_erf
 
-        def scaled_gram(amplitudes, threshold):
+        def scaled(amplitudes, threshold):
             gram, _ = exact(amplitudes, threshold)
             return gram, factor * gram
 
+        monkeypatch.setattr(coherent_algebra, "_threshold_kernel_erf", scaled)
+
+    @pytest.mark.parametrize("factor", [-1e-13, 1.0 + 1e-13])
+    def test_probability_is_clamped_into_its_bound(self, monkeypatch, factor):
+        # the form just past either end of [0, n2], within the range
+        # check's slack of NORM_CLAMP sum |c_k|^2 (sum |c_k|^2 = 0.65 here):
+        # the probability reads that end exactly
         s = equal_weights(0.0, 1.0 + 0.5j).normalized()
-        bound = norm_squared(s) * (1.0 + 1e-9)
-        monkeypatch.setattr(coherent_algebra, "_threshold_kernel_erf", scaled_gram)
-        assert threshold_probability(s, 0.0) == (0.0 if factor < 0 else bound)
+        n2 = norm_squared(s)
+        self.scaled_gram(monkeypatch, factor)
+        assert threshold_probability(s, 0.0) == (0.0 if factor < 0 else n2)
+
+    def test_probability_past_its_slack_raises(self, monkeypatch):
+        # 1e-9 of n2 above the norm is far past the slack of 1e-12 sum |c_k|^2
+        s = equal_weights(0.0, 1.0 + 0.5j).normalized()
+        n2 = norm_squared(s)
+        self.scaled_gram(monkeypatch, 1.0 + 1e-9)
+        with pytest.raises(IntegrationError, match=rf"^threshold probability 1\.0000000\d+ "
+                           rf"escaped \[0, {re.escape(repr(n2))}\]$"):
+            threshold_probability(s, 0.0)
+
+    def test_result_is_capped_at_the_norm(self):
+        # a seeded normalized state whose form rounds one ulp above its
+        # norm^2 = 1.0 at this threshold, past every amplitude's real part
+        rng = np.random.default_rng(133)
+        coeffs = rng.normal(size=4) + 1j * rng.normal(size=4)
+        amps = rng.uniform(-3, 3, 4) + 1j * rng.uniform(-3, 3, 4)
+        s = CoherentSuperposition(tuple(zip(coeffs.tolist(), amps.tolist()))).normalized()
+        assert norm_squared(s) == 1.0
+        assert threshold_probability(s, 5.560230278421259) == 1.0
 
     def test_unknown_method_rejected(self):
         # the adaptive-quadrature reference lives with the tests, not behind "quad"

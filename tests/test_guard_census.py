@@ -11,7 +11,7 @@ import ast
 
 import pytest
 
-from guard_census import CLAMP, PACKAGE, REQUIRE, disabled, guard_sites
+from guard_census import CLAMP, PACKAGE, REQUIRE, SLACK, disabled, guard_sites
 
 MODULES = sorted(PACKAGE.glob("*.py"))
 
@@ -32,6 +32,8 @@ def expected(kind: str, node: ast.expr) -> ast.expr:
     if kind == REQUIRE:
         # every element holds, so the call never raises
         return ast.parse("np.True_", mode="eval").body
+    if kind == SLACK:
+        return ast.Constant(0.0)
     return node.args[0]
 
 
@@ -51,4 +53,4 @@ def test_each_mutant_changes_its_site_alone(path):
 
 def test_every_kind_of_site_is_found():
     kinds = {kind for path in MODULES for kind, _ in guard_sites(path.read_text(encoding="utf-8"))}
-    assert kinds == {"if", REQUIRE, CLAMP}
+    assert kinds == {"if", REQUIRE, CLAMP, SLACK}

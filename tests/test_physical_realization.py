@@ -617,23 +617,63 @@ class TestBatchedKernel:
         with pytest.raises(IntegrationError, match=rf"alpha = 10\.0, theta = -0\.05: {message}"):
             fringe_scans([5.0, 10.0, 20.0], self.SPANS, 5)
 
-    @pytest.mark.parametrize("factor", [-1e-13, 1.0 + 5e-10])
-    def test_joint_is_clamped_into_the_weight(self, monkeypatch, factor):
-        # the kernel of a threshold past every amplitude (the Gram matrix)
-        # scaled just past either end of [0, 1], within the range check's
-        # slack: every conditional probability reads that end exactly
+    @staticmethod
+    def scaled_gram(monkeypatch, factor):
+        """Make the threshold kernel the homodyne Gram matrix (the kernel
+        of a threshold past every amplitude) times factor."""
         from catruler import physical_realization as pr
 
         kernel_erf = pr._threshold_kernel_erf
 
-        def scaled_gram(amps, threshold):
+        def scaled(amps, threshold):
             gram, _ = kernel_erf(amps, threshold)
             return gram, factor * gram
 
-        monkeypatch.setattr(pr, "_threshold_kernel_erf", scaled_gram)
+        monkeypatch.setattr(pr, "_threshold_kernel_erf", scaled)
+
+    @pytest.mark.parametrize("factor", [-1e-13, 1.0 + 1e-13])
+    def test_joint_is_clamped_into_the_weight(self, monkeypatch, factor):
+        # each joint just past either end of [0, weight], within the range
+        # check's slack of NORM_CLAMP sum_k |raw_k|^2: every conditional
+        # probability reads that end exactly
+        self.scaled_gram(monkeypatch, factor)
         curve = fringe_scan(5.0, -0.3, 0.3, 25)
         end = 0.0 if factor < 0 else 1.0
         assert np.all(curve.p_plus == end) and np.all(curve.p_minus == end)
+
+    def test_joint_past_its_slack_raises(self, monkeypatch):
+        # 1e-9 of the weight above it is far past 1e-12 sum_k |raw_k|^2
+        self.scaled_gram(monkeypatch, 1.0 + 1e-9)
+        with pytest.raises(IntegrationError, match=r"alpha = 5\.0, theta = -0\.3: conditional "
+                           r"threshold probability escaped \[0, 1\]$"):
+            fringe_scan(5.0, -0.3, 0.3, 25)
+
+    @pytest.mark.parametrize("excess, message", [
+        (1e-13, None),
+        (1e-11, "outcome weights exceed the two-mode norm"),
+    ])
+    def test_leakage_slack(self, monkeypatch, excess, message):
+        # leakage is 1 minus two rounded weights, so it may fall an ulp
+        # below 0.  A minus-cat normalization that lifts the two weights'
+        # sum to 1 + excess makes it -excess: within the NORM_CLAMP slack
+        # of the two-mode norm, 1, it passes, and past it it raises
+        from catruler import physical_realization as pr
+
+        thetas = np.array([0.1])
+        weights = pr._conditional_batch(5.0, thetas).weights[0]
+        cat_norms = pr._cat_norms
+
+        def lifted(alpha):
+            n_plus, n_minus = cat_norms(alpha)
+            return n_plus, n_minus * math.sqrt((1.0 + excess - weights[0]) / weights[1])
+
+        monkeypatch.setattr(pr, "_cat_norms", lifted)
+        if message is None:
+            leakage = pr._conditional_batch(5.0, thetas).leakage[0]
+            assert leakage == pytest.approx(-excess, rel=0.01)
+        else:
+            with pytest.raises(IntegrationError, match=rf"theta = 0\.1: {message}$"):
+                pr._conditional_batch(5.0, thetas)
 
     def test_weight_residue_is_judged_at_the_state_scale(self, monkeypatch):
         # 1.5e-9j on the diagonal of the homodyne Gram leaves each outcome

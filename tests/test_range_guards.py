@@ -1,9 +1,9 @@
 """Range guards fail on NaN and on overflow: every public entry point
 below rejects a NaN amplitude, angle, threshold, length or coefficient,
 an input whose formula overflows, a cat sign other than +-1, a
-truncation below 1, or fringe columns that are empty or of unequal
-length, with ValueError instead of returning NaN or inf or raising
-OverflowError.
+truncation below 1, or fringe columns that are empty, of unequal length
+or, for a probability, outside [0, 1] by even 1e-12, with ValueError
+instead of returning NaN or inf or raising OverflowError.
 The oracle's truncation and norm checks refuse the cases in
 TRUNCATION_CASES instead, with TruncationError."""
 
@@ -107,6 +107,14 @@ CASES = {
     ),
     # empty columns would otherwise reach the range check's min and max
     "FringeCurve-empty-columns": lambda: FringeCurve(theta=[], p_plus=[], p_minus=[], leakage=[]),
+    # the scan kernel clamps each probability into [0, 1] exactly, so the
+    # curve allows no slack
+    "FringeCurve-p_plus-above-one": lambda: FringeCurve(
+        theta=[0.0, 1.0], p_plus=[0.5, 1.0 + 1e-12], p_minus=[0.5, 0.5], leakage=[0.0, 0.0]
+    ),
+    "FringeCurve-p_plus-below-zero": lambda: FringeCurve(
+        theta=[0.0, 1.0], p_plus=[0.5, -1e-12], p_minus=[0.5, 0.5], leakage=[0.0, 0.0]
+    ),
     "fringe_spacing_physical-overflow": lambda: fringe_spacing_physical(1e200, 1e-6),
     "fringe_spacing_physical-nan-wavelength": lambda: fringe_spacing_physical(5.0, NAN),
     # alpha = 1e-170 is finite, but alpha^2 underflows; at 1e-100 it does not,
@@ -156,6 +164,8 @@ MESSAGES = {
     "v_theta_from_length_power": "fluctuation power must be nonnegative and finite",
     "FringeCurve-unequal-columns": "all fringe-curve columns must have equal length",
     "FringeCurve-empty-columns": "fringe-curve columns must not be empty",
+    "FringeCurve-p_plus-above-one": r"^p_plus leaves \[0, 1\]: range \[0\.5, 1\.000000000001\]$",
+    "FringeCurve-p_plus-below-zero": r"^p_plus leaves \[0, 1\]: range \[-1e-12, 0\.5\]$",
 }
 
 
