@@ -22,7 +22,7 @@ import numpy as np
 
 from . import fock_oracle, physical_realization
 from .coherent_algebra import MAX_AMPLITUDE, _require_alpha, beamsplitter, cat_norm_squared
-from .errors import ApproximationRegimeWarning, CatRulerError
+from .errors import ApproximationRegimeWarning, CatRulerError, WidthUndefinedError
 from .fock_oracle import ORACLE_MAX_ALPHA
 from .ideal_circuit import _require_v_theta, phase_gate_error, snr_ideal
 from .physical_realization import (
@@ -164,7 +164,12 @@ def _loglog_slope(xs: list[float], ys: list[float]) -> float:
 def cmd_width_scaling(args) -> int:
     alphas = _parse_alphas(args.alpha, "width-scaling")
     curves = fringe_scans(alphas, [_auto_span(alpha) for alpha in alphas], args.points)
-    widths = {a: physical_realization.central_fringe_width(c) for a, c in zip(alphas, curves)}
+    widths = {}
+    for alpha, curve in zip(alphas, curves):
+        try:
+            widths[alpha] = physical_realization.central_fringe_width(curve)
+        except WidthUndefinedError as exc:
+            raise WidthUndefinedError(f"alpha = {alpha!r}: {exc}") from exc
 
     report = {
         "alphas": [float(a) for a in alphas],
@@ -294,7 +299,7 @@ def _oracle_checks(max_alpha: float, cases: int, seed: int, inject_bug: bool) ->
     checks["leakage_agreement"] = _check(worst_dl, 1e-6)
     # outcome weights plus leakage sum to 1 by construction; what can fail
     # is the two-mode norm they are taken from
-    checks["weight_closure"] = _check(worst_norm, 1e-9)
+    checks["weight_closure"] = _check(worst_norm, physical_realization.WEIGHT_CLOSURE_TOL)
     return checks
 
 
@@ -332,6 +337,9 @@ def cmd_oracle(args) -> int:
 
 def cmd_phase_error(args) -> int:
     alphas = _parse_float_list(args.alpha, "alpha")
+    for alpha in alphas:
+        if not 0 <= alpha <= MAX_AMPLITUDE:
+            raise ValueError(f"--alpha values must be nonnegative with a finite square, got {alpha!r}")
     if not (args.theta_max > 0 and math.isfinite(args.theta_max)):
         raise ValueError("--theta-max must be positive and finite")
     # the theta_sq_alpha_sq column theta^2 alpha^2 needs both theta and
@@ -347,7 +355,7 @@ def cmd_phase_error(args) -> int:
     thetas = np.linspace(0.0, args.theta_max, args.theta_points)
     blocks = []
     for alpha in alphas:
-        errors = phase_gate_error(alpha, thetas)  # checks alpha before alpha**2 below
+        errors = phase_gate_error(alpha, thetas)
         blocks.append(np.column_stack(
             (thetas, np.full(thetas.size, alpha), errors, thetas**2 * alpha**2)
         ))

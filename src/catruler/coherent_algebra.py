@@ -155,37 +155,29 @@ def cat_norm_squared(alpha: float, sign: int = 1) -> float:
     return 2.0 + 2.0 * math.exp(-(alpha**2) / 2.0)
 
 
-def _state_form(coeffs: np.ndarray, kernel: np.ndarray) -> tuple[complex, float, bool]:
-    """Hermitian form conj(c) . K . c of one state as a Python complex, its
-    scale sum |c_k|^2, and whether it is finite with an imaginary residue of
-    at most IMAG_RESIDUE_LIMIT * scale: each |K_kl| <= 1, an inner product of
-    normalized wave functions, so the form rounds by ulps of the scale."""
+def _checked_form(coeffs: np.ndarray, kernel: np.ndarray, high: float, name: str, error: type) -> float:
+    """Hermitian form conj(c) . K . c of one state, clamped into [0, high].
+    Raises error if it is not finite, carries an imaginary residue above
+    IMAG_RESIDUE_LIMIT * scale or leaves [0, high] by more than NORM_CLAMP
+    * scale, with scale = sum |c_k|^2: each |K_kl| <= 1, an inner product
+    of normalized wave functions, so the form rounds by ulps of the scale."""
     value = complex(np.vdot(coeffs, kernel @ coeffs))
     scale = float(np.vdot(coeffs, coeffs).real)
-    finite = math.isfinite(value.real) and math.isfinite(value.imag)
-    return value, scale, finite and abs(value.imag) <= IMAG_RESIDUE_LIMIT * scale
-
-
-def _clamped_norm(coeffs: np.ndarray, gram: np.ndarray) -> float:
-    """Squared norm from a Gram matrix, rejecting a non-finite or complex
-    value; tiny negatives clamp to zero."""
-    value, scale, ok = _state_form(coeffs, gram)
-    if not ok:
-        raise NormalizationError(
-            f"norm^2 = {value!r} is not finite or carries an imaginary "
-            "residue; coefficients look corrupted"
-        )
-    if value.real < -NORM_CLAMP * scale:
-        raise NormalizationError(f"norm^2 = {value.real!r} is negative beyond tolerance")
-    return max(value.real, 0.0)
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)
+            and abs(value.imag) <= IMAG_RESIDUE_LIMIT * scale):
+        raise error(f"{name} {value!r} is not finite or carries an imaginary residue")
+    if not -NORM_CLAMP * scale <= value.real <= high + NORM_CLAMP * scale:
+        raise error(f"{name} {value.real!r} escaped [0, {high!r}]")
+    return min(max(value.real, 0.0), high)
 
 
 def norm_squared(s: CoherentSuperposition) -> float:
-    """<s|s> via the Gram matrix; tiny negatives clamp to zero.  Refuses
-    (ValueError) an amplitude |g| above MAX_AMPLITUDE / 2."""
+    """<s|s> via the Gram matrix, checked and clamped at 0 by _checked_form
+    (NormalizationError).  Refuses (ValueError) |g| above MAX_AMPLITUDE / 2."""
     _require_in_range(g for _, g in s.terms)
     amps = s.amplitudes
-    return _clamped_norm(s.coefficients, np.exp(_log_overlap(amps[:, None], amps[None, :])))
+    gram = np.exp(_log_overlap(amps[:, None], amps[None, :]))
+    return _checked_form(s.coefficients, gram, math.inf, "norm^2", NormalizationError)
 
 
 def beamsplitter(gamma_a: complex, gamma_b: complex, mix_angle: float) -> tuple[complex, complex]:
@@ -313,11 +305,12 @@ def threshold_probability(
     that is not finite, and |T| + max |g| above MAX_AMPLITUDE / 2.
 
     The value is the exact closed form of _threshold_kernel_erf (the
-    Faddeeva function), clamped into [0, norm^2], with norm^2 from the
-    same kernel's Gram matrix.  method accepts only "erf", and any other
-    value raises ValueError: the keyword stays only because the
-    benchmark's threshold workload passes method="erf", and it goes when
-    that call drops it.  The adaptive-quadrature reference that the
+    Faddeeva function), checked and clamped into [0, norm^2] by
+    _checked_form (IntegrationError), with norm^2 from the same kernel's
+    Gram matrix, checked as in norm_squared.  method accepts only "erf",
+    and any other value raises ValueError: the keyword stays only because
+    the benchmark's threshold workload passes method="erf", and it goes
+    when that call drops it.  The adaptive-quadrature reference that the
     tests compare with lives in tests/quad_reference.py.
     """
     if not math.isfinite(threshold):
@@ -327,11 +320,5 @@ def threshold_probability(
         raise ValueError(f"unknown method {method!r}; the only method is 'erf'")
     coeffs = s.coefficients
     gram, kernel = _threshold_kernel_erf(s.amplitudes, threshold)
-    n2 = _clamped_norm(coeffs, gram)
-    value, scale, ok = _state_form(coeffs, kernel)
-    if not ok:
-        raise IntegrationError("threshold probability is not finite or carries an imaginary residue")
-    value = value.real
-    if not -NORM_CLAMP * scale <= value <= n2 + NORM_CLAMP * scale:
-        raise IntegrationError(f"threshold probability {value!r} escaped [0, {n2!r}]")
-    return min(max(value, 0.0), n2)
+    n2 = _checked_form(coeffs, gram, math.inf, "norm^2", NormalizationError)
+    return _checked_form(coeffs, kernel, n2, "threshold probability", IntegrationError)

@@ -171,6 +171,14 @@ class TestWidthScaling:
         assert main(["--out", str(tmp_path), "--quiet"] + command) == 2
         assert not any(tmp_path.iterdir())
 
+    def test_undefined_width_names_its_alpha(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "--quiet", "width-scaling", "--alpha", "5,0.7",
+                     "--points", "21"]) == 3
+        assert capsys.readouterr().err == ("numerical failure: alpha = 0.7: no half-amplitude "
+                                           "crossing on the left of the central extremum\n")
+        assert not out.exists()
+
     def test_subnormal_mixing_angle_names_alpha_and_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["--out", str(out), "--quiet", "fringe", "--alpha", "1.2e154",
@@ -494,11 +502,16 @@ class TestPhaseErrorCommand:
         # theta_max and each alpha have finite squares, but the largest
         # alpha's (theta_max * alpha)^2 overflows
         ["--alpha", "1,1e10", "--theta-max", "1e150", "--theta-points", "3"],
+        ["--alpha", "-1"],
     ])
     def test_non_finite_input_is_usage_error(self, tmp_path, capsys, flags):
         out = tmp_path / "out"
         assert main(["--out", str(out), "--quiet", "phase-error"] + flags) == 2
-        assert capsys.readouterr().err.startswith("usage error:")
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:")
+        if len(flags) == 2:  # a lone --alpha row meets the command's own alpha check
+            assert err == ("usage error: --alpha values must be nonnegative with a finite square, "
+                           f"got {float(flags[1])!r}\n")
         assert not out.exists()
 
 

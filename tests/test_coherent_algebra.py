@@ -26,7 +26,7 @@ from catruler.coherent_algebra import (
     _FADDEEVA_COEFFS,
     MAX_AMPLITUDE,
     CoherentSuperposition,
-    _clamped_norm,
+    _checked_form,
     _half_faddeeva,
     beamsplitter,
     cat_norm_squared,
@@ -34,7 +34,7 @@ from catruler.coherent_algebra import (
     overlap,
     threshold_probability,
 )
-from catruler.errors import CatRulerError, IntegrationError, NormalizationError
+from catruler.errors import IntegrationError, NormalizationError
 
 import quad_reference
 from faddeeva_reference import faddeeva_coefficients
@@ -47,6 +47,11 @@ SELF_CONSISTENCY_TOL = 1e-8
 def equal_weights(*amplitudes) -> CoherentSuperposition:
     """sum_k |g_k> with unit coefficients."""
     return CoherentSuperposition(tuple((1, g) for g in amplitudes))
+
+
+def checked_norm(coeffs, kernel) -> float:
+    """The squared norm of coeffs under kernel, checked as norm_squared checks it."""
+    return _checked_form(coeffs, kernel, math.inf, "norm^2", NormalizationError)
 
 
 def fock_series(gamma, n_max=60):
@@ -129,8 +134,9 @@ class TestNormSquared:
     def test_corrupted_quadratic_form_raises(self):
         # non-Hermitian kernel stands in for corrupted coefficients
         kernel = np.array([[1.0, 1j], [0.0, 1.0]])
-        with pytest.raises(NormalizationError):
-            _clamped_norm(np.array([1.0, 1.0], dtype=complex), kernel)
+        with pytest.raises(NormalizationError,
+                           match=r"^norm\^2 \(2\+1j\) is not finite or carries an imaginary residue$"):
+            checked_norm(np.array([1.0, 1.0], dtype=complex), kernel)
 
     def test_residue_is_judged_at_the_coefficient_scale(self):
         # 1e-5j on the diagonal of a Gram matrix leaves an imaginary residue
@@ -140,25 +146,25 @@ class TestNormSquared:
         amps = [0.3, 1.0 + 1.0j]
         gram = np.array([[overlap(a, b) for b in amps] for a in amps])
         with pytest.raises(NormalizationError, match="imaginary residue"):
-            _clamped_norm(np.array([1e-3, 1e-3j]), gram + 1e-5j * np.eye(2))
+            checked_norm(np.array([1e-3, 1e-3j]), gram + 1e-5j * np.eye(2))
 
     def test_negative_quadratic_form_raises(self):
         # an indefinite kernel stands in for a Gram matrix that lost its
         # positivity: c^dag K c = 2 - 4, which would clamp to 0
         kernel = np.array([[1.0, -2.0], [-2.0, 1.0]], dtype=complex)
-        with pytest.raises(NormalizationError, match="negative beyond tolerance"):
-            _clamped_norm(np.array([1.0, 1.0], dtype=complex), kernel)
+        with pytest.raises(NormalizationError, match=r"^norm\^2 -2\.0 escaped \[0, inf\]$"):
+            checked_norm(np.array([1.0, 1.0], dtype=complex), kernel)
 
     def test_small_negative_quadratic_form_clamps_to_zero(self):
         # an indefinite kernel whose form, 1 - (1 + 1e-13), is negative
         # within NORM_CLAMP: the squared norm reads exactly 0
         kernel = np.diag([1.0, -1.0 - 1e-13]).astype(complex)
-        assert _clamped_norm(np.array([1.0, 1.0], dtype=complex), kernel) == 0.0
+        assert checked_norm(np.array([1.0, 1.0], dtype=complex), kernel) == 0.0
 
     def test_non_finite_quadratic_form_raises(self):
         kernel = np.array([[1.0, complex("nan")], [complex("nan"), 1.0]])
         with pytest.raises(NormalizationError):
-            _clamped_norm(np.array([1.0, 1.0], dtype=complex), kernel)
+            checked_norm(np.array([1.0, 1.0], dtype=complex), kernel)
 
     def test_cat_orthogonality(self):
         # normalized plus and minus cats are exactly orthogonal
@@ -418,7 +424,9 @@ class TestThresholdProbability:
             return gram, np.full_like(kernel, complex("nan"))
 
         monkeypatch.setattr(ca, "_threshold_kernel_erf", nan_kernel)
-        with pytest.raises(CatRulerError):
+        # the message carries the value that failed the check
+        with pytest.raises(IntegrationError, match=r"^threshold probability \(nan\+nanj\) is not finite "
+                           r"or carries an imaginary residue$"):
             threshold_probability(CoherentSuperposition.single(1.0), 1.0, method="erf")
 
     @pytest.mark.parametrize("fault, terms", [
